@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy import integrate
 
 from . import specfn
 from .channel import LinkParams, SystemConfig
@@ -156,19 +155,16 @@ def cdf_max_others(
 # ---------------------------------------------------------------------------
 
 def _subset_expansion(other_lams: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Inclusion-exclusion coefficients and rate sums over all subsets."""
-    n = len(other_lams)
-    coeffs = np.empty(1 << n)
-    extra = np.empty(1 << n)
-    for mask in range(1 << n):
-        s = 0.0
-        bits = 0
-        for i in range(n):
-            if mask >> i & 1:
-                s += other_lams[i]
-                bits += 1
-        coeffs[mask] = -1.0 if bits % 2 else 1.0
-        extra[mask] = s
+    """Inclusion-exclusion coefficients and rate sums over all subsets,
+    indexed by bit mask.  The masks with top bit i are the masks below 2^i
+    plus relay i, so each doubling step flips the sign and adds lam_i; rate
+    sums accumulate in increasing relay order."""
+    coeffs = np.ones(1 << len(other_lams))
+    extra = np.zeros(1 << len(other_lams))
+    for i, lam in enumerate(other_lams):
+        half = 1 << i
+        coeffs[half : 2 * half] = -coeffs[:half]
+        extra[half : 2 * half] = extra[:half] + lam
     return coeffs, extra
 
 
@@ -250,16 +246,40 @@ class _Diag:
             )
 
 
+def _link_tables(links: list[LinkParams], build) -> list:
+    """build(link) for every relay link, evaluated once per distinct link.
+
+    A kernel table and its series length depend only on the link (and the
+    config and SeriesControl that build closes over), never on the decoding
+    set, so one metric evaluation builds each table once.
+    """
+    built = {lp: build(lp) for lp in dict.fromkeys(links)}
+    return [built[lp] for lp in links]
+
+
 # ---------------------------------------------------------------------------
 # outage
 # ---------------------------------------------------------------------------
 
+def _outage_link_table(link: LinkParams, r_o: float, ctrl: SeriesControl) -> np.ndarray | None:
+    """Outage kernel gamma(k+1, q R_o) / k! of one link, truncated to its
+    series length; None when rho_f = 1, which needs no series."""
+    if link.degenerate:
+        return None
+    x = link.q * r_o
+    half_c = 0.5 * link.c
+    r_max = half_c / (link.lam + half_c)
+    gamma_cut = x + 45.0 * math.sqrt(x) + 50.0
+    K = _series_length(r_max, ctrl.abs_tol, ctrl.k_max, 1.0, gamma_cut)
+    return specfn.lower_gamma_ratio_table(K, x)
+
+
 def _outage_candidate(
     link: LinkParams,
+    table: np.ndarray | None,
     coeffs: np.ndarray,
     lam_extra: np.ndarray,
     r_o: float,
-    ctrl: SeriesControl,
     diag: _Diag,
 ) -> float:
     """Pr[current SNR of m <= R_o and m has the max old SNR | D]."""
@@ -269,15 +289,8 @@ def _outage_candidate(
         value = float(coeffs @ per_subset)
         diag.update(1, value, float(np.abs(coeffs) @ np.abs(per_subset)))
         return value
-    q = link.q
-    x = q * r_o
-    half_c = 0.5 * link.c
-    r_max = half_c / (link.lam + half_c)
-    gamma_cut = x + 45.0 * math.sqrt(x) + 50.0
-    K = _series_length(r_max, ctrl.abs_tol, ctrl.k_max, 1.0, gamma_cut)
-    kernel = specfn.lower_gamma_ratio_table(K, x)
-    value, abs_sum = _series_dot(link, coeffs, lam_extra, kernel)
-    diag.update(K + 1, value, abs_sum)
+    value, abs_sum = _series_dot(link, coeffs, lam_extra, table)
+    diag.update(len(table), value, abs_sum)
     return value
 
 
@@ -291,14 +304,18 @@ def outage_conditional(
     if m not in D:
         raise ValueError("candidate m must belong to the decoding set")
     rel = config.relay_params()
+    link = rel[m]
     coeffs, lam_extra = _subset_expansion([rel[i].lam for i in D if i != m])
-    return _outage_candidate(rel[m], coeffs, lam_extra, config.r_o, ctrl, _Diag())
+    table = _outage_link_table(link, config.r_o, ctrl)
+    return _outage_candidate(link, table, coeffs, lam_extra, config.r_o, _Diag())
 
 
 def outage_conditional_quadrature(D: DecodingSet, m: int, config: SystemConfig) -> float:
     """Independent oracle for outage_conditional: adaptive quadrature of
     int F(R_o | g) F_max_others(g) lam e^(-lam g) dg with the inner CDF
     evaluated through the Marcum Q function."""
+    from scipy import integrate  # only this oracle needs scipy's quadrature
+
     _check_subset(config, D)
     if m not in D:
         raise ValueError("candidate m must belong to the decoding set")
@@ -348,12 +365,13 @@ def _weighted_total_general(config: SystemConfig, per_candidate, empty_value: fl
 def outage_total_general(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) -> MetricResult:
     """Total outage probability via the explicit sum over all 2^M sets."""
     rel = config.relay_params()
-    diag = _Diag()
     r_o = config.r_o
+    tables = _link_tables(rel, lambda lp: _outage_link_table(lp, r_o, ctrl))
+    diag = _Diag()
 
     def candidate(m: int, D: DecodingSet) -> float:
         coeffs, lam_extra = _subset_expansion([rel[i].lam for i in D if i != m])
-        return _outage_candidate(rel[m], coeffs, lam_extra, r_o, ctrl, diag)
+        return _outage_candidate(rel[m], tables[m], coeffs, lam_extra, r_o, diag)
 
     value = _weighted_total_general(
         config, candidate, 1.0, lambda D: prob_decoding_set(config, D)
@@ -371,11 +389,12 @@ def outage_total_symmetric(config: SystemConfig, ctrl: SeriesControl = SeriesCon
     rel = config.relay_params()[0]
     r_o = config.r_o
     p = prob_relay_decodes(src, r_o)
+    table = _outage_link_table(rel, r_o, ctrl)
     diag = _Diag()
     total = (1.0 - p) ** config.M  # empty set: certain outage
     for l in range(1, config.M + 1):
         coeffs, lam_extra = _symmetric_expansion(l, rel.lam)
-        per_m = _outage_candidate(rel, coeffs, lam_extra, r_o, ctrl, diag)
+        per_m = _outage_candidate(rel, table, coeffs, lam_extra, r_o, diag)
         weight = specfn.binomial(config.M, l) * p**l * (1.0 - p) ** (config.M - l)
         total += weight * l * per_m
     return MetricResult(total, diag.terms, diag.condition)
@@ -404,52 +423,65 @@ def _aser_kernel_table(
     #   sum_n a_n (beta P)^((n-1)/2) Gamma(k+(n+1)/2) / (q + beta P h)^(k+(n+1)/2)
     # h = 1/2 is the faithful expansion; h = 1 is the variant the "paper"
     # convention evaluates.
+    # Gamma(k+(n+1)/2) and k! = Gamma(k+1) both take arguments on the
+    # half-integer grid 1, 1.5, ..., K + (n_a+1)/2: lgamma is evaluated once
+    # there, at index 2k + n - 1 and 2k.
     h = 0.5 if kind == "qapprox" else 1.0
     a = specfn.qapprox_coefficients(n_a)
     n = np.arange(1, n_a + 1, dtype=float)
+    two_k = 2 * np.arange(K + 1)[:, None]
+    k = np.arange(K + 1, dtype=float)[:, None]
     log_bp = math.log(bp)
     log_q = math.log(q)
     log_denom = math.log(q + bp * h)
-    out = np.empty(K + 1)
-    lgam = math.lgamma
-    for k in range(K + 1):
-        exps = (
-            np.array([lgam(k + (v + 1.0) / 2.0) for v in n])
-            - specfn.ln_factorial(k)
-            + (k + 1.0) * log_q
-            + (n - 1.0) / 2.0 * log_bp
-            - (k + (n + 1.0) / 2.0) * log_denom
-        )
-        out[k] = float(a @ np.exp(exps))
-    return out
+    half_grid = (1.0 + 0.5 * np.arange(2 * K + n_a)).tolist()
+    lgam_half = np.array([math.lgamma(x) for x in half_grid])
+    exps = (
+        lgam_half[two_k + np.arange(n_a)]
+        - lgam_half[two_k]
+        + (k + 1.0) * log_q
+        + (n - 1.0) / 2.0 * log_bp
+        - (k + (n + 1.0) / 2.0) * log_denom
+    )
+    # a stack of (1 x n_a) @ (n_a x 1) products: numpy takes one BLAS dot per
+    # row, exactly as `a @ row` does, so the table matches a per-k evaluation
+    # bit for bit.  A single `terms @ a` mat-vec sums in another order and
+    # moves the figure-8 diversity rows by 2.5e-11 relative.
+    return (np.exp(exps)[:, None, :] @ a[:, None]).ravel()
+
+
+def _aser_link_table(
+    link: LinkParams, config: SystemConfig, ctrl: SeriesControl, n_a: int, kernel_kind: str
+) -> np.ndarray | None:
+    """ASER kernel table of one link, truncated to its series length; None
+    when rho_f = 1."""
+    if link.degenerate:
+        return None
+    half_c = 0.5 * link.c
+    r_max = half_c / (link.lam + half_c)
+    K = _series_length(r_max, ctrl.abs_tol, ctrl.k_max, 0.5)
+    return _aser_kernel_table(kernel_kind, K, link.q, config, n_a)
 
 
 def _aser_candidate(
     link: LinkParams,
+    table: np.ndarray | None,
     coeffs: np.ndarray,
     lam_extra: np.ndarray,
     config: SystemConfig,
-    ctrl: SeriesControl,
-    n_a: int,
-    kernel_kind: str,
     diag: _Diag,
 ) -> float:
     """alpha * E[Q(sqrt(beta P gamma_m)) ; m selected | D]."""
-    bp = config.beta * config.power
     if link.degenerate:
+        bp = config.beta * config.power
         a = link.lam + lam_extra
         qbar = np.array([specfn.mean_q_gamma(1, bp / (2.0 * ai)) for ai in a])
         per_subset = link.lam / a * qbar
         value = config.alpha * float(coeffs @ per_subset)
         diag.update(1, value, config.alpha * float(np.abs(coeffs) @ np.abs(per_subset)))
         return value
-    q = link.q
-    half_c = 0.5 * link.c
-    r_max = half_c / (link.lam + half_c)
-    K = _series_length(r_max, ctrl.abs_tol, ctrl.k_max, 0.5)
-    kernel = _aser_kernel_table(kernel_kind, K, q, config, n_a)
-    value, abs_sum = _series_dot(link, coeffs, lam_extra, kernel)
-    diag.update(K + 1, config.alpha * value, config.alpha * abs_sum)
+    value, abs_sum = _series_dot(link, coeffs, lam_extra, table)
+    diag.update(len(table), config.alpha * value, config.alpha * abs_sum)
     return config.alpha * value
 
 
@@ -472,6 +504,7 @@ def aser_total_general(
     kind = _aser_kernel_kind(config, kernel)
     rel = config.relay_params()
     b = [relay_error_prob(lp, config) for lp in config.source_params()]
+    tables = _link_tables(rel, lambda lp: _aser_link_table(lp, config, ctrl, n_a, kind))
     diag = _Diag()
 
     def weight(D: DecodingSet) -> float:
@@ -482,7 +515,7 @@ def aser_total_general(
 
     def candidate(m: int, D: DecodingSet) -> float:
         coeffs, lam_extra = _subset_expansion([rel[i].lam for i in D if i != m])
-        return _aser_candidate(rel[m], coeffs, lam_extra, config, ctrl, n_a, kind, diag)
+        return _aser_candidate(rel[m], tables[m], coeffs, lam_extra, config, diag)
 
     value = _weighted_total_general(config, candidate, 0.5, weight)
     return MetricResult(value, diag.terms, diag.condition)
@@ -499,11 +532,12 @@ def aser_total_symmetric(
     kind = _aser_kernel_kind(config, kernel)
     rel = config.relay_params()[0]
     b = relay_error_prob(config.source_params()[0], config)
+    table = _aser_link_table(rel, config, ctrl, n_a, kind)
     diag = _Diag()
     total = 0.5 * b**config.M
     for l in range(1, config.M + 1):
         coeffs, lam_extra = _symmetric_expansion(l, rel.lam)
-        per_m = _aser_candidate(rel, coeffs, lam_extra, config, ctrl, n_a, kind, diag)
+        per_m = _aser_candidate(rel, table, coeffs, lam_extra, config, diag)
         weight = specfn.binomial(config.M, l) * (1.0 - b) ** l * b ** (config.M - l)
         total += weight * l * per_m
     return MetricResult(total, diag.terms, diag.condition)
@@ -580,33 +614,40 @@ def selected_snr_pdf(
 # average capacity lower bound
 # ---------------------------------------------------------------------------
 
-def _capacity_candidate(
-    link: LinkParams,
-    coeffs: np.ndarray,
-    lam_extra: np.ndarray,
-    config: SystemConfig,
-    ctrl: SeriesControl,
-    diag: _Diag,
-) -> float:
-    """E[(1/2) log2(1 + P gamma_m) ; m selected | D], in bits/s/Hz."""
-    P = config.power
+def _capacity_link_table(
+    link: LinkParams, config: SystemConfig, ctrl: SeriesControl
+) -> np.ndarray | None:
+    """Capacity kernel E[ln(1 + X_k / b)] of one link, truncated to its
+    series length; None when rho_f = 1."""
     if link.degenerate:
-        a = link.lam + lam_extra
-        logs = np.array([specfn.log_gamma_mean_table(0, ai / P)[0] for ai in a])
-        per_subset = link.lam / a * logs
-        value = float(coeffs @ per_subset) / (2.0 * LN2)
-        diag.update(1, value, float(np.abs(coeffs) @ np.abs(per_subset)) / (2.0 * LN2))
-        return value
-    q = link.q
-    b = q / P
+        return None
+    b = link.q / config.power
     half_c = 0.5 * link.c
     r_max = half_c / (link.lam + half_c)
     k0 = _series_length(r_max, ctrl.abs_tol, ctrl.k_max, 1.0)
     cap = math.log1p((k0 + 2.0) / b) + 2.0
     K = _series_length(r_max, ctrl.abs_tol, ctrl.k_max, cap)
-    kernel = specfn.log_gamma_mean_table(K, b)
-    value, abs_sum = _series_dot(link, coeffs, lam_extra, kernel)
-    diag.update(K + 1, value, abs_sum)
+    return specfn.log_gamma_mean_table(K, b)
+
+
+def _capacity_candidate(
+    link: LinkParams,
+    table: np.ndarray | None,
+    coeffs: np.ndarray,
+    lam_extra: np.ndarray,
+    config: SystemConfig,
+    diag: _Diag,
+) -> float:
+    """E[(1/2) log2(1 + P gamma_m) ; m selected | D], in bits/s/Hz."""
+    if link.degenerate:
+        a = link.lam + lam_extra
+        logs = np.array([specfn.log_gamma_mean_table(0, ai / config.power)[0] for ai in a])
+        per_subset = link.lam / a * logs
+        value = float(coeffs @ per_subset) / (2.0 * LN2)
+        diag.update(1, value, float(np.abs(coeffs) @ np.abs(per_subset)) / (2.0 * LN2))
+        return value
+    value, abs_sum = _series_dot(link, coeffs, lam_extra, table)
+    diag.update(len(table), value, abs_sum)
     return value / (2.0 * LN2)
 
 
@@ -614,11 +655,12 @@ def capacity_lb_avg_general(
     config: SystemConfig, ctrl: SeriesControl = SeriesControl()
 ) -> MetricResult:
     rel = config.relay_params()
+    tables = _link_tables(rel, lambda lp: _capacity_link_table(lp, config, ctrl))
     diag = _Diag()
 
     def candidate(m: int, D: DecodingSet) -> float:
         coeffs, lam_extra = _subset_expansion([rel[i].lam for i in D if i != m])
-        return _capacity_candidate(rel[m], coeffs, lam_extra, config, ctrl, diag)
+        return _capacity_candidate(rel[m], tables[m], coeffs, lam_extra, config, diag)
 
     value = _weighted_total_general(
         config, candidate, 0.0, lambda D: prob_decoding_set(config, D)
@@ -634,11 +676,12 @@ def capacity_lb_avg_symmetric(
     src = config.source_params()[0]
     rel = config.relay_params()[0]
     p = prob_relay_decodes(src, config.r_o)
+    table = _capacity_link_table(rel, config, ctrl)
     diag = _Diag()
     total = 0.0  # empty set contributes zero capacity
     for l in range(1, config.M + 1):
         coeffs, lam_extra = _symmetric_expansion(l, rel.lam)
-        per_m = _capacity_candidate(rel, coeffs, lam_extra, config, ctrl, diag)
+        per_m = _capacity_candidate(rel, table, coeffs, lam_extra, config, diag)
         weight = specfn.binomial(config.M, l) * p**l * (1.0 - p) ** (config.M - l)
         total += weight * l * per_m
     return MetricResult(total, diag.terms, diag.condition)

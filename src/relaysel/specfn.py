@@ -40,44 +40,6 @@ class SeriesControl:
             raise ValueError("k_max must be >= 1")
 
 
-class CompensatedSum:
-    """Neumaier-compensated accumulator that also tracks cancellation.
-
-    condition() returns sum(|terms|) / |sum(terms)|; values much larger than
-    one signal that the result lost digits to cancellation.
-    """
-
-    __slots__ = ("_s", "_c", "_abs")
-
-    def __init__(self):
-        self._s = 0.0
-        self._c = 0.0
-        self._abs = 0.0
-
-    def add(self, term: float) -> None:
-        self._abs += abs(term)
-        t = self._s + term
-        if abs(self._s) >= abs(term):
-            self._c += (self._s - t) + term
-        else:
-            self._c += (term - t) + self._s
-        self._s = t
-
-    @property
-    def value(self) -> float:
-        return self._s + self._c
-
-    @property
-    def abs_sum(self) -> float:
-        return self._abs
-
-    def condition(self) -> float:
-        v = abs(self.value)
-        if v == 0.0:
-            return 1.0 if self._abs == 0.0 else math.inf
-        return self._abs / v
-
-
 # ---------------------------------------------------------------------------
 # factorials / binomials
 # ---------------------------------------------------------------------------

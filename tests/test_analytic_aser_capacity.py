@@ -9,6 +9,7 @@ from scipy import integrate
 
 from relaysel import analytic as an
 from relaysel import channel as ch
+from relaysel import specfn
 from relaysel.specfn import SeriesControl, gaussian_q
 
 from conftest import CTRL, sym_config
@@ -273,3 +274,87 @@ def test_capacity_degenerate_matches_quadrature():
     assert an.capacity_lb_avg(cfg, CTRL).value == pytest.approx(
         capacity_quadrature(cfg), abs=1e-6
     )
+
+
+# ---------------------------------------------------------------------------
+# kernel tables
+# ---------------------------------------------------------------------------
+
+def aser_qapprox_table_per_k(kind, K, q, cfg, n_a):
+    """Reference: the Q-approximation ASER kernel evaluated one k at a time."""
+    bp = cfg.beta * cfg.power
+    h = 0.5 if kind == "qapprox" else 1.0
+    a = specfn.qapprox_coefficients(n_a)
+    n = np.arange(1, n_a + 1, dtype=float)
+    log_bp = math.log(bp)
+    log_q = math.log(q)
+    log_denom = math.log(q + bp * h)
+    out = np.empty(K + 1)
+    for k in range(K + 1):
+        exps = (
+            np.array([math.lgamma(k + (v + 1.0) / 2.0) for v in n])
+            - specfn.ln_factorial(k)
+            + (k + 1.0) * log_q
+            + (n - 1.0) / 2.0 * log_bp
+            - (k + (n + 1.0) / 2.0) * log_denom
+        )
+        out[k] = float(a @ np.exp(exps))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["qapprox", "paper"])
+@pytest.mark.parametrize("K", [0, 1, 150])
+@pytest.mark.parametrize("n_a", [1, 20])
+def test_aser_qapprox_table_matches_per_k_loop(kind, K, n_a):
+    cfg = sym_config(M=2, power=31.6, rho_e=0.97, rho_f=0.95)
+    q = cfg.relay_params()[0].q
+    got = an._aser_kernel_table(kind, K, q, cfg, n_a)
+    want = aser_qapprox_table_per_k(kind, K, q, cfg, n_a)
+    assert got.shape == want.shape
+    assert np.all(got == want)
+
+
+def _asymmetric_m3():
+    src = tuple(ch.FadingParams(v, 1.0, 0.9) for v in (1.0, 0.95, 1.05))
+    rel = tuple(ch.FadingParams(v, 1.0, r) for v, r in ((1.0, 0.85), (0.9, 0.9), (1.1, 0.88)))
+    return ch.SystemConfig(M=3, power=10.0, source_links=src, relay_links=rel)
+
+
+def _shared_link_m3():
+    """Relays 0 and 2 share one link, so only two distinct tables exist."""
+    src = tuple(ch.FadingParams(v, 1.0, 0.9) for v in (1.0, 0.95, 1.05))
+    rel = tuple(ch.FadingParams(v, 1.0, r) for v, r in ((1.0, 0.85), (0.9, 0.9), (1.0, 0.85)))
+    return ch.SystemConfig(M=3, power=10.0, source_links=src, relay_links=rel)
+
+
+@pytest.mark.parametrize(
+    "metric, table_fn",
+    [
+        (lambda cfg: an.outage_total(cfg, CTRL), "lower_gamma_ratio_table"),
+        (lambda cfg: an.aser_total(cfg, CTRL), "mean_q_gamma_table"),
+        (lambda cfg: an.aser_total(cfg, CTRL, kernel="qapprox"), "qapprox_coefficients"),
+        (lambda cfg: an.capacity_lb_avg(cfg, CTRL), "log_gamma_mean_table"),
+    ],
+    ids=["outage", "aser-exact", "aser-qapprox", "capacity"],
+)
+@pytest.mark.parametrize(
+    "make_cfg, distinct",
+    [
+        (lambda: sym_config(M=4, power=10.0, rho_e=0.97, rho_f=0.9), 1),
+        (_asymmetric_m3, 3),
+        (_shared_link_m3, 2),
+    ],
+    ids=["symmetric-M4", "asymmetric-M3", "shared-link-M3"],
+)
+def test_kernel_table_built_once_per_distinct_link(monkeypatch, metric, table_fn, make_cfg, distinct):
+    cfg = make_cfg()
+    calls = []
+    original = getattr(specfn, table_fn)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(specfn, table_fn, counting)
+    metric(cfg)
+    assert len(calls) == distinct

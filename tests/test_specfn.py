@@ -338,7 +338,7 @@ def test_log_gamma_mean_first_entry_is_ei_identity():
 
 
 # ---------------------------------------------------------------------------
-# series control / compensated sums
+# series control
 # ---------------------------------------------------------------------------
 
 def test_series_control_validation():
@@ -353,11 +353,3 @@ def test_series_control_validation():
 def test_poisson_window_raises_past_cap():
     with pytest.raises(specfn.SeriesError):
         specfn.poisson_weight_window(5000.0, 1e-12, k_cap=512)
-
-
-def test_compensated_sum_tracks_condition():
-    s = specfn.CompensatedSum()
-    for term in (1.0, 1e-16, -1.0):
-        s.add(term)
-    assert s.value == pytest.approx(1e-16, rel=1e-6)
-    assert s.condition() > 1e15
