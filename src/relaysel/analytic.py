@@ -6,15 +6,26 @@ joint probability/expectation of {m has the largest old SNR} and a function
 of m's current SNR.  Conditioned on the old SNR g, the current SNR is
 theta * noncentral-chi-square(2 dof, noncentrality c g), which expands into
 Poisson-weighted gamma terms; integrating g against the old-SNR density and
-the inclusion-exclusion expansion of the maximum's CDF turns every metric
-into
+the inclusion-exclusion expansion of the maximum's CDF turns every
+candidate term into
 
     sum_k  kernel[k] * sum_{S subset of D\\{m}} sign(S) lam_m (c/2)^k / a_S^(k+1)
 
 with a_S = lam_m + c/2 + sum_{i in S} lam_i and a metric-specific kernel[k]
 (an incomplete-gamma ratio for outage, an averaged Gaussian tail for SER, an
-averaged log for capacity).  rho_f = 1 collapses to exact order-statistics
-forms and is handled as a separate branch throughout.
+averaged log for capacity).
+
+Relays decode independently, relay i with probability p_i, so for a fixed
+(m, S) the weights of all decoding sets D containing S and m add up to
+p_m prod_{i in S} p_i.  The general (asymmetric) path therefore evaluates
+
+    empty-set term + sum_m p_m sum_{S subset of [M]\\{m}} prod_{i in S}(-p_i) f_m(a_S)
+
+with one candidate pass per relay: M 2^(M-1) subset rows instead of the
+M 3^(M-1) of the explicit decoding-set sum.  The symmetric path groups the
+decoding sets by size and the subsets by size with binomial multiplicities.
+rho_f = 1 collapses to exact order-statistics forms and is handled as a
+separate branch throughout.
 """
 
 from __future__ import annotations
@@ -154,16 +165,20 @@ def cdf_max_others(
 # shared series machinery
 # ---------------------------------------------------------------------------
 
-def _subset_expansion(other_lams: list[float]) -> tuple[np.ndarray, np.ndarray]:
+def _subset_expansion(
+    other_lams: list[float], weights: list[float] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Inclusion-exclusion coefficients and rate sums over all subsets,
     indexed by bit mask.  The masks with top bit i are the masks below 2^i
     plus relay i, so each doubling step flips the sign and adds lam_i; rate
-    sums accumulate in increasing relay order."""
+    sums accumulate in increasing relay order.  With weights, the
+    coefficient of S is prod_{i in S} (-weights_i) instead of (-1)^|S|."""
     coeffs = np.ones(1 << len(other_lams))
     extra = np.zeros(1 << len(other_lams))
     for i, lam in enumerate(other_lams):
         half = 1 << i
-        coeffs[half : 2 * half] = -coeffs[:half]
+        w = 1.0 if weights is None else weights[i]
+        coeffs[half : 2 * half] = -w * coeffs[:half]
         extra[half : 2 * half] = extra[:half] + lam
     return coeffs, extra
 
@@ -227,7 +242,7 @@ def _series_dot(
 
 
 class _Diag:
-    """Aggregates series diagnostics across the decoding-set loop."""
+    """Aggregates series diagnostics across the candidate terms."""
 
     def __init__(self):
         self.terms = 0
@@ -346,37 +361,41 @@ def outage_conditional_quadrature(D: DecodingSet, m: int, config: SystemConfig) 
     return val
 
 
-def _weighted_total_general(config: SystemConfig, per_candidate, empty_value: float, weights):
-    """Loop over decoding sets with candidate-level terms.  per_candidate is
-    called as per_candidate(m, D); weights(D) gives the set probability."""
-    total = 0.0
-    for D in all_decoding_sets(config.M):
-        w = weights(D)
-        if not D.members:
-            total += w * empty_value
-            continue
-        inner = 0.0
-        for m in D:
-            inner += per_candidate(m, D)
-        total += w * inner
-    return total
+def _merged_total_general(
+    rel: list[LinkParams], tables: list, p: list[float], empty_value: float, candidate
+) -> MetricResult:
+    """empty_value + sum_m p_m sum_{S subset of [M]\\{m}} prod_{i in S}(-p_i)
+    f_m(a_S): the decoding-set sum folded into the subset sum.  p_i is relay
+    i's decoding probability; candidate(link, table, coeffs, lam_extra, diag)
+    is the metric's candidate term, called once per relay."""
+    M = len(rel)
+    diag = _Diag()
+    total = empty_value
+    for m in range(M):
+        others = [i for i in range(M) if i != m]
+        coeffs, lam_extra = _subset_expansion(
+            [rel[i].lam for i in others], [p[i] for i in others]
+        )
+        total += p[m] * candidate(rel[m], tables[m], coeffs, lam_extra, diag)
+    return MetricResult(total, diag.terms, diag.condition)
 
 
 def outage_total_general(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) -> MetricResult:
-    """Total outage probability via the explicit sum over all 2^M sets."""
+    """Total outage probability, summed over all 2^M decoding sets by the
+    merged driver; the empty set (certain outage) has weight Pr[D = {}]."""
     rel = config.relay_params()
     r_o = config.r_o
     tables = _link_tables(rel, lambda lp: _outage_link_table(lp, r_o, ctrl))
-    diag = _Diag()
-
-    def candidate(m: int, D: DecodingSet) -> float:
-        coeffs, lam_extra = _subset_expansion([rel[i].lam for i in D if i != m])
-        return _outage_candidate(rel[m], tables[m], coeffs, lam_extra, r_o, diag)
-
-    value = _weighted_total_general(
-        config, candidate, 1.0, lambda D: prob_decoding_set(config, D)
+    p = [prob_relay_decodes(lp, r_o) for lp in config.source_params()]
+    return _merged_total_general(
+        rel,
+        tables,
+        p,
+        prob_decoding_set(config, DecodingSet(())),
+        lambda link, table, coeffs, lam_extra, diag: _outage_candidate(
+            link, table, coeffs, lam_extra, r_o, diag
+        ),
     )
-    return MetricResult(value, diag.terms, diag.condition)
 
 
 def outage_total_symmetric(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) -> MetricResult:
@@ -499,26 +518,22 @@ def aser_total_general(
     n_a: int = 20,
     kernel: str | None = None,
 ) -> MetricResult:
-    """ASER via the explicit decoding-set sum; membership weighted by the
-    per-relay decoding error probabilities B_i, all-off term ½ prod B_i."""
+    """ASER over all decoding sets by the merged driver; relay i decodes
+    with probability 1 - B_i (B_i its average decoding error probability),
+    and the all-off term is ½ prod B_i."""
     kind = _aser_kernel_kind(config, kernel)
     rel = config.relay_params()
     b = [relay_error_prob(lp, config) for lp in config.source_params()]
     tables = _link_tables(rel, lambda lp: _aser_link_table(lp, config, ctrl, n_a, kind))
-    diag = _Diag()
-
-    def weight(D: DecodingSet) -> float:
-        w = 1.0
-        for i in range(config.M):
-            w *= (1.0 - b[i]) if i in D else b[i]
-        return w
-
-    def candidate(m: int, D: DecodingSet) -> float:
-        coeffs, lam_extra = _subset_expansion([rel[i].lam for i in D if i != m])
-        return _aser_candidate(rel[m], tables[m], coeffs, lam_extra, config, diag)
-
-    value = _weighted_total_general(config, candidate, 0.5, weight)
-    return MetricResult(value, diag.terms, diag.condition)
+    return _merged_total_general(
+        rel,
+        tables,
+        [1.0 - bi for bi in b],
+        0.5 * math.prod(b),
+        lambda link, table, coeffs, lam_extra, diag: _aser_candidate(
+            link, table, coeffs, lam_extra, config, diag
+        ),
+    )
 
 
 def aser_total_symmetric(
@@ -592,14 +607,13 @@ def aser_conditional_pdf(
     t0 = link.lam / base
     ratio = half_c / base
     k = np.arange(k_lo, k_lo + len(w), dtype=float)
-    with np.errstate(divide="ignore"):
-        log_ratio = np.log(ratio)
-    per_subset = np.empty(len(base))
-    for j in range(len(base)):
-        if ratio[j] == 0.0:
-            per_subset[j] = t0[j] * (w[0] if k_lo == 0 else 0.0)
-        else:
-            per_subset[j] = t0[j] * float(w @ np.exp(k * log_ratio[j]))
+    # ratio = 0 (rho_f = 0) gives log -inf: 0^k is 0 for k > 0, and the
+    # -inf * 0 at k = 0 is replaced by 0^0 = 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        powers = np.exp(np.outer(np.log(ratio), k))
+    if k_lo == 0:
+        powers[ratio == 0.0, 0] = 1.0
+    per_subset = t0 * (powers @ w)
     return q * float(coeffs @ per_subset)
 
 
@@ -654,18 +668,20 @@ def _capacity_candidate(
 def capacity_lb_avg_general(
     config: SystemConfig, ctrl: SeriesControl = SeriesControl()
 ) -> MetricResult:
+    """Average capacity lower bound over all decoding sets by the merged
+    driver; the empty set contributes zero capacity."""
     rel = config.relay_params()
     tables = _link_tables(rel, lambda lp: _capacity_link_table(lp, config, ctrl))
-    diag = _Diag()
-
-    def candidate(m: int, D: DecodingSet) -> float:
-        coeffs, lam_extra = _subset_expansion([rel[i].lam for i in D if i != m])
-        return _capacity_candidate(rel[m], tables[m], coeffs, lam_extra, config, diag)
-
-    value = _weighted_total_general(
-        config, candidate, 0.0, lambda D: prob_decoding_set(config, D)
+    p = [prob_relay_decodes(lp, config.r_o) for lp in config.source_params()]
+    return _merged_total_general(
+        rel,
+        tables,
+        p,
+        0.0,
+        lambda link, table, coeffs, lam_extra, diag: _capacity_candidate(
+            link, table, coeffs, lam_extra, config, diag
+        ),
     )
-    return MetricResult(value, diag.terms, diag.condition)
 
 
 def capacity_lb_avg_symmetric(

@@ -35,8 +35,8 @@ class FadingParams:
     rho_f: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma2_h > 0.0:
-            raise ValueError(f"sigma2_h must be > 0, got {self.sigma2_h}")
+        if not (self.sigma2_h > 0.0 and math.isfinite(self.sigma2_h)):
+            raise ValueError(f"sigma2_h must be finite and > 0, got {self.sigma2_h}")
         if not 0.0 < self.rho_e <= 1.0:
             raise ValueError(f"rho_e must be in (0, 1], got {self.rho_e}")
         if not 0.0 <= self.rho_f <= 1.0:
@@ -147,12 +147,10 @@ class SystemConfig:
     def __post_init__(self):
         if self.M < 1:
             raise ValueError("M must be >= 1")
-        if self.power <= 0.0:
-            raise ValueError("power must be > 0")
-        if self.rate <= 0.0:
-            raise ValueError("rate must be > 0")
-        if self.alpha <= 0.0 or self.beta <= 0.0:
-            raise ValueError("modulation constants alpha, beta must be > 0")
+        for name in ("power", "rate", "alpha", "beta"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.lambda_convention not in CONVENTIONS:
             raise ValueError(f"unknown lambda convention {self.lambda_convention!r}")
         for name, links in (("source_links", self.source_links), ("relay_links", self.relay_links)):

@@ -18,6 +18,9 @@ Configuration document (JSON):
       "relay_links":  [...]        full per-link overrides
     }
 
+"M" must be a JSON integer; every other number must be finite (booleans are
+not numbers).  Anything else is a configuration error (exit code 2).
+
 CSV schema (fixed column order, one schema for every metric; empty cells
 where a column does not apply):
 
@@ -94,7 +97,7 @@ def _as_link_list(doc: dict, key: str, M: int, defaults: list[dict]) -> tuple[Fa
         for fname, fval in entry.items():
             if fname not in ("sigma2_h", "rho_e", "rho_f"):
                 raise ConfigError(f"{key}[{i}].{fname}: unknown field")
-            merged[fname] = fval
+            merged[fname] = _number(f"{key}[{i}].{fname}", fval)
         try:
             links.append(FadingParams(**merged))
         except ValueError as e:
@@ -102,16 +105,26 @@ def _as_link_list(doc: dict, key: str, M: int, defaults: list[dict]) -> tuple[Fa
     return tuple(links)
 
 
+def _number(key: str, val) -> float:
+    """A finite JSON number (or numeric string); booleans are not numbers."""
+    try:
+        if isinstance(val, bool):
+            raise TypeError
+        out = float(val)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{key}: expected a number, got {val!r}") from e
+    if not math.isfinite(out):
+        raise ConfigError(f"{key}: must be finite, got {val!r}")
+    return out
+
+
 def _scalar_or_list(doc: dict, key: str, M: int, default) -> list:
     val = doc.get(key, default)
     if isinstance(val, list):
         if len(val) != M:
             raise ConfigError(f"{key}: list must have exactly M={M} entries")
-        return [float(v) for v in val]
-    try:
-        return [float(val)] * M
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{key}: expected a number or list of numbers") from e
+        return [_number(f"{key}[{i}]", v) for i, v in enumerate(val)]
+    return [_number(key, val)] * M
 
 
 def load_config(doc: dict) -> SystemConfig:
@@ -128,19 +141,22 @@ def load_config(doc: dict) -> SystemConfig:
             raise ConfigError(f"{key}: unknown field")
     if "M" not in doc:
         raise ConfigError("M: required field is missing")
-    try:
-        M = int(doc["M"])
-    except (TypeError, ValueError) as e:
-        raise ConfigError("M: must be an integer") from e
+    M = doc["M"]
+    if isinstance(M, bool) or not isinstance(M, int):
+        raise ConfigError(f"M: must be an integer, got {M!r}")
     if M < 1:
         raise ConfigError("M: must be >= 1")
 
     if "power_db" in doc and "power_linear" in doc:
         raise ConfigError("power_db/power_linear: give one or the other, not both")
     if "power_db" in doc:
-        power = 10.0 ** (float(doc["power_db"]) / 10.0)
+        power_db = _number("power_db", doc["power_db"])
+        try:
+            power = 10.0 ** (power_db / 10.0)
+        except OverflowError as e:
+            raise ConfigError(f"power_db: {power_db} dB overflows the linear power") from e
     elif "power_linear" in doc:
-        power = float(doc["power_linear"])
+        power = _number("power_linear", doc["power_linear"])
     else:
         power = 1.0  # sweeps override it per grid point
 
@@ -171,9 +187,9 @@ def load_config(doc: dict) -> SystemConfig:
         return SystemConfig(
             M=M,
             power=power,
-            rate=float(doc.get("rate", 1.0)),
-            alpha=float(doc.get("alpha", 1.0)),
-            beta=float(doc.get("beta", 2.0)),
+            rate=_number("rate", doc.get("rate", 1.0)),
+            alpha=_number("alpha", doc.get("alpha", 1.0)),
+            beta=_number("beta", doc.get("beta", 2.0)),
             source_links=source_links,
             relay_links=relay_links,
             lambda_convention=convention,

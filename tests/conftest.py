@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relaysel.channel import SystemConfig
+from relaysel.channel import FadingParams, SystemConfig
 from relaysel.specfn import SeriesControl
 
 # roomy cap so tests near rho_f -> 1 converge; tolerance is the default
@@ -20,3 +20,20 @@ def rng():
 
 def sym_config(M=2, power=10.0, rho_e=1.0, rho_f=0.9, rate=1.0, **kw) -> SystemConfig:
     return SystemConfig.symmetric(M=M, power=power, rho_e=rho_e, rho_f=rho_f, rate=rate, **kw)
+
+
+def mixed_asym_config(M: int, power: float = 10.0) -> SystemConfig:
+    """Asymmetric config with rho_e < 1 on every link; odd-indexed relay
+    links have rho_f = 1 (exact order statistics), the rest rho_f < 1."""
+    gen = np.random.default_rng(M)
+
+    def link(rho_f: float) -> FadingParams:
+        return FadingParams(
+            sigma2_h=float(gen.uniform(0.6, 1.4)),
+            rho_e=float(gen.uniform(0.85, 0.99)),
+            rho_f=rho_f,
+        )
+
+    src = tuple(link(float(gen.uniform(0.5, 0.95))) for _ in range(M))
+    rel = tuple(link(1.0 if i % 2 else float(gen.uniform(0.6, 0.95))) for i in range(M))
+    return SystemConfig(M=M, power=power, source_links=src, relay_links=rel)

@@ -12,7 +12,7 @@ from relaysel import channel as ch
 from relaysel import specfn
 from relaysel.specfn import SeriesControl, gaussian_q
 
-from conftest import CTRL, sym_config
+from conftest import CTRL, mixed_asym_config, sym_config
 
 
 # ---------------------------------------------------------------------------
@@ -358,3 +358,77 @@ def test_kernel_table_built_once_per_distinct_link(monkeypatch, metric, table_fn
     monkeypatch.setattr(specfn, table_fn, counting)
     metric(cfg)
     assert len(calls) == distinct
+
+
+# ---------------------------------------------------------------------------
+# merged general-path driver
+# ---------------------------------------------------------------------------
+
+def _aser_reference(cfg, ctrl=CTRL) -> float:
+    """ASER as the explicit sum over decoding sets D and candidates m in D."""
+    rel = cfg.relay_params()
+    b = [an.relay_error_prob(lp, cfg) for lp in cfg.source_params()]
+    kind = an._aser_kernel_kind(cfg, None)
+    tables = [an._aser_link_table(lp, cfg, ctrl, 20, kind) for lp in rel]
+    total = 0.0
+    for D in an.all_decoding_sets(cfg.M):
+        w = math.prod((1.0 - b[i]) if i in D else b[i] for i in range(cfg.M))
+        inner = 0.5 if not D.members else 0.0
+        for m in D:
+            coeffs, lam_extra = an._subset_expansion([rel[i].lam for i in D if i != m])
+            inner += an._aser_candidate(rel[m], tables[m], coeffs, lam_extra, cfg, an._Diag())
+        total += w * inner
+    return total
+
+
+def _capacity_reference(cfg, ctrl=CTRL) -> float:
+    """Capacity as the explicit sum over decoding sets D and candidates m in D."""
+    rel = cfg.relay_params()
+    tables = [an._capacity_link_table(lp, cfg, ctrl) for lp in rel]
+    total = 0.0
+    for D in an.all_decoding_sets(cfg.M):
+        inner = 0.0
+        for m in D:
+            coeffs, lam_extra = an._subset_expansion([rel[i].lam for i in D if i != m])
+            inner += an._capacity_candidate(rel[m], tables[m], coeffs, lam_extra, cfg, an._Diag())
+        total += an.prob_decoding_set(cfg, D) * inner
+    return total
+
+
+@pytest.mark.parametrize(
+    "general, reference",
+    [(an.aser_total_general, _aser_reference), (an.capacity_lb_avg_general, _capacity_reference)],
+    ids=["aser", "capacity"],
+)
+@pytest.mark.parametrize("M", [1, 2, 3, 5, 7])
+@pytest.mark.parametrize("power", [3.0, 30.0])
+def test_general_equals_decoding_set_sum(general, reference, M, power):
+    cfg = mixed_asym_config(M, power)
+    res = general(cfg, CTRL)
+    want = reference(cfg)
+    tol = max(1e-11, 100.0 * np.finfo(float).eps * res.condition_estimate)
+    assert abs(res.value - want) <= tol * abs(want)
+
+
+@pytest.mark.parametrize(
+    "general, candidate",
+    [
+        (an.outage_total_general, "_outage_candidate"),
+        (an.aser_total_general, "_aser_candidate"),
+        (an.capacity_lb_avg_general, "_capacity_candidate"),
+    ],
+    ids=["outage", "aser", "capacity"],
+)
+@pytest.mark.parametrize("M", [2, 5])
+def test_general_path_evaluates_one_candidate_per_relay(monkeypatch, general, candidate, M):
+    calls = []
+    original = getattr(an, candidate)
+
+    def counting(link, *args):
+        calls.append(link)
+        return original(link, *args)
+
+    monkeypatch.setattr(an, candidate, counting)
+    cfg = mixed_asym_config(M)
+    general(cfg, CTRL)
+    assert calls == cfg.relay_params()

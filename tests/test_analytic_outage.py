@@ -9,7 +9,7 @@ from relaysel import analytic as an
 from relaysel import channel as ch
 from relaysel.specfn import SeriesControl, SeriesError, marcum_q1
 
-from conftest import CTRL, sym_config
+from conftest import CTRL, mixed_asym_config, sym_config
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +234,25 @@ def test_outage_symmetric_equals_general():
         g = an.outage_total_general(cfg, CTRL).value
         s = an.outage_total_symmetric(cfg, CTRL).value
         assert abs(g - s) <= 1e-10 * abs(s)
+
+
+def outage_decoding_set_reference(cfg, ctrl=CTRL) -> float:
+    """Explicit sum over decoding sets D and candidates m in D."""
+    total = 0.0
+    for D in an.all_decoding_sets(cfg.M):
+        inner = sum(an.outage_conditional(D, m, cfg, ctrl) for m in D) if D.members else 1.0
+        total += an.prob_decoding_set(cfg, D) * inner
+    return total
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 5, 7])
+@pytest.mark.parametrize("power", [3.0, 30.0])
+def test_outage_general_equals_decoding_set_sum(M, power):
+    cfg = mixed_asym_config(M, power)
+    res = an.outage_total_general(cfg, CTRL)
+    want = outage_decoding_set_reference(cfg)
+    tol = max(1e-11, 100.0 * np.finfo(float).eps * res.condition_estimate)
+    assert abs(res.value - want) <= tol * abs(want)
 
 
 def test_outage_monotone_in_power_and_rate():

@@ -128,6 +128,22 @@ def test_config_link_count_validation():
         ch.SystemConfig(M=2, power=1.0, source_links=(fp,), relay_links=(fp, fp))
 
 
+@pytest.mark.parametrize("field", ["power", "rate", "alpha", "beta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_scalars(field, value):
+    kwargs = {"M": 2, "power": 10.0, field: value}
+    fp = ch.FadingParams()
+    with pytest.raises(ValueError, match=field):
+        ch.SystemConfig(source_links=(fp, fp), relay_links=(fp, fp), **kwargs)
+
+
+@pytest.mark.parametrize("field", ["sigma2_h", "rho_e", "rho_f"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_fading_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        ch.FadingParams(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # sampling model
 # ---------------------------------------------------------------------------

@@ -84,6 +84,43 @@ def test_load_config_field_paths_in_errors():
         load_config({})
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"M": 2.7}, "M"),
+        ({"M": True}, "M"),
+        ({"M": "3"}, "M"),
+        ({"M": 2, "power_db": "loud"}, "power_db"),
+        ({"M": 2, "power_db": None}, "power_db"),
+        ({"M": 2, "power_db": 1e4}, "power_db"),
+        ({"M": 2, "power_db": float("nan")}, "power_db"),
+        ({"M": 2, "power_linear": float("inf")}, "power_linear"),
+        ({"M": 2, "power_linear": float("nan")}, "power_linear"),
+        ({"M": 2, "rate": float("nan")}, "rate"),
+        ({"M": 2, "rate": None}, "rate"),
+        ({"M": 2, "alpha": float("-inf")}, "alpha"),
+        ({"M": 2, "beta": float("nan")}, "beta"),
+        ({"M": 2, "beta": True}, "beta"),
+        ({"M": 2, "rho_f": [0.9, "x"]}, r"rho_f\[1\]"),
+        ({"M": 2, "sigma2_h": float("inf")}, "sigma2_h"),
+        ({"M": 2, "relay_links": [{"rho_f": 0.5}, {"rho_e": float("nan")}]}, r"relay_links\[1\]"),
+        ({"M": 2, "relay_links": [{"sigma2_h": "big"}, {}]}, r"relay_links\[0\]"),
+    ],
+)
+def test_load_config_rejects_malformed_values(doc, field):
+    with pytest.raises(ConfigError, match=field):
+        load_config(doc)
+
+
+def test_cli_non_numeric_power_exits_2(tmp_path: Path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"M": 2, "power_db": "loud"}))
+    res = run_cli("info", "--config", str(path))
+    assert res.returncode == 2
+    assert "power_db" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 # ---------------------------------------------------------------------------
 # sweeps and CSV contract
 # ---------------------------------------------------------------------------
