@@ -23,10 +23,8 @@ from .channel import (
     FadingParams,
     LinkParams,
     SystemConfig,
-    TrialDraw,
     derive_link_params,
     doppler_correlation,
-    sample_trial,
 )
 from .diversity import SweepCurve, asymptotic_checks, effective_diversity, fit_slope
 from .montecarlo import McEstimate, simulate_capacity, simulate_outage, simulate_ser
@@ -44,7 +42,6 @@ __all__ = [
     "SeriesError",
     "SweepCurve",
     "SystemConfig",
-    "TrialDraw",
     "all_decoding_sets",
     "aser_conditional_pdf",
     "aser_total",
@@ -62,7 +59,6 @@ __all__ = [
     "prob_decoding_set",
     "prob_relay_decodes",
     "relay_error_prob",
-    "sample_trial",
     "selected_snr_pdf",
     "simulate_capacity",
     "simulate_outage",

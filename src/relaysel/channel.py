@@ -12,6 +12,11 @@ The model couples three effects per link:
 Conditioned on the old SNR g, the current SNR is theta times a noncentral
 chi-square with 2 degrees of freedom and noncentrality c*g; the constants
 (lam, c, theta) below feed every closed form in `analytic`.
+
+The sampler draws SNRs, not complex gains: each old SNR is one
+Exponential(lam) draw (`sample_gamma_batch`), and the current SNR is drawn
+from its law given the old one (`sample_current`), which the simulator does
+only for the relay it selects.
 """
 
 from __future__ import annotations
@@ -205,74 +210,54 @@ class SystemConfig:
         )
 
 
-@dataclass(frozen=True)
-class TrialDraw:
-    """One joint realization of estimates and effective SNRs for all links."""
-
-    h_sm_o_hat: np.ndarray
-    h_sm_hat: np.ndarray
-    h_md_o_hat: np.ndarray
-    h_md_hat: np.ndarray
-    gamma_sm_o: np.ndarray
-    gamma_md_o: np.ndarray
-    gamma_md: np.ndarray
-
-
-def _complex_normal(rng: np.random.Generator, n: int, m: int, variance: np.ndarray) -> np.ndarray:
-    z = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    return z * np.sqrt(np.asarray(variance) / 2.0)
-
-
-def _gamma_scale(config: SystemConfig, links: tuple[FadingParams, ...]) -> np.ndarray:
-    """Factor mapping |h_hat|^2 to gamma_hat such that E[gamma_hat] = 1/lam."""
-    out = np.empty(len(links))
-    for i, fp in enumerate(links):
-        lp = derive_link_params(fp, config.power, config.lambda_convention)
-        out[i] = 1.0 / (lp.lam * fp.sigma2_hat)
-    return out
-
-
-def sample_gamma_batch(config: SystemConfig, rng: np.random.Generator, n: int) -> dict[str, np.ndarray]:
-    """Draw n joint trials; returns (n, M) arrays of the three SNRs used
-    by the selection protocol: gamma_sm_o, gamma_md_o, gamma_md."""
+def sample_gamma_batch(
+    config: SystemConfig,
+    rng: np.random.Generator,
+    n: int,
+    *,
+    rates: tuple[np.ndarray, np.ndarray] | None = None,
+) -> dict[str, np.ndarray]:
+    """Draw n trials of the old SNRs: (n, M) arrays gamma_sm_o (source to
+    relay) and gamma_md_o (relay to destination), each Exponential(lam) per
+    link.  `rates` = (source lam, relay lam) skips re-deriving the links."""
+    if rates is None:
+        rates = (
+            np.array([lp.lam for lp in config.source_params()]),
+            np.array([lp.lam for lp in config.relay_params()]),
+        )
+    lam_sm, lam_md = rates
     M = config.M
-    s_var = np.array([fp.sigma2_hat for fp in config.source_links])
-    r_var = np.array([fp.sigma2_hat for fp in config.relay_links])
-    rho_f = np.array([fp.rho_f for fp in config.relay_links])
-
-    h_sm_o = _complex_normal(rng, n, M, s_var)
-    h_md_o = _complex_normal(rng, n, M, r_var)
-    v = _complex_normal(rng, n, M, np.ones(M))
-    h_md = rho_f * h_md_o + np.sqrt(r_var) * np.sqrt(1.0 - rho_f**2) * v
-
-    s_scale = _gamma_scale(config, config.source_links)
-    r_scale = _gamma_scale(config, config.relay_links)
     return {
-        "gamma_sm_o": np.abs(h_sm_o) ** 2 * s_scale,
-        "gamma_md_o": np.abs(h_md_o) ** 2 * r_scale,
-        "gamma_md": np.abs(h_md) ** 2 * r_scale,
-        "h_md_o_hat": h_md_o,
-        "h_md_hat": h_md,
-        "h_sm_o_hat": h_sm_o,
+        "gamma_sm_o": rng.standard_exponential((n, M)) / lam_sm,
+        "gamma_md_o": rng.standard_exponential((n, M)) / lam_md,
     }
 
 
-def sample_trial(config: SystemConfig, rng: np.random.Generator) -> TrialDraw:
-    """One TrialDraw; gamma fields are deterministic functions of the drawn
-    complex estimates (current source estimates are drawn for completeness,
-    the protocol itself only consumes the three gamma arrays)."""
-    batch = sample_gamma_batch(config, rng, 1)
-    M = config.M
-    s_var = np.array([fp.sigma2_hat for fp in config.source_links])
-    s_rho_f = np.array([fp.rho_f for fp in config.source_links])
-    v = _complex_normal(rng, 1, M, np.ones(M))
-    h_sm = s_rho_f * batch["h_sm_o_hat"] + np.sqrt(s_var) * np.sqrt(1.0 - s_rho_f**2) * v
-    return TrialDraw(
-        h_sm_o_hat=batch["h_sm_o_hat"][0],
-        h_sm_hat=h_sm[0],
-        h_md_o_hat=batch["h_md_o_hat"][0],
-        h_md_hat=batch["h_md_hat"][0],
-        gamma_sm_o=batch["gamma_sm_o"][0],
-        gamma_md_o=batch["gamma_md_o"][0],
-        gamma_md=batch["gamma_md"][0],
-    )
+def sample_current(
+    rng: np.random.Generator, g: np.ndarray, rho_f: np.ndarray | float, theta: np.ndarray | float
+) -> np.ndarray:
+    """Current SNR of a link given its old SNR g, element by element.
+
+    With the old estimate rotated onto the real axis, the current one is
+    rho_f sqrt(g) + sqrt(theta) (x + i y) on the SNR scale, x, y ~ N(0, 1),
+    so the current SNR is (rho_f sqrt(g) + sqrt(theta) x)^2 + theta y^2:
+    theta times a noncentral chi-square with 2 degrees of freedom and
+    noncentrality c g.  Elements with rho_f = 1 return g exactly and draw
+    nothing.
+    """
+    g = np.asarray(g, dtype=float)
+    rho_f = np.broadcast_to(np.asarray(rho_f, dtype=float), g.shape)
+    theta = np.broadcast_to(np.asarray(theta, dtype=float), g.shape)
+    live = rho_f < 1.0
+    if live.all():
+        return _noncentral_draw(rng, g, rho_f, theta)
+    out = g.copy()
+    if live.any():
+        out[live] = _noncentral_draw(rng, g[live], rho_f[live], theta[live])
+    return out
+
+
+def _noncentral_draw(rng, g, rho_f, theta):
+    x, y = rng.standard_normal((2, *g.shape))
+    re = rho_f * np.sqrt(g) + np.sqrt(theta) * x
+    return re * re + theta * (y * y)

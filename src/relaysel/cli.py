@@ -486,6 +486,10 @@ def validate(
     selection candidate, symmetric vs general formula agreement, the
     rho_f = 1 degenerate branch, and analytic vs Monte Carlo z-scores.
     """
+    if trials < 1:
+        raise ConfigError("trials: must be >= 1")
+    if seed < 0:
+        raise ConfigError("seed: must be >= 0")
     acfg = config if corrupt_lambda == 1.0 else _corrupt(config, corrupt_lambda)
     report: list[str] = []
     ok = True

@@ -1,9 +1,10 @@
 """Stochastic oracle: simulate the selection protocol trial by trial.
 
-Each trial draws the joint (old, current) estimated SNRs for every link,
+Each trial draws the old estimated SNRs of every link as exponentials,
 forms the decoding set, selects the relay with the best *old* relay-to-
-destination SNR, and scores the metric on the selected relay's *current*
-SNR.  Trials are processed in fixed-size chunks, each chunk seeded from
+destination SNR, and only then draws that relay's *current* SNR given its
+old one, on which the metric is scored; no other current SNR is drawn.
+Trials are processed in fixed-size chunks, each chunk seeded from
 SeedSequence(seed, chunk_index), and partial sums are combined in chunk
 order, so results are bit-for-bit reproducible for a given
 (config, seed, trials) regardless of how the chunks might be scheduled.
@@ -13,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import erfc
 
-from .channel import SystemConfig, sample_gamma_batch
+from .channel import SystemConfig, sample_current, sample_gamma_batch
 
 CHUNK_SIZE = 1 << 17
 
@@ -48,29 +50,68 @@ def _q_array(x: np.ndarray) -> np.ndarray:
     return 0.5 * erfc(x / math.sqrt(2.0))
 
 
-def _select(batch: dict[str, np.ndarray], decoded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best old relay-destination SNR among decoded relays; ties (probability
-    zero for continuous draws) break toward the lowest index via argmax."""
-    any_dec = decoded.any(axis=1)
-    masked = np.where(decoded, batch["gamma_md_o"], -np.inf)
+def _select(
+    rng: np.random.Generator,
+    gamma_md_o: np.ndarray,
+    decoded: np.ndarray,
+    rho_f: np.ndarray,
+    theta: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best old relay-destination SNR among decoded relays, then the current
+    SNR of that relay alone.  Ties (probability zero for continuous draws)
+    break toward the lowest index via argmax."""
+    masked = np.where(decoded, gamma_md_o, -np.inf)
     m_star = np.argmax(masked, axis=1)
-    current = batch["gamma_md"][np.arange(len(m_star)), m_star]
-    return any_dec, current
+    best = np.take_along_axis(masked, m_star[:, None], axis=1)[:, 0]
+    # -inf marks a trial in which no relay decoded
+    any_dec = best > -np.inf
+    g = np.where(any_dec, best, 0.0)
+    return any_dec, sample_current(rng, g, rho_f[m_star], theta[m_star])
+
+
+def _estimate(
+    config: SystemConfig, trials: int, seed: int, decode: Callable, score: Callable
+) -> McEstimate:
+    """Mean and standard error of a per-trial score over `trials` trials.
+
+    decode(rng, gamma_sm_o) returns the (n, M) mask of relays that decode;
+    score(rng, any_decoded, current) returns the (n,) contributions.  Link
+    constants are derived once per call, not once per chunk.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    source, relay = config.source_params(), config.relay_params()
+    rates = (np.array([lp.lam for lp in source]), np.array([lp.lam for lp in relay]))
+    rho_f = np.array([lp.rho_f for lp in relay])
+    theta = np.array([lp.theta for lp in relay])
+    total = 0.0
+    total_sq = 0.0
+    for idx, n in _chunks(trials):
+        rng = _chunk_rng(seed, idx)
+        batch = sample_gamma_batch(config, rng, n, rates=rates)
+        decoded = decode(rng, batch["gamma_sm_o"])
+        any_dec, current = _select(rng, batch["gamma_md_o"], decoded, rho_f, theta)
+        contrib = score(rng, any_dec, current)
+        total += float(contrib.sum())
+        total_sq += float((contrib * contrib).sum())
+    mean = total / trials
+    var = max(total_sq / trials - mean * mean, 0.0)
+    return McEstimate(mean, math.sqrt(var / trials), trials, seed)
+
+
+def _decode_threshold(config: SystemConfig) -> Callable:
+    r_o = config.r_o
+    return lambda rng, gamma_sm_o: gamma_sm_o >= r_o
 
 
 def simulate_outage(config: SystemConfig, trials: int, seed: int) -> McEstimate:
     """Outage frequency: empty decoding set, or selected current SNR < R_o."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     r_o = config.r_o
-    count = 0
-    for idx, n in _chunks(trials):
-        batch = sample_gamma_batch(config, _chunk_rng(seed, idx), n)
-        decoded = batch["gamma_sm_o"] >= r_o
-        any_dec, current = _select(batch, decoded)
-        count += int(np.sum(~any_dec | (current < r_o)))
-    p = count / trials
-    return McEstimate(p, math.sqrt(p * (1.0 - p) / trials), trials, seed)
+
+    def score(rng, any_dec, current):
+        return (~any_dec | (current < r_o)).astype(float)
+
+    return _estimate(config, trials, seed, _decode_threshold(config), score)
 
 
 def simulate_ser(
@@ -84,47 +125,31 @@ def simulate_ser(
     magnitude below bit counting at high SNR.  estimator="bernoulli" flips
     an actual error bit per trial and exists as a cross-check.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if estimator not in ("conditional", "bernoulli"):
         raise ValueError(f"unknown estimator {estimator!r}")
     bp = config.beta * config.power
-    total = 0.0
-    total_sq = 0.0
-    for idx, n in _chunks(trials):
-        rng = _chunk_rng(seed, idx)
-        batch = sample_gamma_batch(config, rng, n)
-        p_relay_err = np.clip(config.alpha * _q_array(np.sqrt(bp * batch["gamma_sm_o"])), 0.0, 1.0)
-        decoded = rng.random(p_relay_err.shape) >= p_relay_err
-        any_dec, current = _select(batch, decoded)
-        p_dest = np.clip(config.alpha * _q_array(np.sqrt(bp * current)), 0.0, 1.0)
-        cond_err = np.where(any_dec, p_dest, 0.5)
+
+    def error_prob(gamma):
+        return np.clip(config.alpha * _q_array(np.sqrt(bp * gamma)), 0.0, 1.0)
+
+    def decode(rng, gamma_sm_o):
+        p_relay_err = error_prob(gamma_sm_o)
+        return rng.random(p_relay_err.shape) >= p_relay_err
+
+    def score(rng, any_dec, current):
+        cond_err = np.where(any_dec, error_prob(current), 0.5)
         if estimator == "bernoulli":
-            contrib = (rng.random(n) < cond_err).astype(float)
-        else:
-            contrib = cond_err
-        total += float(contrib.sum())
-        total_sq += float((contrib * contrib).sum())
-    mean = total / trials
-    var = max(total_sq / trials - mean * mean, 0.0)
-    return McEstimate(mean, math.sqrt(var / trials), trials, seed)
+            return (rng.random(len(cond_err)) < cond_err).astype(float)
+        return cond_err
+
+    return _estimate(config, trials, seed, decode, score)
 
 
 def simulate_capacity(config: SystemConfig, trials: int, seed: int) -> McEstimate:
     """Mean of (1/2) log2(1 + P gamma) on the selected link, 0 when no relay
     decodes; decoding gated on the old source SNR against R_o."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    r_o = config.r_o
-    total = 0.0
-    total_sq = 0.0
-    for idx, n in _chunks(trials):
-        batch = sample_gamma_batch(config, _chunk_rng(seed, idx), n)
-        decoded = batch["gamma_sm_o"] >= r_o
-        any_dec, current = _select(batch, decoded)
-        contrib = np.where(any_dec, 0.5 * np.log2(1.0 + config.power * current), 0.0)
-        total += float(contrib.sum())
-        total_sq += float((contrib * contrib).sum())
-    mean = total / trials
-    var = max(total_sq / trials - mean * mean, 0.0)
-    return McEstimate(mean, math.sqrt(var / trials), trials, seed)
+
+    def score(rng, any_dec, current):
+        return np.where(any_dec, 0.5 * np.log2(1.0 + config.power * current), 0.0)
+
+    return _estimate(config, trials, seed, _decode_threshold(config), score)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from relaysel import channel as ch
 
@@ -148,20 +149,42 @@ def test_fading_params_reject_non_finite(field, value):
 # sampling model
 # ---------------------------------------------------------------------------
 
+def _old_and_current(cfg, rng, n):
+    """n draws of (old, current) relay-to-destination SNRs of relay 0."""
+    lp = cfg.relay_params()[0]
+    g = ch.sample_gamma_batch(cfg, rng, n)["gamma_md_o"][:, 0]
+    return g, ch.sample_current(rng, g, lp.rho_f, lp.theta), lp
+
+
 def test_degenerate_draw_reuses_old_estimate(rng):
     cfg = ch.SystemConfig.symmetric(M=3, power=5.0, rho_f=1.0)
-    trial = ch.sample_trial(cfg, rng)
-    np.testing.assert_allclose(trial.h_md_hat, trial.h_md_o_hat, rtol=1e-15)
-    np.testing.assert_allclose(trial.gamma_md, trial.gamma_md_o, rtol=1e-15)
-
-
-def test_trial_gammas_are_functions_of_draws(rng):
-    cfg = ch.SystemConfig.symmetric(M=2, power=8.0, rho_e=0.9, rho_f=0.8)
-    trial = ch.sample_trial(cfg, rng)
     lp = cfg.relay_params()[0]
-    scale = 1.0 / (lp.lam * lp.sigma2_hat)
-    np.testing.assert_allclose(trial.gamma_md, np.abs(trial.h_md_hat) ** 2 * scale, rtol=1e-12)
-    assert np.all(np.isfinite(trial.gamma_sm_o))
+    g = ch.sample_gamma_batch(cfg, rng, 1000)["gamma_md_o"]
+    state = rng.bit_generator.state
+    np.testing.assert_array_equal(ch.sample_current(rng, g, lp.rho_f, lp.theta), g)
+    assert rng.bit_generator.state == state  # rho_f = 1 draws nothing
+    # mixed links: the rho_f = 1 columns still come back exactly
+    rho_f = np.array([1.0, 0.8, 1.0])
+    theta = np.array([0.0, (1.0 - 0.64) / (2.0 * lp.lam), 0.0])
+    cur = ch.sample_current(rng, g, rho_f, theta)
+    np.testing.assert_array_equal(cur[:, [0, 2]], g[:, [0, 2]])
+    assert np.all(cur[:, 1] != g[:, 1])
+
+
+def test_trial_gammas_are_functions_of_draws():
+    cfg = ch.SystemConfig.symmetric(M=2, power=8.0, rho_e=0.9, rho_f=0.8)
+    lp = cfg.relay_params()[0]
+    n = 1000
+    batch = ch.sample_gamma_batch(cfg, np.random.default_rng(3), n)
+    ref = np.random.default_rng(3)
+    np.testing.assert_allclose(batch["gamma_sm_o"], ref.standard_exponential((n, 2)) / lp.lam, rtol=1e-15)
+    np.testing.assert_allclose(batch["gamma_md_o"], ref.standard_exponential((n, 2)) / lp.lam, rtol=1e-15)
+    g = batch["gamma_md_o"][:, 0]
+    cur = ch.sample_current(np.random.default_rng(4), g, lp.rho_f, lp.theta)
+    x, y = np.random.default_rng(4).standard_normal((2, n))
+    expect = (lp.rho_f * np.sqrt(g) + np.sqrt(lp.theta) * x) ** 2 + lp.theta * y**2
+    np.testing.assert_allclose(cur, expect, rtol=1e-14)
+    assert np.all(np.isfinite(batch["gamma_sm_o"]))
 
 
 @pytest.mark.parametrize("convention", ["derived", "paper"])
@@ -170,24 +193,42 @@ def test_sample_mean_matches_rate(convention):
     cfg = ch.SystemConfig.symmetric(
         M=1, power=10.0, rho_e=0.9, rho_f=0.8, lambda_convention=convention
     )
-    batch = ch.sample_gamma_batch(cfg, np.random.default_rng(7), n)
-    lam = cfg.relay_params()[0].lam
-    mean = batch["gamma_md"].mean()
+    g, cur, lp = _old_and_current(cfg, np.random.default_rng(7), n)
     # Exponential(lam): std of the sample mean is 1/(lam sqrt(n))
-    se = 1.0 / (lam * math.sqrt(n))
-    assert abs(mean - 1.0 / lam) < 5.0 * se
+    se = 1.0 / (lp.lam * math.sqrt(n))
+    assert abs(g.mean() - 1.0 / lp.lam) < 5.0 * se
+    assert abs(cur.mean() - 1.0 / lp.lam) < 5.0 * se
+
+
+def test_current_marginal_is_exponential():
+    # Kolmogorov-Smirnov of the current SNR against Exponential(lam)
+    cfg = ch.SystemConfig.symmetric(M=1, power=10.0, rho_e=0.95, rho_f=0.7)
+    _, cur, lp = _old_and_current(cfg, np.random.default_rng(11), 100_000)
+    assert stats.kstest(cur, stats.expon(scale=1.0 / lp.lam).cdf).pvalue > 1e-3
 
 
 def test_sample_correlation_matches_rho_f():
+    # corr(old SNR, current SNR) = rho_f^2; the standard error comes from
+    # 100 batch correlations
     n = 1_000_000
     rho_f = 0.8
     cfg = ch.SystemConfig.symmetric(M=1, power=10.0, rho_f=rho_f)
-    batch = ch.sample_gamma_batch(cfg, np.random.default_rng(8), n)
-    x = batch["h_md_o_hat"].real.ravel()
-    y = batch["h_md_hat"].real.ravel()
-    r = float(np.corrcoef(x, y)[0, 1])
-    se = (1.0 - rho_f**2) / math.sqrt(n)
-    assert abs(r - rho_f) < 5.0 * se
+    g, cur, _ = _old_and_current(cfg, np.random.default_rng(8), n)
+    r = float(np.corrcoef(g, cur)[0, 1])
+    batches = [np.corrcoef(a, b)[0, 1] for a, b in zip(g.reshape(100, -1), cur.reshape(100, -1))]
+    se = float(np.std(batches)) / math.sqrt(len(batches))
+    assert abs(r - rho_f**2) < 5.0 * se
+
+
+def test_current_given_old_is_scaled_noncentral_chi2():
+    # at fixed g the current SNR is theta * ncx2(df=2, nc=c g), checked
+    # against scipy's distribution rather than the library's own series
+    cfg = ch.SystemConfig.symmetric(M=1, power=10.0, rho_e=0.9, rho_f=0.85)
+    lp = cfg.relay_params()[0]
+    g = 0.7
+    cur = ch.sample_current(np.random.default_rng(12), np.full(100_000, g), lp.rho_f, lp.theta)
+    law = stats.ncx2(df=2, nc=lp.c * g, scale=lp.theta)
+    assert stats.kstest(cur, law.cdf).pvalue > 1e-3
 
 
 def test_empirical_cdf_is_exponential():
@@ -208,15 +249,12 @@ def test_conditional_mean_given_old():
     n = 400_000
     rho_f = 0.8
     cfg = ch.SystemConfig.symmetric(M=1, power=10.0, rho_f=rho_f)
-    batch = ch.sample_gamma_batch(cfg, np.random.default_rng(10), n)
-    lam = cfg.relay_params()[0].lam
-    g = batch["gamma_md_o"].ravel()
-    cur = batch["gamma_md"].ravel()
+    g, cur, lp = _old_and_current(cfg, np.random.default_rng(10), n)
     for lo, hi in [(0.2, 0.3), (0.8, 1.0), (1.5, 2.0)]:
         mask = (g >= lo) & (g < hi)
         count = int(mask.sum())
         assert count > 500
-        expect = (1.0 - rho_f**2) / lam + rho_f**2 * g[mask].mean()
+        expect = (1.0 - rho_f**2) / lp.lam + rho_f**2 * g[mask].mean()
         se = cur[mask].std() / math.sqrt(count)
         assert abs(cur[mask].mean() - expect) < 5.0 * se
 
@@ -225,5 +263,12 @@ def test_batch_sampling_is_reproducible():
     cfg = ch.SystemConfig.symmetric(M=3, power=5.0, rho_f=0.9)
     a = ch.sample_gamma_batch(cfg, np.random.default_rng(123), 1000)
     b = ch.sample_gamma_batch(cfg, np.random.default_rng(123), 1000)
-    for key in ("gamma_sm_o", "gamma_md_o", "gamma_md"):
+    assert set(a) == {"gamma_sm_o", "gamma_md_o"}
+    for key in a:
         np.testing.assert_array_equal(a[key], b[key])
+    lp = cfg.relay_params()[0]
+    cur_a, cur_b = (
+        ch.sample_current(np.random.default_rng(124), a["gamma_md_o"], lp.rho_f, lp.theta)
+        for _ in range(2)
+    )
+    np.testing.assert_array_equal(cur_a, cur_b)

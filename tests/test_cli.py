@@ -239,6 +239,14 @@ def test_cli_validate_passes_default(config_file):
     assert "PASS" in cp.stdout and "FAIL" not in cp.stdout
 
 
+@pytest.mark.parametrize("option, value", [("--trials", "0"), ("--seed", "-1")])
+def test_cli_validate_rejects_bad_trials_and_seed(config_file, option, value):
+    cp = run_cli("validate", "--config", config_file, option, value)
+    assert cp.returncode == 2, cp.stdout + cp.stderr
+    assert cp.stderr.startswith(f"error: {option[2:]}:")
+    assert "Traceback" not in cp.stderr
+
+
 def test_validate_detects_corrupted_lambda():
     cfg = load_config({"M": 4, "rho_f": 0.9})
     ok, report = validate(cfg, 60_000, 42, corrupt_lambda=2.0)

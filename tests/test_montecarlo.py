@@ -7,7 +7,7 @@ import pytest
 from relaysel import analytic as an
 from relaysel import montecarlo as mc
 
-from conftest import CTRL, sym_config
+from conftest import CTRL, mixed_asym_config, sym_config
 
 
 def test_outage_zero_threshold_never_in_outage():
@@ -79,6 +79,27 @@ def test_conditional_and_bernoulli_estimators_agree():
         combined = math.hypot(cond.std_error, bern.std_error)
         assert abs(cond.mean - bern.mean) < 3.0 * combined
         assert bern.std_error > cond.std_error  # the whole point of conditioning
+
+
+# analytic value and simulator per metric, for the cross-checks below
+_ORACLES = {
+    "outage": (an.outage_total, mc.simulate_outage),
+    "aser": (an.aser_total, mc.simulate_ser),
+    "capacity": (an.capacity_lb_avg, mc.simulate_capacity),
+}
+
+
+@pytest.mark.parametrize("metric", sorted(_ORACLES))
+@pytest.mark.parametrize("M", [2, 3, 5])
+def test_matches_analytic_on_mixed_asymmetric_links(M, metric):
+    # asymmetric links, rho_e < 1 everywhere, rho_f = 1 and rho_f < 1 relay
+    # links side by side: the configs acceptance criterion 2 does not cover
+    cfg = mixed_asym_config(M)
+    seed = 500 + 10 * M + sorted(_ORACLES).index(metric)
+    value_fn, sim = _ORACLES[metric]
+    est = sim(cfg, 400_000, seed)
+    z = abs(value_fn(cfg, CTRL).value - est.mean) / est.std_error
+    assert z < 4.0
 
 
 def test_capacity_zero_power_limit():
