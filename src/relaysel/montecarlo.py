@@ -5,23 +5,37 @@ forms the decoding set, selects the relay with the best *old* relay-to-
 destination SNR, and only then draws that relay's *current* SNR given its
 old one, on which the metric is scored; no other current SNR is drawn.
 Trials are processed in fixed-size chunks, each chunk seeded from
-SeedSequence(seed, chunk_index), and partial sums are combined in chunk
-order, so results are bit-for-bit reproducible for a given
-(config, seed, trials) regardless of how the chunks might be scheduled.
+SeedSequence(seed, chunk_index) and run end to end (draw, decode, select,
+score) on a thread pool as wide as the available CPUs.  The calling thread
+adds the per-chunk partial sums in chunk order, so results are bit-for-bit
+reproducible for a given (config, seed, trials) whatever the worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import erfc
 
 from .channel import SystemConfig, sample_current, sample_gamma_batch
 
-CHUNK_SIZE = 1 << 17
+CHUNK_SIZE = 1 << 15
+
+# numpy's generators and ufuncs and scipy's erfc release the GIL, so chunks
+# on threads use every CPU this process may run on
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+
+# sample_gamma_batch is called through this module's name one thread at a
+# time: a tracer that wraps that name keeps a single span stack, which
+# concurrent calls would garble (lost calls and trials, wrong self times)
+_DRAW_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -47,6 +61,8 @@ def _chunks(trials: int):
 
 
 def _q_array(x: np.ndarray) -> np.ndarray:
+    from scipy.special import erfc  # here, so importing relaysel loads no scipy
+
     return 0.5 * erfc(x / math.sqrt(2.0))
 
 
@@ -69,6 +85,10 @@ def _select(
     return any_dec, sample_current(rng, g, rho_f[m_star], theta[m_star])
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _estimate(
     config: SystemConfig, trials: int, seed: int, decode: Callable, score: Callable
 ) -> McEstimate:
@@ -78,22 +98,33 @@ def _estimate(
     score(rng, any_decoded, current) returns the (n,) contributions.  Link
     constants are derived once per call, not once per chunk.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not _is_int(trials) or trials < 1:
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    trials, seed = int(trials), int(seed)
     source, relay = config.source_params(), config.relay_params()
     rates = (np.array([lp.lam for lp in source]), np.array([lp.lam for lp in relay]))
     rho_f = np.array([lp.rho_f for lp in relay])
     theta = np.array([lp.theta for lp in relay])
-    total = 0.0
-    total_sq = 0.0
-    for idx, n in _chunks(trials):
+
+    def run_chunk(chunk: tuple[int, int]) -> tuple[float, float]:
+        idx, n = chunk
         rng = _chunk_rng(seed, idx)
-        batch = sample_gamma_batch(config, rng, n, rates=rates)
+        with _DRAW_LOCK:
+            batch = sample_gamma_batch(config, rng, n, rates=rates)
         decoded = decode(rng, batch["gamma_sm_o"])
         any_dec, current = _select(rng, batch["gamma_md_o"], decoded, rho_f, theta)
         contrib = score(rng, any_dec, current)
-        total += float(contrib.sum())
-        total_sq += float((contrib * contrib).sum())
+        return float(contrib.sum()), float((contrib * contrib).sum())
+
+    chunks = list(_chunks(trials))
+    total = 0.0
+    total_sq = 0.0
+    with ThreadPoolExecutor(max_workers=min(_WORKERS, len(chunks))) as pool:
+        for s, sq in pool.map(run_chunk, chunks):
+            total += s
+            total_sq += sq
     mean = total / trials
     var = max(total_sq / trials - mean * mean, 0.0)
     return McEstimate(mean, math.sqrt(var / trials), trials, seed)

@@ -1,7 +1,11 @@
 """Simulator contracts: determinism, estimator statistics, cross-checks."""
 
 import math
+import subprocess
+import sys
+import time
 
+import numpy as np
 import pytest
 
 from relaysel import analytic as an
@@ -135,3 +139,71 @@ def test_trials_validation():
         mc.simulate_outage(cfg, 0, 1)
     with pytest.raises(ValueError):
         mc.simulate_ser(cfg, 10, 1, estimator="bogus")
+    # bool is not a count or a seed; floats and negatives are rejected up
+    # front rather than deep inside numpy
+    for trials, seed in [(True, 1), (1e5, 1), (-3, 1), (10, 1.5), (10, True), (10, -1)]:
+        for sim in (mc.simulate_outage, mc.simulate_ser, mc.simulate_capacity):
+            with pytest.raises(ValueError):
+                sim(cfg, trials, seed)
+
+
+def test_numpy_integer_trials_and_seed_accepted():
+    cfg = sym_config(M=2, power=5.0)
+    a = mc.simulate_outage(cfg, np.int64(1000), np.uint32(4))
+    b = mc.simulate_outage(cfg, 1000, 4)
+    assert a == b and type(a.trials) is int and type(a.seed) is int
+
+
+@pytest.mark.parametrize("sim, kwargs", [
+    (mc.simulate_outage, {}),
+    (mc.simulate_ser, {}),
+    (mc.simulate_ser, {"estimator": "bernoulli"}),
+    (mc.simulate_capacity, {}),
+], ids=["outage", "ser", "ser-bernoulli", "capacity"])
+def test_result_independent_of_worker_count(monkeypatch, sim, kwargs):
+    # a partial last chunk, and more chunks than workers on either side;
+    # several seeds, since a reduction order that follows the worker count
+    # leaves the bits unchanged for some partial sums
+    cfg = mixed_asym_config(3)
+    trials = 5 * mc.CHUNK_SIZE + 777
+    for seed in range(41, 45):
+        results = []
+        for workers in (1, 3):
+            monkeypatch.setattr(mc, "_WORKERS", workers)
+            results.append(sim(cfg, trials, seed, **kwargs))
+        assert results[0] == results[1]
+
+
+def test_sampler_called_one_thread_at_a_time(monkeypatch):
+    # a wrapper around the sampler name (as a tracer installs) that would
+    # lose counts or see overlapping calls if the sampler ran concurrently
+    real = mc.sample_gamma_batch
+    seen = {"active": 0, "overlaps": 0, "calls": 0, "trials": 0}
+
+    def wrapper(config, rng, n, **kwargs):
+        seen["active"] += 1
+        seen["overlaps"] += seen["active"] > 1
+        try:
+            return real(config, rng, n, **kwargs)
+        finally:
+            calls, trials = seen["calls"], seen["trials"]
+            time.sleep(0)  # invite a thread switch inside the read-modify-write
+            seen["calls"], seen["trials"] = calls + 1, trials + n
+            seen["active"] -= 1
+
+    monkeypatch.setattr(mc, "sample_gamma_batch", wrapper)
+    monkeypatch.setattr(mc, "_WORKERS", 8)  # more workers than cores
+    trials = 12 * mc.CHUNK_SIZE + 5
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        mc.simulate_ser(mixed_asym_config(3), trials, 17)
+    finally:
+        sys.setswitchinterval(interval)
+    assert seen == {"active": 0, "overlaps": 0, "calls": 13, "trials": trials}
+
+
+def test_import_cli_loads_no_scipy():
+    code = "import sys, relaysel.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert cp.stdout.strip() == "[]"
