@@ -24,8 +24,15 @@ p_m prod_{i in S} p_i.  The general (asymmetric) path therefore evaluates
 with one candidate pass per relay: M 2^(M-1) subset rows instead of the
 M 3^(M-1) of the explicit decoding-set sum.  The symmetric path groups the
 decoding sets by size and the subsets by size with binomial multiplicities.
-rho_f = 1 collapses to exact order-statistics forms and is handled as a
-separate branch throughout.
+rho_f = 1 collapses to exact order-statistics forms (a kernel evaluated at
+the rate sums instead of a series).
+
+Each metric is one `_Metric` record: its decode probability, its value when
+no relay decodes, its kernel table, its rho_f = 1 kernel and its final
+scaling.  One candidate function (`_candidate`) evaluates the term above for
+any record, and two drivers (`_total_general`, `_total_symmetric`) sum it
+over decoding sets; the public `*_general` / `*_symmetric` functions and
+their dispatchers only pick a record and a driver.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -217,6 +225,12 @@ def _series_length(
     return k_need
 
 
+def _r_max(link: LinkParams) -> float:
+    """Largest geometric ratio (c/2) / a_S of a link's series, at S = {}."""
+    half_c = 0.5 * link.c
+    return half_c / (link.lam + half_c)
+
+
 def _series_dot(
     link: LinkParams,
     coeffs: np.ndarray,
@@ -273,40 +287,113 @@ def _link_tables(links: list[LinkParams], build) -> list:
 
 
 # ---------------------------------------------------------------------------
-# outage
+# one metric record, one candidate, two drivers
 # ---------------------------------------------------------------------------
 
-def _outage_link_table(link: LinkParams, r_o: float, ctrl: SeriesControl) -> np.ndarray | None:
-    """Outage kernel gamma(k+1, q R_o) / k! of one link, truncated to its
-    series length; None when rho_f = 1, which needs no series."""
-    if link.degenerate:
-        return None
-    x = link.q * r_o
-    half_c = 0.5 * link.c
-    r_max = half_c / (link.lam + half_c)
-    gamma_cut = x + 45.0 * math.sqrt(x) + 50.0
-    K = _series_length(r_max, ctrl.abs_tol, ctrl.k_max, 1.0, gamma_cut)
-    return specfn.lower_gamma_ratio_table(K, x)
+class _Metric(NamedTuple):
+    """What one metric adds to the shared decomposition.
+
+    decode(source link) is the relay's (decode, fail) probability pair;
+    empty is the metric's value when no relay decodes; table(relay link) is
+    the kernel table truncated to its series length, None when rho_f = 1;
+    degenerate(a) is the rho_f = 1 kernel at rate sums a; finish maps a raw
+    candidate sum to the metric's units.
+    """
+
+    decode: Callable[[LinkParams], tuple[float, float]]
+    empty: float
+    table: Callable[[LinkParams], np.ndarray | None]
+    degenerate: Callable[[np.ndarray], np.ndarray]
+    finish: Callable[[float], float]
 
 
-def _outage_candidate(
+def _candidate(
+    metric: _Metric,
     link: LinkParams,
     table: np.ndarray | None,
     coeffs: np.ndarray,
     lam_extra: np.ndarray,
-    r_o: float,
     diag: _Diag,
 ) -> float:
-    """Pr[current SNR of m <= R_o and m has the max old SNR | D]."""
-    if link.degenerate:
+    """E[f(current SNR of m); m has the largest old SNR] over the subsets
+    that coeffs and lam_extra describe; f is the metric's kernel."""
+    if table is None:
         a = link.lam + lam_extra
-        per_subset = link.lam / a * (-np.expm1(-a * r_o))
+        per_subset = link.lam / a * metric.degenerate(a)
         value = float(coeffs @ per_subset)
-        diag.update(1, value, float(np.abs(coeffs) @ np.abs(per_subset)))
-        return value
-    value, abs_sum = _series_dot(link, coeffs, lam_extra, table)
-    diag.update(len(table), value, abs_sum)
+        abs_sum = float(np.abs(coeffs) @ np.abs(per_subset))
+        terms = 1
+    else:
+        value, abs_sum = _series_dot(link, coeffs, lam_extra, table)
+        terms = len(table)
+    value = metric.finish(value)
+    diag.update(terms, value, metric.finish(abs_sum))
     return value
+
+
+def _total_general(
+    config: SystemConfig, metric: _Metric, empty_term: float | None = None
+) -> MetricResult:
+    """empty_term + sum_m p_m sum_{S subset of [M]\\{m}} prod_{i in S}(-p_i)
+    f_m(a_S): the decoding-set sum folded into the subset sum, one candidate
+    call per relay.  empty_term defaults to empty * prod_i fail_i."""
+    rel = config.relay_params()
+    tables = _link_tables(rel, metric.table)
+    p, fail = zip(*map(metric.decode, config.source_params()))
+    M = len(rel)
+    diag = _Diag()
+    total = metric.empty * math.prod(fail) if empty_term is None else empty_term
+    for m in range(M):
+        others = [i for i in range(M) if i != m]
+        coeffs, lam_extra = _subset_expansion(
+            [rel[i].lam for i in others], [p[i] for i in others]
+        )
+        total += p[m] * _candidate(metric, rel[m], tables[m], coeffs, lam_extra, diag)
+    return MetricResult(total, diag.terms, diag.condition)
+
+
+def _total_symmetric(config: SystemConfig, metric: _Metric) -> MetricResult:
+    """Identical links: decoding sets grouped by size l with weight
+    C(M, l) p^l fail^(M-l), and the subsets of each by size (signed binomial
+    sum).  Must agree with the general path exactly."""
+    if not config.is_symmetric():
+        raise ValueError("symmetric path requires identical per-link parameters")
+    M = config.M
+    p, fail = metric.decode(config.source_params()[0])
+    rel = config.relay_params()[0]
+    table = metric.table(rel)
+    diag = _Diag()
+    total = metric.empty * fail**M
+    for l in range(1, M + 1):
+        coeffs, lam_extra = _symmetric_expansion(l, rel.lam)
+        per_m = _candidate(metric, rel, table, coeffs, lam_extra, diag)
+        weight = specfn.binomial(M, l) * p**l * fail ** (M - l)
+        total += weight * l * per_m
+    return MetricResult(total, diag.terms, diag.condition)
+
+
+# ---------------------------------------------------------------------------
+# outage
+# ---------------------------------------------------------------------------
+
+def _outage(config: SystemConfig, ctrl: SeriesControl) -> _Metric:
+    """Outage: relay i decodes with probability exp(-lam_i R_o), the empty set
+    is certain outage, and the kernel is gamma(k+1, q R_o) / k!."""
+    r_o = config.r_o
+
+    def decode(link: LinkParams) -> tuple[float, float]:
+        p = prob_relay_decodes(link, r_o)
+        return p, 1.0 - p
+
+    def table(link: LinkParams) -> np.ndarray | None:
+        if link.degenerate:
+            return None
+        x = link.q * r_o
+        gamma_cut = x + 45.0 * math.sqrt(x) + 50.0
+        K = _series_length(_r_max(link), ctrl.abs_tol, ctrl.k_max, 1.0, gamma_cut)
+        return specfn.lower_gamma_ratio_table(K, x)
+
+    return _Metric(decode, 1.0, table, lambda a: -np.expm1(-a * r_o), lambda v: v)
 
 
 def outage_conditional(
@@ -321,8 +408,8 @@ def outage_conditional(
     rel = config.relay_params()
     link = rel[m]
     coeffs, lam_extra = _subset_expansion([rel[i].lam for i in D if i != m])
-    table = _outage_link_table(link, config.r_o, ctrl)
-    return _outage_candidate(link, table, coeffs, lam_extra, config.r_o, _Diag())
+    metric = _outage(config, ctrl)
+    return _candidate(metric, link, metric.table(link), coeffs, lam_extra, _Diag())
 
 
 def outage_conditional_quadrature(D: DecodingSet, m: int, config: SystemConfig) -> float:
@@ -361,68 +448,19 @@ def outage_conditional_quadrature(D: DecodingSet, m: int, config: SystemConfig) 
     return val
 
 
-def _merged_total_general(
-    rel: list[LinkParams], tables: list, p: list[float], empty_value: float, candidate
-) -> MetricResult:
-    """empty_value + sum_m p_m sum_{S subset of [M]\\{m}} prod_{i in S}(-p_i)
-    f_m(a_S): the decoding-set sum folded into the subset sum.  p_i is relay
-    i's decoding probability; candidate(link, table, coeffs, lam_extra, diag)
-    is the metric's candidate term, called once per relay."""
-    M = len(rel)
-    diag = _Diag()
-    total = empty_value
-    for m in range(M):
-        others = [i for i in range(M) if i != m]
-        coeffs, lam_extra = _subset_expansion(
-            [rel[i].lam for i in others], [p[i] for i in others]
-        )
-        total += p[m] * candidate(rel[m], tables[m], coeffs, lam_extra, diag)
-    return MetricResult(total, diag.terms, diag.condition)
-
-
 def outage_total_general(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) -> MetricResult:
-    """Total outage probability, summed over all 2^M decoding sets by the
-    merged driver; the empty set (certain outage) has weight Pr[D = {}]."""
-    rel = config.relay_params()
-    r_o = config.r_o
-    tables = _link_tables(rel, lambda lp: _outage_link_table(lp, r_o, ctrl))
-    p = [prob_relay_decodes(lp, r_o) for lp in config.source_params()]
-    return _merged_total_general(
-        rel,
-        tables,
-        p,
-        prob_decoding_set(config, DecodingSet(())),
-        lambda link, table, coeffs, lam_extra, diag: _outage_candidate(
-            link, table, coeffs, lam_extra, r_o, diag
-        ),
-    )
+    """Total outage probability over all 2^M decoding sets; the empty set
+    (certain outage) has weight Pr[D = {}]."""
+    return _total_general(config, _outage(config, ctrl), prob_decoding_set(config, DecodingSet(())))
 
 
 def outage_total_symmetric(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) -> MetricResult:
-    """Symmetric fast path: group decoding sets by size l, weight by the
-    binomial count, and collapse the inclusion-exclusion sum over subsets to
-    a signed binomial sum.  Must agree with the general path exactly."""
-    if not config.is_symmetric():
-        raise ValueError("symmetric path requires identical per-link parameters")
-    src = config.source_params()[0]
-    rel = config.relay_params()[0]
-    r_o = config.r_o
-    p = prob_relay_decodes(src, r_o)
-    table = _outage_link_table(rel, r_o, ctrl)
-    diag = _Diag()
-    total = (1.0 - p) ** config.M  # empty set: certain outage
-    for l in range(1, config.M + 1):
-        coeffs, lam_extra = _symmetric_expansion(l, rel.lam)
-        per_m = _outage_candidate(rel, table, coeffs, lam_extra, r_o, diag)
-        weight = specfn.binomial(config.M, l) * p**l * (1.0 - p) ** (config.M - l)
-        total += weight * l * per_m
-    return MetricResult(total, diag.terms, diag.condition)
+    return _total_symmetric(config, _outage(config, ctrl))
 
 
 def outage_total(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) -> MetricResult:
-    if config.is_symmetric():
-        return outage_total_symmetric(config, ctrl)
-    return outage_total_general(config, ctrl)
+    path = outage_total_symmetric if config.is_symmetric() else outage_total_general
+    return path(config, ctrl)
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +468,8 @@ def outage_total(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) ->
 # ---------------------------------------------------------------------------
 
 ASER_KERNELS = ("exact", "qapprox", "paper")
+# terms of the Q-function approximation behind the "qapprox"/"paper" kernels
+N_A = 20
 
 
 def _aser_kernel_table(
@@ -469,41 +509,6 @@ def _aser_kernel_table(
     return (np.exp(exps)[:, None, :] @ a[:, None]).ravel()
 
 
-def _aser_link_table(
-    link: LinkParams, config: SystemConfig, ctrl: SeriesControl, n_a: int, kernel_kind: str
-) -> np.ndarray | None:
-    """ASER kernel table of one link, truncated to its series length; None
-    when rho_f = 1."""
-    if link.degenerate:
-        return None
-    half_c = 0.5 * link.c
-    r_max = half_c / (link.lam + half_c)
-    K = _series_length(r_max, ctrl.abs_tol, ctrl.k_max, 0.5)
-    return _aser_kernel_table(kernel_kind, K, link.q, config, n_a)
-
-
-def _aser_candidate(
-    link: LinkParams,
-    table: np.ndarray | None,
-    coeffs: np.ndarray,
-    lam_extra: np.ndarray,
-    config: SystemConfig,
-    diag: _Diag,
-) -> float:
-    """alpha * E[Q(sqrt(beta P gamma_m)) ; m selected | D]."""
-    if link.degenerate:
-        bp = config.beta * config.power
-        a = link.lam + lam_extra
-        qbar = np.array([specfn.mean_q_gamma(1, bp / (2.0 * ai)) for ai in a])
-        per_subset = link.lam / a * qbar
-        value = config.alpha * float(coeffs @ per_subset)
-        diag.update(1, value, config.alpha * float(np.abs(coeffs) @ np.abs(per_subset)))
-        return value
-    value, abs_sum = _series_dot(link, coeffs, lam_extra, table)
-    diag.update(len(table), config.alpha * value, config.alpha * abs_sum)
-    return config.alpha * value
-
-
 def _aser_kernel_kind(config: SystemConfig, kernel: str | None) -> str:
     if kernel is None:
         return "paper" if config.lambda_convention == "paper" else "exact"
@@ -512,61 +517,47 @@ def _aser_kernel_kind(config: SystemConfig, kernel: str | None) -> str:
     return kernel
 
 
-def aser_total_general(
-    config: SystemConfig,
-    ctrl: SeriesControl = SeriesControl(),
-    n_a: int = 20,
-    kernel: str | None = None,
-) -> MetricResult:
-    """ASER over all decoding sets by the merged driver; relay i decodes
-    with probability 1 - B_i (B_i its average decoding error probability),
-    and the all-off term is ½ prod B_i."""
+def _aser(config: SystemConfig, ctrl: SeriesControl, kernel: str | None) -> _Metric:
+    """ASER: relay i decodes with probability 1 - B_i (B_i its average
+    decoding error probability), the all-off term is ½, and the kernel is
+    alpha * E[Q(sqrt(beta P gamma))] of the chosen kind."""
     kind = _aser_kernel_kind(config, kernel)
-    rel = config.relay_params()
-    b = [relay_error_prob(lp, config) for lp in config.source_params()]
-    tables = _link_tables(rel, lambda lp: _aser_link_table(lp, config, ctrl, n_a, kind))
-    return _merged_total_general(
-        rel,
-        tables,
-        [1.0 - bi for bi in b],
-        0.5 * math.prod(b),
-        lambda link, table, coeffs, lam_extra, diag: _aser_candidate(
-            link, table, coeffs, lam_extra, config, diag
-        ),
-    )
+    bp = config.beta * config.power
+    alpha = config.alpha
+
+    def decode(link: LinkParams) -> tuple[float, float]:
+        b = relay_error_prob(link, config)
+        return 1.0 - b, b
+
+    def table(link: LinkParams) -> np.ndarray | None:
+        if link.degenerate:
+            return None
+        K = _series_length(_r_max(link), ctrl.abs_tol, ctrl.k_max, 0.5)
+        return _aser_kernel_table(kind, K, link.q, config, N_A)
+
+    def degenerate(a: np.ndarray) -> np.ndarray:
+        return np.array([specfn.mean_q_gamma(1, bp / (2.0 * ai)) for ai in a])
+
+    return _Metric(decode, 0.5, table, degenerate, lambda v: alpha * v)
+
+
+def aser_total_general(
+    config: SystemConfig, ctrl: SeriesControl = SeriesControl(), kernel: str | None = None
+) -> MetricResult:
+    return _total_general(config, _aser(config, ctrl, kernel))
 
 
 def aser_total_symmetric(
-    config: SystemConfig,
-    ctrl: SeriesControl = SeriesControl(),
-    n_a: int = 20,
-    kernel: str | None = None,
+    config: SystemConfig, ctrl: SeriesControl = SeriesControl(), kernel: str | None = None
 ) -> MetricResult:
-    if not config.is_symmetric():
-        raise ValueError("symmetric path requires identical per-link parameters")
-    kind = _aser_kernel_kind(config, kernel)
-    rel = config.relay_params()[0]
-    b = relay_error_prob(config.source_params()[0], config)
-    table = _aser_link_table(rel, config, ctrl, n_a, kind)
-    diag = _Diag()
-    total = 0.5 * b**config.M
-    for l in range(1, config.M + 1):
-        coeffs, lam_extra = _symmetric_expansion(l, rel.lam)
-        per_m = _aser_candidate(rel, table, coeffs, lam_extra, config, diag)
-        weight = specfn.binomial(config.M, l) * (1.0 - b) ** l * b ** (config.M - l)
-        total += weight * l * per_m
-    return MetricResult(total, diag.terms, diag.condition)
+    return _total_symmetric(config, _aser(config, ctrl, kernel))
 
 
 def aser_total(
-    config: SystemConfig,
-    ctrl: SeriesControl = SeriesControl(),
-    n_a: int = 20,
-    kernel: str | None = None,
+    config: SystemConfig, ctrl: SeriesControl = SeriesControl(), kernel: str | None = None
 ) -> MetricResult:
-    if config.is_symmetric():
-        return aser_total_symmetric(config, ctrl, n_a, kernel)
-    return aser_total_general(config, ctrl, n_a, kernel)
+    path = aser_total_symmetric if config.is_symmetric() else aser_total_general
+    return path(config, ctrl, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -628,82 +619,44 @@ def selected_snr_pdf(
 # average capacity lower bound
 # ---------------------------------------------------------------------------
 
-def _capacity_link_table(
-    link: LinkParams, config: SystemConfig, ctrl: SeriesControl
-) -> np.ndarray | None:
-    """Capacity kernel E[ln(1 + X_k / b)] of one link, truncated to its
-    series length; None when rho_f = 1."""
-    if link.degenerate:
-        return None
-    b = link.q / config.power
-    half_c = 0.5 * link.c
-    r_max = half_c / (link.lam + half_c)
-    k0 = _series_length(r_max, ctrl.abs_tol, ctrl.k_max, 1.0)
-    cap = math.log1p((k0 + 2.0) / b) + 2.0
-    K = _series_length(r_max, ctrl.abs_tol, ctrl.k_max, cap)
-    return specfn.log_gamma_mean_table(K, b)
+def _capacity(config: SystemConfig, ctrl: SeriesControl) -> _Metric:
+    """Capacity lower bound in bits/s/Hz: decoding as for outage, the empty
+    set contributes zero capacity, and the kernel is E[ln(1 + X_k / b)]."""
+    r_o = config.r_o
+    power = config.power
 
+    def decode(link: LinkParams) -> tuple[float, float]:
+        p = prob_relay_decodes(link, r_o)
+        return p, 1.0 - p
 
-def _capacity_candidate(
-    link: LinkParams,
-    table: np.ndarray | None,
-    coeffs: np.ndarray,
-    lam_extra: np.ndarray,
-    config: SystemConfig,
-    diag: _Diag,
-) -> float:
-    """E[(1/2) log2(1 + P gamma_m) ; m selected | D], in bits/s/Hz."""
-    if link.degenerate:
-        a = link.lam + lam_extra
-        logs = np.array([specfn.log_gamma_mean_table(0, ai / config.power)[0] for ai in a])
-        per_subset = link.lam / a * logs
-        value = float(coeffs @ per_subset) / (2.0 * LN2)
-        diag.update(1, value, float(np.abs(coeffs) @ np.abs(per_subset)) / (2.0 * LN2))
-        return value
-    value, abs_sum = _series_dot(link, coeffs, lam_extra, table)
-    diag.update(len(table), value, abs_sum)
-    return value / (2.0 * LN2)
+    def table(link: LinkParams) -> np.ndarray | None:
+        if link.degenerate:
+            return None
+        b = link.q / power
+        r_max = _r_max(link)
+        k0 = _series_length(r_max, ctrl.abs_tol, ctrl.k_max, 1.0)
+        cap = math.log1p((k0 + 2.0) / b) + 2.0
+        K = _series_length(r_max, ctrl.abs_tol, ctrl.k_max, cap)
+        return specfn.log_gamma_mean_table(K, b)
+
+    def degenerate(a: np.ndarray) -> np.ndarray:
+        return np.array([specfn.log_gamma_mean_table(0, ai / power)[0] for ai in a])
+
+    return _Metric(decode, 0.0, table, degenerate, lambda v: v / (2.0 * LN2))
 
 
 def capacity_lb_avg_general(
     config: SystemConfig, ctrl: SeriesControl = SeriesControl()
 ) -> MetricResult:
-    """Average capacity lower bound over all decoding sets by the merged
-    driver; the empty set contributes zero capacity."""
-    rel = config.relay_params()
-    tables = _link_tables(rel, lambda lp: _capacity_link_table(lp, config, ctrl))
-    p = [prob_relay_decodes(lp, config.r_o) for lp in config.source_params()]
-    return _merged_total_general(
-        rel,
-        tables,
-        p,
-        0.0,
-        lambda link, table, coeffs, lam_extra, diag: _capacity_candidate(
-            link, table, coeffs, lam_extra, config, diag
-        ),
-    )
+    return _total_general(config, _capacity(config, ctrl))
 
 
 def capacity_lb_avg_symmetric(
     config: SystemConfig, ctrl: SeriesControl = SeriesControl()
 ) -> MetricResult:
-    if not config.is_symmetric():
-        raise ValueError("symmetric path requires identical per-link parameters")
-    src = config.source_params()[0]
-    rel = config.relay_params()[0]
-    p = prob_relay_decodes(src, config.r_o)
-    table = _capacity_link_table(rel, config, ctrl)
-    diag = _Diag()
-    total = 0.0  # empty set contributes zero capacity
-    for l in range(1, config.M + 1):
-        coeffs, lam_extra = _symmetric_expansion(l, rel.lam)
-        per_m = _capacity_candidate(rel, table, coeffs, lam_extra, config, diag)
-        weight = specfn.binomial(config.M, l) * p**l * (1.0 - p) ** (config.M - l)
-        total += weight * l * per_m
-    return MetricResult(total, diag.terms, diag.condition)
+    return _total_symmetric(config, _capacity(config, ctrl))
 
 
 def capacity_lb_avg(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) -> MetricResult:
-    if config.is_symmetric():
-        return capacity_lb_avg_symmetric(config, ctrl)
-    return capacity_lb_avg_general(config, ctrl)
+    path = capacity_lb_avg_symmetric if config.is_symmetric() else capacity_lb_avg_general
+    return path(config, ctrl)

@@ -33,6 +33,7 @@ Exit codes: 0 success, 1 validation failure, 2 configuration error,
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -53,7 +54,8 @@ MODES = ("analytic", "mc", "both")
 # headroom over the SeriesControl default so figure presets near rho_f = 1
 # converge; tolerance stays at the default
 CLI_CTRL = SeriesControl(abs_tol=1e-12, k_max=65536)
-DEFAULT_N_A = 20
+# far above any real sweep: a grid with more points is a mistyped STEP
+_GRID_MAX_POINTS = 100_000
 
 CSV_COLUMNS = (
     "snr_db",
@@ -245,13 +247,15 @@ class SweepSpec:
             raise ConfigError(f"mode: must be one of {MODES}")
         if not self.snr_db:
             raise ConfigError("snr_db: grid must be nonempty")
+        for snr in self.snr_db:
+            _linear_power(snr)
         if self.mode in ("mc", "both") and self.trials < 1:
             raise ConfigError("trials: must be >= 1 when Monte Carlo runs")
 
 
 _ANALYTIC = {
     "outage": lambda cfg, ctrl: analytic.outage_total(cfg, ctrl),
-    "aser": lambda cfg, ctrl: analytic.aser_total(cfg, ctrl, DEFAULT_N_A),
+    "aser": lambda cfg, ctrl: analytic.aser_total(cfg, ctrl),
     "capacity": lambda cfg, ctrl: analytic.capacity_lb_avg(cfg, ctrl),
 }
 
@@ -260,6 +264,17 @@ _SIMULATE = {
     "aser": montecarlo.simulate_ser,
     "capacity": montecarlo.simulate_capacity,
 }
+
+
+def _linear_power(snr_db: float) -> float:
+    """10^(snr_db / 10); ConfigError unless that is finite and > 0."""
+    try:
+        power = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        power = math.inf
+    if not (math.isfinite(power) and power > 0.0):
+        raise ConfigError(f"snr_db: {snr_db!r} dB has no finite positive linear power")
+    return power
 
 
 def _row_seed(seed: int, index: int) -> int:
@@ -274,7 +289,7 @@ def run_sweep(spec: SweepSpec, ctrl: SeriesControl = CLI_CTRL) -> list[MetricPoi
         return _diversity_rows_from_config(spec, ctrl)
     rows = []
     for i, snr in enumerate(spec.snr_db):
-        cfg = spec.config.with_power(10.0 ** (snr / 10.0))
+        cfg = spec.config.with_power(_linear_power(snr))
         value = terms = cond = None
         if spec.mode in ("analytic", "both"):
             try:
@@ -370,12 +385,9 @@ def write_csv(rows: list[MetricPoint], path: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _grid(start: float, stop: float, step: float) -> tuple[float, ...]:
-    out = []
-    v = float(start)
-    while v <= stop + 1e-9:
-        out.append(round(v, 10))
-        v += step
-    return tuple(out)
+    """start, start + step, ... up to stop (1e-9 slack), rounded to 10 decimals."""
+    count = math.floor((stop - start + 1e-9) / step) + 1
+    return tuple(round(float(start) + i * float(step), 10) for i in range(count))
 
 
 def _sym(M: int, rho_e: float, rho_f: float) -> SystemConfig:
@@ -552,23 +564,38 @@ def validate(
 # ---------------------------------------------------------------------------
 
 def _parse_grid(text: str) -> tuple[float, ...]:
-    parts = text.split(":")
     try:
-        if len(parts) == 1:
-            return (float(parts[0]),)
-        if len(parts) == 3:
-            start, stop, step = (float(p) for p in parts)
-            if step <= 0 or stop < start:
-                raise ValueError
-            return _grid(start, stop, step)
+        values = [float(p) for p in text.split(":")]
     except ValueError:
-        pass
-    raise ConfigError(f"snr-db: expected START:STOP:STEP or a single value, got {text!r}")
+        values = []
+    if len(values) in (1, 3) and all(math.isfinite(v) for v in values):
+        if len(values) == 1:
+            return (values[0],)
+        start, stop, step = values
+        if step > 0 and stop >= start:
+            # the point count, checked before anything is built
+            if (stop - start + 1e-9) / step >= _GRID_MAX_POINTS:
+                raise ConfigError(f"snr-db: {text!r} has more than {_GRID_MAX_POINTS} points")
+            return _grid(start, stop, step)
+    raise ConfigError(
+        f"snr-db: expected START:STOP:STEP or a single value, all finite, got {text!r}"
+    )
 
 
 def _fail(code: int, message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+@contextlib.contextmanager
+def _exit_codes():
+    """Configuration errors exit with code 2, numerical failures with 3."""
+    try:
+        yield
+    except ConfigError as e:
+        _fail(2, str(e))
+    except SeriesError as e:
+        _fail(3, str(e))
 
 
 @click.group()
@@ -591,7 +618,7 @@ def main():
               help="prior aser sweep CSV to differentiate (metric=diversity only)")
 def sweep(config_path, metric, snr_db, mode, trials, seed, out_path, lambda_convention, in_path):
     """Evaluate one metric over an SNR grid; optionally cross-check with MC."""
-    try:
+    with _exit_codes():
         if in_path is not None:
             if metric != "diversity":
                 raise ConfigError("--in only applies to the diversity metric")
@@ -604,10 +631,6 @@ def sweep(config_path, metric, snr_db, mode, trials, seed, out_path, lambda_conv
                              trials=trials, seed=seed, config=config, output_path=out_path)
             rows = run_sweep(spec)
         write_csv(rows, out_path)
-    except ConfigError as e:
-        _fail(2, str(e))
-    except SeriesError as e:
-        _fail(3, str(e))
 
 
 @main.command()
@@ -615,12 +638,8 @@ def sweep(config_path, metric, snr_db, mode, trials, seed, out_path, lambda_conv
 @click.option("--out", "out_path", default="-", show_default=True)
 def reproduce(figure, out_path):
     """Emit the CSV for one of the nine reference figures ("paper" convention)."""
-    try:
+    with _exit_codes():
         reproduce_figure(figure, out_path)
-    except ConfigError as e:
-        _fail(2, str(e))
-    except SeriesError as e:
-        _fail(3, str(e))
 
 
 @main.command("validate")
@@ -629,13 +648,9 @@ def reproduce(figure, out_path):
 @click.option("--seed", default=42, show_default=True)
 def validate_cmd(config_path, trials, seed):
     """Cross-validate every oracle pair on the given configuration."""
-    try:
+    with _exit_codes():
         config = load_config_file(config_path)
         ok, report = validate(config, trials, seed)
-    except ConfigError as e:
-        _fail(2, str(e))
-    except SeriesError as e:
-        _fail(3, str(e))
     for line in report:
         click.echo(line)
     if not ok:
@@ -646,10 +661,9 @@ def validate_cmd(config_path, trials, seed):
 @click.option("--config", "config_path", required=True, type=click.Path())
 def info(config_path):
     """Print the derived per-link constants for a configuration."""
-    try:
+    with _exit_codes():
         config = load_config_file(config_path)
-    except ConfigError as e:
-        _fail(2, str(e))
+
     def link_doc(lp):
         return {
             "lam": lp.lam, "c": lp.c, "theta": lp.theta,

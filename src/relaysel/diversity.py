@@ -71,12 +71,11 @@ def aser_sweep(
     config: SystemConfig,
     snr_db: Sequence[float],
     ctrl: SeriesControl = SeriesControl(),
-    n_a: int = 20,
 ) -> SweepCurve:
     """Evaluate the closed-form ASER on a dB grid and package it as a curve."""
     pts = []
     for s in snr_db:
-        value = aser_total(config.with_power(10.0 ** (s / 10.0)), ctrl, n_a).value
+        value = aser_total(config.with_power(10.0 ** (s / 10.0)), ctrl).value
         pts.append((float(s), value))
     return SweepCurve(tuple(pts))
 
@@ -94,7 +93,6 @@ def _expected_scenario(config: SystemConfig) -> tuple[str, float]:
 def asymptotic_checks(
     configs: Sequence[SystemConfig],
     ctrl: SeriesControl = SeriesControl(),
-    n_a: int = 20,
     tol_delay: float = 0.15,
     tol_full: float = 0.3,
     ceiling: float = 0.2,
@@ -118,7 +116,7 @@ def asymptotic_checks(
     if snr_db[-1] - snr_db[0] < 10.0:
         raise ValueError("SNR range too narrow to estimate an asymptotic slope")
 
-    curve = SweepCurve(tuple(zip(snr_db, (aser_total(c, ctrl, n_a).value for c in configs))))
+    curve = SweepCurve(tuple(zip(snr_db, (aser_total(c, ctrl).value for c in configs))))
     scenario, expected = _expected_scenario(base)
     if scenario == "estimation-error-floor":
         observed = effective_diversity(curve)[-1][1]

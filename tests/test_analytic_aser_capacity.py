@@ -368,15 +368,15 @@ def _aser_reference(cfg, ctrl=CTRL) -> float:
     """ASER as the explicit sum over decoding sets D and candidates m in D."""
     rel = cfg.relay_params()
     b = [an.relay_error_prob(lp, cfg) for lp in cfg.source_params()]
-    kind = an._aser_kernel_kind(cfg, None)
-    tables = [an._aser_link_table(lp, cfg, ctrl, 20, kind) for lp in rel]
+    metric = an._aser(cfg, ctrl, None)
+    tables = [metric.table(lp) for lp in rel]
     total = 0.0
     for D in an.all_decoding_sets(cfg.M):
         w = math.prod((1.0 - b[i]) if i in D else b[i] for i in range(cfg.M))
         inner = 0.5 if not D.members else 0.0
         for m in D:
             coeffs, lam_extra = an._subset_expansion([rel[i].lam for i in D if i != m])
-            inner += an._aser_candidate(rel[m], tables[m], coeffs, lam_extra, cfg, an._Diag())
+            inner += an._candidate(metric, rel[m], tables[m], coeffs, lam_extra, an._Diag())
         total += w * inner
     return total
 
@@ -384,13 +384,14 @@ def _aser_reference(cfg, ctrl=CTRL) -> float:
 def _capacity_reference(cfg, ctrl=CTRL) -> float:
     """Capacity as the explicit sum over decoding sets D and candidates m in D."""
     rel = cfg.relay_params()
-    tables = [an._capacity_link_table(lp, cfg, ctrl) for lp in rel]
+    metric = an._capacity(cfg, ctrl)
+    tables = [metric.table(lp) for lp in rel]
     total = 0.0
     for D in an.all_decoding_sets(cfg.M):
         inner = 0.0
         for m in D:
             coeffs, lam_extra = an._subset_expansion([rel[i].lam for i in D if i != m])
-            inner += an._capacity_candidate(rel[m], tables[m], coeffs, lam_extra, cfg, an._Diag())
+            inner += an._candidate(metric, rel[m], tables[m], coeffs, lam_extra, an._Diag())
         total += an.prob_decoding_set(cfg, D) * inner
     return total
 
@@ -411,24 +412,30 @@ def test_general_equals_decoding_set_sum(general, reference, M, power):
 
 
 @pytest.mark.parametrize(
-    "general, candidate",
-    [
-        (an.outage_total_general, "_outage_candidate"),
-        (an.aser_total_general, "_aser_candidate"),
-        (an.capacity_lb_avg_general, "_capacity_candidate"),
-    ],
+    "general",
+    [an.outage_total_general, an.aser_total_general, an.capacity_lb_avg_general],
     ids=["outage", "aser", "capacity"],
 )
 @pytest.mark.parametrize("M", [2, 5])
-def test_general_path_evaluates_one_candidate_per_relay(monkeypatch, general, candidate, M):
+def test_general_path_evaluates_one_candidate_per_relay(monkeypatch, general, M):
     calls = []
-    original = getattr(an, candidate)
+    original = an._candidate
 
-    def counting(link, *args):
+    def counting(metric, link, *args):
         calls.append(link)
-        return original(link, *args)
+        return original(metric, link, *args)
 
-    monkeypatch.setattr(an, candidate, counting)
+    monkeypatch.setattr(an, "_candidate", counting)
     cfg = mixed_asym_config(M)
     general(cfg, CTRL)
     assert calls == cfg.relay_params()
+
+
+@pytest.mark.parametrize(
+    "symmetric",
+    [an.outage_total_symmetric, an.aser_total_symmetric, an.capacity_lb_avg_symmetric],
+    ids=["outage", "aser", "capacity"],
+)
+def test_symmetric_path_rejects_asymmetric_config(symmetric):
+    with pytest.raises(ValueError, match="identical per-link parameters"):
+        symmetric(mixed_asym_config(3), CTRL)

@@ -7,7 +7,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
+from relaysel import cli
 from relaysel.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -217,6 +219,43 @@ def test_cli_exit_code_on_bad_config(tmp_path):
     cp = run_cli("sweep", "--config", str(bad), "--metric", "outage")
     assert cp.returncode == 2
     assert "error" in cp.stderr
+
+
+@pytest.mark.parametrize("snr_db", ["nan", "inf", "-inf", "4000"])
+def test_cli_sweep_rejects_snr_without_finite_power(config_file, snr_db):
+    res = CliRunner().invoke(
+        cli.main, ["sweep", "--config", config_file, "--metric", "outage", "--snr-db", snr_db]
+    )
+    assert res.exit_code == 2, res.output
+    assert "snr" in res.output
+
+
+@pytest.mark.parametrize(
+    "text", ["0:inf:2", "-inf:0:2", "0:30:nan", "0:30:1e-300", "0:1e6:1", "0:100000:1"]
+)
+def test_parse_grid_rejects_unbounded_grids(text):
+    # each of these loops forever, or grows its list without bound, when the
+    # grid is built by repeated addition
+    with pytest.raises(ConfigError, match="snr-db"):
+        cli._parse_grid(text)
+
+
+def test_parse_grid_point_count_bound():
+    assert len(cli._parse_grid("0:99999:1")) == cli._GRID_MAX_POINTS
+
+
+@pytest.mark.parametrize(
+    "start, stop, step", [(0, 30, 2), (0, 40, 2), (5, 45, 2), (0, 1, 0.1), (-10, 10, 0.5), (0, 40, 2.5)]
+)
+def test_grid_matches_repeated_addition(start, stop, step):
+    want = []
+    v = float(start)
+    while v <= stop + 1e-9:
+        want.append(round(v, 10))
+        v += step
+    got = cli._grid(start, stop, step)
+    assert got == tuple(want)
+    assert all(type(x) is float for x in got)
 
 
 def test_cli_exit_code_on_unknown_figure():
