@@ -249,6 +249,12 @@ class SweepSpec:
             raise ConfigError("snr_db: grid must be nonempty")
         for snr in self.snr_db:
             _linear_power(snr)
+        # the slope needs two points, and SweepCurve a strictly increasing grid
+        grid = self.snr_db
+        if self.metric == "diversity" and (
+            len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:]))
+        ):
+            raise ConfigError("snr_db: a diversity sweep needs at least two increasing points")
         if self.mode in ("mc", "both") and self.trials < 1:
             raise ConfigError("trials: must be >= 1 when Monte Carlo runs")
 

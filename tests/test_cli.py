@@ -230,6 +230,21 @@ def test_cli_sweep_rejects_snr_without_finite_power(config_file, snr_db):
     assert "snr" in res.output
 
 
+@pytest.mark.parametrize("snr_db", ["10", "10:10:1", "0:1e-10:1e-11"])
+def test_cli_diversity_sweep_rejects_grid_without_two_increasing_points(
+    config_file, snr_db, monkeypatch
+):
+    # rounding to 10 decimals leaves "0:1e-10:1e-11" 12 distinct values in 111 points
+    evaluated = []
+    monkeypatch.setattr(cli.analytic, "aser_total", lambda *a: evaluated.append(a))
+    res = CliRunner().invoke(
+        cli.main, ["sweep", "--config", config_file, "--metric", "diversity", "--snr-db", snr_db]
+    )
+    assert res.exit_code == 2, res.output
+    assert "diversity sweep needs at least two" in res.output
+    assert evaluated == []
+
+
 @pytest.mark.parametrize(
     "text", ["0:inf:2", "-inf:0:2", "0:30:nan", "0:30:1e-300", "0:1e6:1", "0:100000:1"]
 )

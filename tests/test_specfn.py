@@ -337,6 +337,116 @@ def test_log_gamma_mean_first_entry_is_ei_identity():
         assert specfn.log_gamma_mean_table(0, b)[0] == pytest.approx(expect, rel=1e-13)
 
 
+# L[k] = sum_{j<=k} e^b b^j Gamma(-j, b), from mpmath 1.3.0: the increments
+# by their forward recurrence at 320 digits from e^b E1(b) (the recurrence
+# loses at most ~e^b, i.e. 174 digits at b = 400), rounded to 40 digits.  A
+# 45-digit quadrature of E[ln(1 + X/b)] agrees to 1e-46 at k in {0, ceil(b),
+# ceil(b) + 3} and to 40 digits at k = K.  The b are the exact binary values.
+LOG_GAMMA_MEAN_40 = [
+    (16.0, 3000, {
+        0: "0.05900810360855643618650934197384251560888",
+        1: "0.1148784458716534572023598703923622658669",
+        5: "0.3125014860431783431698565924412625050073",
+        15: "0.6854751157999115382420520386364109209866",
+        16: "0.7162445603248893173706887888276691663426",
+        17: "0.7461086125366749370143247886476614060075",
+        19: "0.8033206753841436219766214904273116179844",
+        1500: "4.551575103105154772006082077460759552645",
+        3000: "5.239264659603356467595498930692741612778",
+    }),
+    # the rho_f = 0.999 capacity table of the scaling benchmark
+    (50.0250125062538, 17945, {
+        0: "0.01960548758909316967596065989814572650398",
+        1: "0.03884072575350365934169832811523387639568",
+        5: "0.1123386985223850503029770672642732469519",
+        50: "0.7003606762880931226674733357544324592686",
+        51: "0.7102109317003509579230417842056163228632",
+        52: "0.7199655634275049500973090107547690493324",
+        54: "0.7391952247445095212612067031910505941074",
+        8972: "5.194956686070746098052866519663774739729",
+        17945: "5.885355342452449183444170429179512676259",
+    }),
+    (400.0, 2000, {
+        0: "0.002493781017939885038127420133242601415574",
+        1: "0.00498137384198586978715936683620203518599",
+        5: "0.0148704710461782909381055592101835425655",
+        399: "0.6928349083022470733624953757900801447977",
+        400: "0.6940841275408310251986847944734206878035",
+        401: "0.6953317891482285794768000875573702708401",
+        403: "0.6978224549635139573940763714499375862503",
+        1000: "1.253222054125806982224205317879273979674",
+        2000: "1.792002501876422313670087755114489510041",
+    }),
+]
+
+
+@pytest.mark.parametrize("b, k_max, want", LOG_GAMMA_MEAN_40, ids=["16", "50.03", "400"])
+def test_log_gamma_mean_large_b_against_mpmath(b, k_max, want):
+    # k < ceil(b) are integrated, k > ceil(b) come from the recurrence
+    table = specfn.log_gamma_mean_table(k_max, b)
+    assert len(table) == k_max + 1
+    for k, value in want.items():
+        assert table[k] == pytest.approx(float(value), rel=1e-13, abs=0.0), k
+
+
+@pytest.mark.parametrize("b, k_max, want", LOG_GAMMA_MEAN_40, ids=["16", "50.03", "400"])
+def test_log_gamma_mean_large_b_short_tables(b, k_max, want):
+    # k_max < ceil(b) is all quadrature and k_max = ceil(b) ends on it; either
+    # is the prefix of the long table, whose entries do not depend on k_max
+    full = specfn.log_gamma_mean_table(k_max, b)
+    cb = math.ceil(b)
+    for short in (0, 5, cb - 1, cb, cb + 1):
+        table = specfn.log_gamma_mean_table(short, b)
+        np.testing.assert_array_equal(table, full[: short + 1])
+        assert table[-1] == pytest.approx(float(want[short]), rel=1e-13, abs=0.0)
+
+
+def _mean_q_gamma_loop(shape_max, c):
+    # the scalar loop mean_q_gamma_table replaced, kept as its reference
+    if c == 0.0:
+        return np.full(shape_max, 0.5)
+    mu = math.sqrt(c / (1.0 + c))
+    z4 = 1.0 - mu * mu
+    t = 1.0
+    s = 1.0
+    out = np.empty(shape_max)
+    out[0] = 0.5 * (1.0 - mu * s)
+    for m in range(2, shape_max + 1):
+        jj = m - 1
+        t *= z4 * (1.0 - 0.5 / jj)
+        s += t
+        out[m - 1] = 0.5 * (1.0 - mu * s)
+    return np.maximum(out, 0.0)
+
+
+def _log_gamma_mean_loop(k_max, b):
+    # the numpy-scalar recurrence of the b <= 15 branch, kept as its reference
+    v = np.empty(k_max + 1)
+    v[0] = math.exp(b) * specfn.exp1(b)
+    for j in range(1, k_max + 1):
+        v[j] = (1.0 - b * v[j - 1]) / j
+    return np.cumsum(v)
+
+
+TABLE_SIZES = (1, 2, 7, 100, 18000)
+SMALL_ARGS = (0.005, 0.1, 1.0, 3.7, 9.0, 14.9, 15.0)
+
+
+@pytest.mark.parametrize("c", (0.0,) + SMALL_ARGS + (2e3, 5e6))
+def test_mean_q_gamma_table_bit_identical_to_loop(c):
+    for size in TABLE_SIZES:
+        np.testing.assert_array_equal(specfn.mean_q_gamma_table(size, c), _mean_q_gamma_loop(size, c))
+
+
+@pytest.mark.parametrize("b", SMALL_ARGS)
+def test_log_gamma_mean_small_b_bit_identical_to_loop(b):
+    for size in TABLE_SIZES:
+        got = specfn.log_gamma_mean_table(size - 1, b)
+        np.testing.assert_array_equal(got, _log_gamma_mean_loop(size - 1, b))
+        # a numpy scalar b takes the same path
+        np.testing.assert_array_equal(specfn.log_gamma_mean_table(size - 1, np.float64(b)), got)
+
+
 # ---------------------------------------------------------------------------
 # series control
 # ---------------------------------------------------------------------------
