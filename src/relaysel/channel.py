@@ -16,7 +16,9 @@ chi-square with 2 degrees of freedom and noncentrality c*g; the constants
 The sampler draws SNRs, not complex gains: each old SNR is one
 Exponential(lam) draw (`sample_gamma_batch`), and the current SNR is drawn
 from its law given the old one (`sample_current`), which the simulator does
-only for the relay it selects.
+only for the relay it selects.  Both can fill caller-owned buffers
+(`out=`, and `draw_current_into`, the in-place kernel of `sample_current`)
+with the same values, so the simulator allocates nothing per chunk.
 """
 
 from __future__ import annotations
@@ -216,21 +218,31 @@ def sample_gamma_batch(
     n: int,
     *,
     rates: tuple[np.ndarray, np.ndarray] | None = None,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
     """Draw n trials of the old SNRs: (n, M) arrays gamma_sm_o (source to
     relay) and gamma_md_o (relay to destination), each Exponential(lam) per
-    link.  `rates` = (source lam, relay lam) skips re-deriving the links."""
+    link.  `rates` = (source lam, relay lam) skips re-deriving the links.
+    `out` = (gamma_sm_o, gamma_md_o) are C-contiguous float64 (n, M) arrays
+    that receive the draws in place of fresh ones; the values are the same."""
     if rates is None:
         rates = (
             np.array([lp.lam for lp in config.source_params()]),
             np.array([lp.lam for lp in config.relay_params()]),
         )
-    lam_sm, lam_md = rates
-    M = config.M
-    return {
-        "gamma_sm_o": rng.standard_exponential((n, M)) / lam_sm,
-        "gamma_md_o": rng.standard_exponential((n, M)) / lam_md,
-    }
+    shape = (n, config.M)
+    if out is None:
+        out = (np.empty(shape), np.empty(shape))
+    for buf in out:
+        if not (
+            isinstance(buf, np.ndarray) and buf.dtype == np.float64 and buf.shape == shape
+            and buf.flags.c_contiguous
+        ):
+            raise ValueError(f"out: expected two C-contiguous float64 arrays of shape {shape}")
+    for buf, lam in zip(out, rates):
+        rng.standard_exponential(out=buf)
+        buf /= lam
+    return {"gamma_sm_o": out[0], "gamma_md_o": out[1]}
 
 
 def sample_current(
@@ -245,19 +257,40 @@ def sample_current(
     noncentrality c g.  Elements with rho_f = 1 return g exactly and draw
     nothing.
     """
-    g = np.asarray(g, dtype=float)
-    rho_f = np.broadcast_to(np.asarray(rho_f, dtype=float), g.shape)
-    theta = np.broadcast_to(np.asarray(theta, dtype=float), g.shape)
+    out = np.array(g, dtype=float)
+    rho_f = np.broadcast_to(np.asarray(rho_f, dtype=float), out.shape)
+    theta = np.broadcast_to(np.asarray(theta, dtype=float), out.shape)
     live = rho_f < 1.0
     if live.all():
-        return _noncentral_draw(rng, g, rho_f, theta)
-    out = g.copy()
-    if live.any():
-        out[live] = _noncentral_draw(rng, g[live], rho_f[live], theta[live])
+        draw_current_into(rng, out, rho_f, theta, np.empty_like(out), np.empty_like(out))
+    elif live.any():
+        g_live = out[live]
+        x, y = np.empty_like(g_live), np.empty_like(g_live)
+        out[live] = draw_current_into(rng, g_live, rho_f[live], theta[live], x, y)
     return out
 
 
-def _noncentral_draw(rng, g, rho_f, theta):
-    x, y = rng.standard_normal((2, *g.shape))
-    re = rho_f * np.sqrt(g) + np.sqrt(theta) * x
-    return re * re + theta * (y * y)
+def draw_current_into(
+    rng: np.random.Generator,
+    g: np.ndarray,
+    rho_f: np.ndarray | float,
+    theta: np.ndarray | float,
+    x: np.ndarray,
+    y: np.ndarray,
+) -> np.ndarray:
+    """Overwrite g with the current SNRs given old SNRs g, as
+    `sample_current` draws them for links with rho_f < 1.  x and y are
+    C-contiguous float64 scratch arrays of g's shape; rho_f and theta
+    broadcast against g and are only read.  Draws x, then y, from rng."""
+    rng.standard_normal(out=x)
+    np.sqrt(theta, out=y)
+    x *= y
+    np.sqrt(g, out=g)
+    g *= rho_f
+    g += x
+    g *= g
+    rng.standard_normal(out=y)
+    y *= y
+    y *= theta
+    g += y
+    return g

@@ -323,6 +323,9 @@ def run_sweep(spec: SweepSpec, ctrl: SeriesControl = CLI_CTRL) -> list[MetricPoi
 def _diversity_rows_from_config(spec: SweepSpec, ctrl: SeriesControl) -> list[MetricPoint]:
     aser_spec = replace(spec, metric="aser", mode="analytic")
     base = run_sweep(aser_spec, ctrl)
+    failed = [r.snr_db for r in base if r.value is None]
+    if failed:
+        raise SeriesError(f"diversity: the ASER series failed at snr_db {failed}, so no slope")
     return diversity_rows([(r.snr_db, r.value) for r in base], spec.label)
 
 
@@ -390,9 +393,15 @@ def write_csv(rows: list[MetricPoint], path: str) -> None:
 # figure presets
 # ---------------------------------------------------------------------------
 
+def _grid_steps(start: float, stop: float, step: float) -> float:
+    """(stop - start) / step with a slack of 1e-9 steps for rounding."""
+    return (stop - start) / step + 1e-9
+
+
 def _grid(start: float, stop: float, step: float) -> tuple[float, ...]:
-    """start, start + step, ... up to stop (1e-9 slack), rounded to 10 decimals."""
-    count = math.floor((stop - start + 1e-9) / step) + 1
+    """start, start + step, ... up to stop (1e-9 steps of slack), rounded to
+    10 decimals."""
+    count = math.floor(_grid_steps(start, stop, step)) + 1
     return tuple(round(float(start) + i * float(step), 10) for i in range(count))
 
 
@@ -580,9 +589,15 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         start, stop, step = values
         if step > 0 and stop >= start:
             # the point count, checked before anything is built
-            if (stop - start + 1e-9) / step >= _GRID_MAX_POINTS:
+            if _grid_steps(start, stop, step) >= _GRID_MAX_POINTS:
                 raise ConfigError(f"snr-db: {text!r} has more than {_GRID_MAX_POINTS} points")
-            return _grid(start, stop, step)
+            grid = _grid(start, stop, step)
+            if any(b <= a for a, b in zip(grid, grid[1:])):
+                raise ConfigError(
+                    f"snr-db: {text!r} rounds to points that are not strictly increasing"
+                    " at 10 decimals"
+                )
+            return grid
     raise ConfigError(
         f"snr-db: expected START:STOP:STEP or a single value, all finite, got {text!r}"
     )

@@ -272,3 +272,28 @@ def test_batch_sampling_is_reproducible():
         for _ in range(2)
     )
     np.testing.assert_array_equal(cur_a, cur_b)
+
+
+def test_batch_sampling_into_given_buffers():
+    cfg = ch.SystemConfig.symmetric(M=3, power=5.0, rho_e=0.9, rho_f=0.9)
+    n = 1000
+    want = ch.sample_gamma_batch(cfg, np.random.default_rng(125), n)
+    # leading views of larger buffers, as the simulator's workspace hands out
+    sm, md = np.full((2 * n, 3), np.nan)[:n], np.full((2 * n, 3), np.nan)[:n]
+    got = ch.sample_gamma_batch(cfg, np.random.default_rng(125), n, out=(sm, md))
+    assert got["gamma_sm_o"] is sm and got["gamma_md_o"] is md
+    for key in want:
+        assert want[key].tobytes() == got[key].tobytes()
+
+
+@pytest.mark.parametrize("bad", [
+    np.empty((999, 3)),
+    np.empty((1000, 2)),
+    np.empty((1000, 3), dtype=np.float32),
+    np.empty((3, 1000)).T,
+    [[0.0] * 3] * 1000,
+], ids=["rows", "columns", "float32", "not-c-contiguous", "list"])
+def test_batch_sampling_rejects_wrong_buffers(bad):
+    cfg = ch.SystemConfig.symmetric(M=3, power=5.0, rho_f=0.9)
+    with pytest.raises(ValueError, match="out"):
+        ch.sample_gamma_batch(cfg, np.random.default_rng(1), 1000, out=(np.empty((1000, 3)), bad))

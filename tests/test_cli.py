@@ -230,19 +230,56 @@ def test_cli_sweep_rejects_snr_without_finite_power(config_file, snr_db):
     assert "snr" in res.output
 
 
-@pytest.mark.parametrize("snr_db", ["10", "10:10:1", "0:1e-10:1e-11"])
+@pytest.mark.parametrize("snr_db, message", [
+    ("10", "diversity sweep needs at least two"),
+    ("10:10:1", "diversity sweep needs at least two"),
+    # rounding to 10 decimals leaves 0, 1e-11, ..., 1e-10 with repeats,
+    # which the grid parser rejects for every metric
+    ("0:1e-10:1e-11", "not strictly increasing"),
+], ids=["10", "10:10:1", "0:1e-10:1e-11"])
 def test_cli_diversity_sweep_rejects_grid_without_two_increasing_points(
-    config_file, snr_db, monkeypatch
+    config_file, snr_db, message, monkeypatch
 ):
-    # rounding to 10 decimals leaves "0:1e-10:1e-11" 12 distinct values in 111 points
     evaluated = []
     monkeypatch.setattr(cli.analytic, "aser_total", lambda *a: evaluated.append(a))
     res = CliRunner().invoke(
         cli.main, ["sweep", "--config", config_file, "--metric", "diversity", "--snr-db", snr_db]
     )
     assert res.exit_code == 2, res.output
-    assert "diversity sweep needs at least two" in res.output
+    assert message in res.output
     assert evaluated == []
+
+
+def test_cli_diversity_sweep_exits_3_when_the_aser_series_fails(tmp_path):
+    # rho_f = 0.9999 needs more series terms than the CLI's k_max at both points
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps({"M": 3, "rho_e": 1.0, "rho_f": 0.9999, "rate": 1.0}))
+    res = CliRunner().invoke(
+        cli.main, ["sweep", "--config", str(path), "--metric", "diversity", "--snr-db", "10:20:10"]
+    )
+    assert res.exit_code == 3, res.output
+    assert "ASER series failed at snr_db [10.0, 20.0]" in res.output
+    assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("text, count, last", [
+    ("0:30:2", 16, 30.0),
+    ("0:1:0.1", 11, 1.0),
+    ("0:0.3:0.1", 4, 0.3),
+    # an absolute 1e-9 dB slack let these overshoot STOP by a step
+    ("0:1e-8:1e-9", 11, 1e-8),
+    ("5:5.000001:1e-7", 11, 5.000001),
+    ("0:1e-10:1e-11", None, None),
+    ("0:1e-9:1e-11", None, None),
+])
+def test_parse_grid_slack_is_relative_to_the_step(text, count, last):
+    if count is None:
+        with pytest.raises(ConfigError, match="not strictly increasing"):
+            cli._parse_grid(text)
+        return
+    grid = cli._parse_grid(text)
+    assert len(grid) == count and grid[-1] == last
+    assert all(b > a for a, b in zip(grid, grid[1:]))
 
 
 @pytest.mark.parametrize(

@@ -8,8 +8,11 @@ import time
 import numpy as np
 import pytest
 
+from scipy.special import erfc
+
 from relaysel import analytic as an
 from relaysel import montecarlo as mc
+from relaysel.channel import SystemConfig
 
 from conftest import CTRL, mixed_asym_config, sym_config
 
@@ -207,3 +210,114 @@ def test_import_cli_loads_no_scipy():
     code = "import sys, relaysel.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert cp.stdout.strip() == "[]"
+
+
+_GOLDEN_CONFIGS = {
+    "sym-rho_f-0.9": lambda: sym_config(M=3, power=10.0, rho_e=0.95, rho_f=0.9),
+    "sym-rho_f-1": lambda: sym_config(M=3, power=10.0, rho_f=1.0),
+    "mixed-asym-3": lambda: mixed_asym_config(3),
+}
+
+# float.hex of (mean, std_error) at seed 2026, recorded with the simulator
+# that allocated fresh arrays for every chunk; the in-place chunk kernel
+# must reproduce every bit
+_GOLDEN = {
+    ("sym-rho_f-0.9", "outage"): ("0x1.2806587e45d41p-2", "0x1.798b293553092p-10"),
+    ("sym-rho_f-0.9", "ser"): ("0x1.3172b5b15087fp-7", "0x1.e25491e995f14p-14"),
+    ("sym-rho_f-0.9", "ser-bernoulli"): ("0x1.343afb522278fp-7", "0x1.418ff846afcb2p-12"),
+    ("sym-rho_f-0.9", "capacity"): ("0x1.51757734d15aap+0", "0x1.0ce25cfbf286bp-9"),
+    ("sym-rho_f-1", "outage"): ("0x1.7811b6d2bc41cp-4", "0x1.e0f7c82a3a0aap-11"),
+    ("sym-rho_f-1", "ser"): ("0x1.9d4f566735682p-11", "0x1.7b4a1811c6561p-16"),
+    ("sym-rho_f-1", "ser-bernoulli"): ("0x1.ac9cbadde306ap-11", "0x1.7cd537c5347cep-14"),
+    ("sym-rho_f-1", "capacity"): ("0x1.d014abbf562a6p+0", "0x1.edf48fd906f10p-10"),
+    ("mixed-asym-3", "outage"): ("0x1.9914410471035p-2", "0x1.97e771e00e03bp-10"),
+    ("mixed-asym-3", "ser"): ("0x1.06158dc743c47p-6", "0x1.4a7c2423bfc87p-13"),
+    ("mixed-asym-3", "ser-bernoulli"): ("0x1.f90225a7ce744p-7", "0x1.9a5a1327fc373p-12"),
+    ("mixed-asym-3", "capacity"): ("0x1.1d9c41bc90703p+0", "0x1.0c8729b921b33p-9"),
+}
+
+_SIMULATORS = {
+    "outage": mc.simulate_outage,
+    "ser": mc.simulate_ser,
+    "ser-bernoulli": lambda cfg, trials, seed: mc.simulate_ser(
+        cfg, trials, seed, estimator="bernoulli"
+    ),
+    "capacity": mc.simulate_capacity,
+}
+
+
+@pytest.mark.parametrize("config, sim", sorted(_GOLDEN), ids=lambda v: v)
+def test_estimates_match_recorded_bits(config, sim):
+    # several full chunks and a partial last one
+    est = _SIMULATORS[sim](_GOLDEN_CONFIGS[config](), 3 * mc.CHUNK_SIZE + 777, 2026)
+    assert (est.mean.hex(), est.std_error.hex()) == _GOLDEN[(config, sim)]
+
+
+def _screen_cases():
+    """(gamma, u) pairs per (alpha, beta P): the edge SNRs, and SNRs whose
+    Chernoff bound alpha/2 exp(-beta P gamma / 2) lands within an ulp or so
+    of u, so that the screen's slack is what decides them."""
+    top = np.nextafter(1.0, 0.0)
+    for alpha in (0.5, 1.0, 2.0, 4.0):
+        for bp in (1e-3, 20.0, 1e6):
+            gammas = [0.0, 5e-324, 1e-300, 1e3]
+            us = [0.0, top, 0.3, 1e-3, 1e-12]
+            for u in us[1:]:
+                # the bound equals u at gamma_eq
+                gamma_eq = -2.0 / bp * math.log(u / (0.5 * alpha))
+                if gamma_eq > 0.0:
+                    gammas += list(gamma_eq * (1.0 + np.arange(-40, 41) * 2.0**-52))
+            g, u = np.meshgrid(np.array(gammas), np.array(us), indexing="ij")
+            yield alpha, bp, g.reshape(-1, 1), u.reshape(-1, 1)
+
+
+def test_screened_decode_is_the_exact_mask():
+    screened = 0
+    for alpha, bp, gamma, u in _screen_cases():
+        want = u >= np.clip(alpha * (0.5 * erfc(np.sqrt(bp * gamma) / math.sqrt(2.0))), 0.0, 1.0)
+        ws = mc._Workspace(1)
+        n = len(gamma)
+        ws.sm[:n], ws.u[:n] = gamma, u
+        got = mc._decode_screened(ws, n, alpha, bp)
+        np.testing.assert_array_equal(got, want, err_msg=f"alpha={alpha}, beta P={bp}")
+        screened += int(np.count_nonzero(~ws.undecided[:n]))
+    assert screened > 0  # the bound decided some entries without erfc
+
+
+def test_screened_decode_on_random_draws():
+    rng = np.random.default_rng(7)
+    gamma = rng.standard_exponential((5000, 3)) * np.array([0.01, 1.0, 30.0])
+    u = rng.random((5000, 3))
+    for alpha, bp in [(1.0, 2.0), (2.0, 20.0), (4.0, 200.0), (0.5, 0.02)]:
+        want = u >= np.clip(alpha * (0.5 * erfc(np.sqrt(bp * gamma) / math.sqrt(2.0))), 0.0, 1.0)
+        ws = mc._Workspace(3)
+        ws.sm[:5000], ws.u[:5000] = gamma, u
+        np.testing.assert_array_equal(mc._decode_screened(ws, 5000, alpha, bp), want)
+
+
+_FAULTS_PER_CHUNK = """
+import resource
+from relaysel import montecarlo as mc
+from relaysel.channel import SystemConfig
+mc._WORKERS = 1
+cfg = SystemConfig.symmetric(M=4, power=10.0, rho_f=0.9)
+chunks = 16
+mc.simulate_outage(cfg, chunks * mc.CHUNK_SIZE, 1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+mc.simulate_outage(cfg, chunks * mc.CHUNK_SIZE, 2)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / chunks)
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="ru_minflt counts this process on Linux"
+)
+def test_chunks_do_not_fault_in_fresh_pages():
+    # each chunk works in its task's workspace, so the page faults are the
+    # workspace's first touch, not per-chunk temporaries that the allocator
+    # hands back to the system and faults in again; a fresh interpreter, so
+    # that what earlier tests left in the allocator does not hide them
+    cp = subprocess.run(
+        [sys.executable, "-c", _FAULTS_PER_CHUNK], capture_output=True, text=True, check=True
+    )
+    assert float(cp.stdout) < 150
