@@ -9,10 +9,9 @@ Usage: python scripts/diversity_study.py
 import sys
 
 from relaysel.channel import SystemConfig
+from relaysel.cli import CLI_CTRL
 from relaysel.diversity import asymptotic_checks
-from relaysel.specfn import SeriesControl
 
-ctrl = SeriesControl(abs_tol=1e-12, k_max=65536)
 snrs = list(range(25, 47, 3))
 
 cases = [
@@ -26,7 +25,7 @@ failed = False
 for name, kw in cases:
     base = SystemConfig.symmetric(power=1.0, **kw)
     family = [base.with_power(10 ** (s / 10.0)) for s in snrs]
-    rep = asymptotic_checks(family, ctrl)
+    rep = asymptotic_checks(family, CLI_CTRL)
     status = "ok" if rep["passed"] else "MISMATCH"
     failed = failed or not rep["passed"]
     print(f"{name:28s} scenario={rep['scenario']:24s} "

@@ -244,10 +244,10 @@ def _series_dot(
     t0 = link.lam / base
     ratio = half_c / base
     K = len(kernel) - 1
-    with np.errstate(divide="ignore"):
-        log_ratio = np.log(ratio)
-    log_ratio[ratio == 0.0] = -np.inf
-    powers = np.exp(np.outer(log_ratio, np.arange(K + 1)))
+    # ratio = 0 (rho_f = 0) gives log -inf: 0^k is 0 for k > 0, and the
+    # -inf * 0 at k = 0 is replaced by 0^0 = 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        powers = np.exp(np.outer(np.log(ratio), np.arange(K + 1)))
     powers[ratio == 0.0, 0] = 1.0
     per_subset = t0 * (powers @ kernel)
     value = float(coeffs @ per_subset)
@@ -372,6 +372,17 @@ def _total_symmetric(config: SystemConfig, metric: _Metric) -> MetricResult:
     return MetricResult(total, diag.terms, diag.condition)
 
 
+def _threshold_decode(r_o: float) -> Callable[[LinkParams], tuple[float, float]]:
+    """The (decode, fail) pair of a relay that decodes when its old source
+    SNR reaches R_o: (exp(-lam R_o), 1 - exp(-lam R_o))."""
+
+    def decode(link: LinkParams) -> tuple[float, float]:
+        p = prob_relay_decodes(link, r_o)
+        return p, 1.0 - p
+
+    return decode
+
+
 # ---------------------------------------------------------------------------
 # outage
 # ---------------------------------------------------------------------------
@@ -381,10 +392,6 @@ def _outage(config: SystemConfig, ctrl: SeriesControl) -> _Metric:
     is certain outage, and the kernel is gamma(k+1, q R_o) / k!."""
     r_o = config.r_o
 
-    def decode(link: LinkParams) -> tuple[float, float]:
-        p = prob_relay_decodes(link, r_o)
-        return p, 1.0 - p
-
     def table(link: LinkParams) -> np.ndarray | None:
         if link.degenerate:
             return None
@@ -393,7 +400,7 @@ def _outage(config: SystemConfig, ctrl: SeriesControl) -> _Metric:
         K = _series_length(_r_max(link), ctrl.abs_tol, ctrl.k_max, 1.0, gamma_cut)
         return specfn.lower_gamma_ratio_table(K, x)
 
-    return _Metric(decode, 1.0, table, lambda a: -np.expm1(-a * r_o), lambda v: v)
+    return _Metric(_threshold_decode(r_o), 1.0, table, lambda a: -np.expm1(-a * r_o), lambda v: v)
 
 
 def outage_conditional(
@@ -467,32 +474,24 @@ def outage_total(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) ->
 # average symbol error rate
 # ---------------------------------------------------------------------------
 
-ASER_KERNELS = ("exact", "qapprox", "paper")
-# terms of the Q-function approximation behind the "qapprox"/"paper" kernels
+# terms of the Q-function approximation behind the "paper" kernel
 N_A = 20
 
 
-def _aser_kernel_table(
-    kind: str, K: int, q: float, config: SystemConfig, n_a: int
-) -> np.ndarray:
-    bp = config.beta * config.power
-    if kind == "exact":
-        return specfn.mean_q_gamma_table(K + 1, bp / (2.0 * q))
-    # Q-approximation kernels: kernel[k] = q^(k+1)/k! *
-    #   sum_n a_n (beta P)^((n-1)/2) Gamma(k+(n+1)/2) / (q + beta P h)^(k+(n+1)/2)
-    # h = 1/2 is the faithful expansion; h = 1 is the variant the "paper"
-    # convention evaluates.
+def _paper_kernel_table(K: int, q: float, bp: float, n_a: int) -> np.ndarray:
+    """The ASER kernel of the "paper" convention, built on the Q-function
+    approximation: kernel[k] = q^(k+1)/k! *
+    sum_n a_n (beta P)^((n-1)/2) Gamma(k+(n+1)/2) / (q + beta P)^(k+(n+1)/2)."""
     # Gamma(k+(n+1)/2) and k! = Gamma(k+1) both take arguments on the
     # half-integer grid 1, 1.5, ..., K + (n_a+1)/2: lgamma is evaluated once
     # there, at index 2k + n - 1 and 2k.
-    h = 0.5 if kind == "qapprox" else 1.0
     a = specfn.qapprox_coefficients(n_a)
     n = np.arange(1, n_a + 1, dtype=float)
     two_k = 2 * np.arange(K + 1)[:, None]
     k = np.arange(K + 1, dtype=float)[:, None]
     log_bp = math.log(bp)
     log_q = math.log(q)
-    log_denom = math.log(q + bp * h)
+    log_denom = math.log(q + bp)
     half_grid = (1.0 + 0.5 * np.arange(2 * K + n_a)).tolist()
     lgam_half = np.array([math.lgamma(x) for x in half_grid])
     exps = (
@@ -509,19 +508,12 @@ def _aser_kernel_table(
     return (np.exp(exps)[:, None, :] @ a[:, None]).ravel()
 
 
-def _aser_kernel_kind(config: SystemConfig, kernel: str | None) -> str:
-    if kernel is None:
-        return "paper" if config.lambda_convention == "paper" else "exact"
-    if kernel not in ASER_KERNELS:
-        raise ValueError(f"unknown ASER kernel {kernel!r}")
-    return kernel
-
-
-def _aser(config: SystemConfig, ctrl: SeriesControl, kernel: str | None) -> _Metric:
+def _aser(config: SystemConfig, ctrl: SeriesControl) -> _Metric:
     """ASER: relay i decodes with probability 1 - B_i (B_i its average
     decoding error probability), the all-off term is ½, and the kernel is
-    alpha * E[Q(sqrt(beta P gamma))] of the chosen kind."""
-    kind = _aser_kernel_kind(config, kernel)
+    alpha * E[Q(sqrt(beta P gamma))]: exact for the "derived" convention,
+    the Q-function approximation for the "paper" one."""
+    paper = config.lambda_convention == "paper"
     bp = config.beta * config.power
     alpha = config.alpha
 
@@ -533,31 +525,29 @@ def _aser(config: SystemConfig, ctrl: SeriesControl, kernel: str | None) -> _Met
         if link.degenerate:
             return None
         K = _series_length(_r_max(link), ctrl.abs_tol, ctrl.k_max, 0.5)
-        return _aser_kernel_table(kind, K, link.q, config, N_A)
+        if paper:
+            return _paper_kernel_table(K, link.q, bp, N_A)
+        return specfn.mean_q_gamma_table(K + 1, bp / (2.0 * link.q))
 
     def degenerate(a: np.ndarray) -> np.ndarray:
-        return np.array([specfn.mean_q_gamma(1, bp / (2.0 * ai)) for ai in a])
+        # E[Q(sqrt(beta P X))], X ~ Exponential(a): (1 - sqrt(c / (1 + c))) / 2
+        c = bp / (2.0 * a)
+        return 0.5 * (1.0 - np.sqrt(c / (1.0 + c)))
 
     return _Metric(decode, 0.5, table, degenerate, lambda v: alpha * v)
 
 
-def aser_total_general(
-    config: SystemConfig, ctrl: SeriesControl = SeriesControl(), kernel: str | None = None
-) -> MetricResult:
-    return _total_general(config, _aser(config, ctrl, kernel))
+def aser_total_general(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) -> MetricResult:
+    return _total_general(config, _aser(config, ctrl))
 
 
-def aser_total_symmetric(
-    config: SystemConfig, ctrl: SeriesControl = SeriesControl(), kernel: str | None = None
-) -> MetricResult:
-    return _total_symmetric(config, _aser(config, ctrl, kernel))
+def aser_total_symmetric(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) -> MetricResult:
+    return _total_symmetric(config, _aser(config, ctrl))
 
 
-def aser_total(
-    config: SystemConfig, ctrl: SeriesControl = SeriesControl(), kernel: str | None = None
-) -> MetricResult:
+def aser_total(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) -> MetricResult:
     path = aser_total_symmetric if config.is_symmetric() else aser_total_general
-    return path(config, ctrl, kernel)
+    return path(config, ctrl)
 
 
 # ---------------------------------------------------------------------------
@@ -622,12 +612,7 @@ def selected_snr_pdf(
 def _capacity(config: SystemConfig, ctrl: SeriesControl) -> _Metric:
     """Capacity lower bound in bits/s/Hz: decoding as for outage, the empty
     set contributes zero capacity, and the kernel is E[ln(1 + X_k / b)]."""
-    r_o = config.r_o
     power = config.power
-
-    def decode(link: LinkParams) -> tuple[float, float]:
-        p = prob_relay_decodes(link, r_o)
-        return p, 1.0 - p
 
     def table(link: LinkParams) -> np.ndarray | None:
         if link.degenerate:
@@ -642,7 +627,7 @@ def _capacity(config: SystemConfig, ctrl: SeriesControl) -> _Metric:
     def degenerate(a: np.ndarray) -> np.ndarray:
         return np.array([specfn.log_gamma_mean_table(0, ai / power)[0] for ai in a])
 
-    return _Metric(decode, 0.0, table, degenerate, lambda v: v / (2.0 * LN2))
+    return _Metric(_threshold_decode(config.r_o), 0.0, table, degenerate, lambda v: v / (2.0 * LN2))
 
 
 def capacity_lb_avg_general(

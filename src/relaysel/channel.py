@@ -15,10 +15,9 @@ chi-square with 2 degrees of freedom and noncentrality c*g; the constants
 
 The sampler draws SNRs, not complex gains: each old SNR is one
 Exponential(lam) draw (`sample_gamma_batch`), and the current SNR is drawn
-from its law given the old one (`sample_current`), which the simulator does
-only for the relay it selects.  Both can fill caller-owned buffers
-(`out=`, and `draw_current_into`, the in-place kernel of `sample_current`)
-with the same values, so the simulator allocates nothing per chunk.
+in place from its law given the old one (`draw_current_into`), which the
+simulator does only for the relay it selects.  Both fill caller-owned
+buffers, so the simulator allocates nothing per chunk.
 """
 
 from __future__ import annotations
@@ -94,33 +93,42 @@ def derive_link_params(fp: FadingParams, power: float, convention: str = "derive
     two coincide when rho_e * sigma2_hat = 1 (in particular for perfect CSI
     with unit estimate variance).
     """
+    lam, c, theta = _link_constants(fp, power, convention)
+    return LinkParams(
+        lam=lam,
+        c=c,
+        theta=theta,
+        sigma2_hat=fp.sigma2_hat,
+        sigma2_u=(1.0 - fp.rho_e) * fp.sigma2_h,
+        sigma2_e=(1.0 - fp.rho_e) * fp.sigma2_hat,
+        rho_e=fp.rho_e,
+        rho_f=fp.rho_f,
+    )
+
+
+def _link_constants(fp: FadingParams, power: float, convention: str) -> tuple[float, float, float]:
+    """(lam, c, theta) of `derive_link_params`.  ValueError unless lam is
+    finite and positive and, for rho_f < 1, c is finite and theta positive
+    (so that the series rate 1 / (2 theta) is finite)."""
     if power <= 0.0:
         raise ValueError("power must be > 0")
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown lambda convention {convention!r}")
-    sigma2_hat = fp.sigma2_hat
     sigma2_u = (1.0 - fp.rho_e) * fp.sigma2_h
-    sigma2_e = (1.0 - fp.rho_e) * sigma2_hat
-    if convention == "paper":
-        lam = (1.0 + power * sigma2_u) / fp.rho_e
-    else:
-        lam = (1.0 + power * sigma2_u) / (fp.rho_e**2 * sigma2_hat)
+    scale = fp.rho_e if convention == "paper" else fp.rho_e**2 * fp.sigma2_hat
+    lam = (1.0 + power * sigma2_u) / scale if scale > 0.0 else math.inf
     if fp.rho_f == 1.0:
         c, theta = math.inf, 0.0
     else:
         one_minus = 1.0 - fp.rho_f**2
         c = 2.0 * fp.rho_f**2 * lam / one_minus
         theta = one_minus / (2.0 * lam)
-    return LinkParams(
-        lam=lam,
-        c=c,
-        theta=theta,
-        sigma2_hat=sigma2_hat,
-        sigma2_u=sigma2_u,
-        sigma2_e=sigma2_e,
-        rho_e=fp.rho_e,
-        rho_f=fp.rho_f,
-    )
+    if not (0.0 < lam < math.inf) or (fp.rho_f < 1.0 and not (c < math.inf and theta > 0.0)):
+        raise ValueError(
+            f"link {fp} at power {power:.6g} has constants out of floating-point "
+            f"range: lam = {lam:.6g}, c = {c:.6g}, theta = {theta:.6g}"
+        )
+    return lam, c, theta
 
 
 def doppler_correlation(f_d: float, block_duration: float, delay_blocks: int) -> float:
@@ -158,11 +166,30 @@ class SystemConfig:
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if self.alpha > 2.0:
+            # the relay decode probability 1 - (alpha/2)(1 - sqrt(beta P /
+            # (beta P + 2 lam))) of the closed forms is negative beyond it
+            raise ValueError(f"alpha must be <= 2 for the closed forms, got {self.alpha}")
         if self.lambda_convention not in CONVENTIONS:
             raise ValueError(f"unknown lambda convention {self.lambda_convention!r}")
         for name, links in (("source_links", self.source_links), ("relay_links", self.relay_links)):
             if len(links) != self.M:
                 raise ValueError(f"{name} must have exactly M={self.M} entries")
+        try:
+            r_o = self.r_o
+        except OverflowError:
+            r_o = math.inf
+        if r_o == math.inf:
+            raise ValueError(
+                f"rate {self.rate} at power {self.power:.6g} has no finite outage "
+                "threshold (2^(2R) - 1) / P"
+            )
+        if self.beta * self.power == math.inf:
+            raise ValueError(f"beta * power = {self.beta} * {self.power:.6g} is not finite")
+        # one check per distinct link object: symmetric configs repeat one
+        # object, and keying by id skips hashing the dataclass fields
+        for fp in {id(fp): fp for fp in self.source_links + self.relay_links}.values():
+            _link_constants(fp, self.power, self.lambda_convention)
 
     @classmethod
     def symmetric(
@@ -245,31 +272,6 @@ def sample_gamma_batch(
     return {"gamma_sm_o": out[0], "gamma_md_o": out[1]}
 
 
-def sample_current(
-    rng: np.random.Generator, g: np.ndarray, rho_f: np.ndarray | float, theta: np.ndarray | float
-) -> np.ndarray:
-    """Current SNR of a link given its old SNR g, element by element.
-
-    With the old estimate rotated onto the real axis, the current one is
-    rho_f sqrt(g) + sqrt(theta) (x + i y) on the SNR scale, x, y ~ N(0, 1),
-    so the current SNR is (rho_f sqrt(g) + sqrt(theta) x)^2 + theta y^2:
-    theta times a noncentral chi-square with 2 degrees of freedom and
-    noncentrality c g.  Elements with rho_f = 1 return g exactly and draw
-    nothing.
-    """
-    out = np.array(g, dtype=float)
-    rho_f = np.broadcast_to(np.asarray(rho_f, dtype=float), out.shape)
-    theta = np.broadcast_to(np.asarray(theta, dtype=float), out.shape)
-    live = rho_f < 1.0
-    if live.all():
-        draw_current_into(rng, out, rho_f, theta, np.empty_like(out), np.empty_like(out))
-    elif live.any():
-        g_live = out[live]
-        x, y = np.empty_like(g_live), np.empty_like(g_live)
-        out[live] = draw_current_into(rng, g_live, rho_f[live], theta[live], x, y)
-    return out
-
-
 def draw_current_into(
     rng: np.random.Generator,
     g: np.ndarray,
@@ -278,10 +280,16 @@ def draw_current_into(
     x: np.ndarray,
     y: np.ndarray,
 ) -> np.ndarray:
-    """Overwrite g with the current SNRs given old SNRs g, as
-    `sample_current` draws them for links with rho_f < 1.  x and y are
-    C-contiguous float64 scratch arrays of g's shape; rho_f and theta
-    broadcast against g and are only read.  Draws x, then y, from rng."""
+    """Overwrite g with the current SNRs of links with rho_f < 1 given
+    their old SNRs g.
+
+    With the old estimate rotated onto the real axis, the current one is
+    rho_f sqrt(g) + sqrt(theta) (x + i y) on the SNR scale, x, y ~ N(0, 1),
+    so the current SNR is (rho_f sqrt(g) + sqrt(theta) x)^2 + theta y^2:
+    theta times a noncentral chi-square with 2 degrees of freedom and
+    noncentrality c g.  x and y are C-contiguous float64 scratch arrays of
+    g's shape; rho_f and theta broadcast against g and are only read.
+    Draws x, then y, from rng."""
     rng.standard_normal(out=x)
     np.sqrt(theta, out=y)
     x *= y

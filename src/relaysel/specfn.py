@@ -73,34 +73,21 @@ def lower_incomplete_gamma(s: int, x: float) -> float:
 
     Uses the finite identity gamma(k+1, x) = k! (1 - e^-x sum_{j<=k} x^j/j!);
     every use downstream has integer shape, so no continued fractions are
-    needed.
+    needed.  The ratio gamma(s, x) / (s-1)! is the Poisson upper tail
+    Pr[Poisson(x) >= s], taken from `lower_gamma_ratio_table`'s log-space
+    terms so that it stays finite for large s or x.
     """
     if s < 1 or int(s) != s:
         raise ValueError("shape s must be a positive integer")
     if x < 0.0:
         raise ValueError("x must be nonnegative")
     s = int(s)
-    reg = regularized_lower_gamma(s, x)
+    reg = float(lower_gamma_ratio_table(s - 1, x)[-1])
     if s <= 170:
         return math.factorial(s - 1) * reg
     if reg <= 0.0:
         return 0.0
     return math.exp(ln_factorial(s - 1) + math.log(reg))
-
-
-def regularized_lower_gamma(s: int, x: float) -> float:
-    """P(s, x) = gamma(s, x) / (s-1)! for integer s >= 1.
-
-    Equals the upper tail Pr[Poisson(x) >= s]; computed from log-space
-    Poisson terms so it stays finite for large s or x.
-    """
-    if s < 1 or int(s) != s:
-        raise ValueError("shape s must be a positive integer")
-    if x < 0.0:
-        raise ValueError("x must be nonnegative")
-    if x == 0.0:
-        return 0.0
-    return float(lower_gamma_ratio_table(int(s) - 1, x)[-1])
 
 
 def lower_gamma_ratio_table(k_max: int, x: float) -> np.ndarray:
@@ -353,11 +340,6 @@ def mean_q_gamma_table(shape_max: int, c: float) -> np.ndarray:
     t[0] = 1.0
     t[1:] = np.cumprod(z4 * (1.0 - 0.5 / np.arange(1.0, shape_max)))
     return np.maximum(0.5 * (1.0 - mu * np.cumsum(t)), 0.0)
-
-
-def mean_q_gamma(shape: int, c: float) -> float:
-    """Scalar convenience wrapper around mean_q_gamma_table."""
-    return float(mean_q_gamma_table(shape, c)[-1])
 
 
 # ---------------------------------------------------------------------------

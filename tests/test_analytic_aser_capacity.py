@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,31 +167,17 @@ def test_aser_error_floor_with_estimation_error():
     assert abs(v40 - v30) / v30 < 0.10  # flat within 10% over a decade
 
 
-def test_aser_qapprox_kernel_bias_is_small_and_documented():
-    # the exponential-type Q approximation biases the triple series by ~0.2%
-    # on this config; the exact kernel is the validated route
-    cfg = sym_config(M=3, power=10.0, rho_e=0.97, rho_f=0.85)
-    exact = an.aser_total(cfg, CTRL, kernel="exact").value
-    approx = an.aser_total(cfg, CTRL, kernel="qapprox").value
-    rel = abs(approx - exact) / exact
-    assert rel < 0.02
-    assert rel > 1e-5  # genuinely different routes
-
-
 def test_aser_paper_kernel_differs_by_convention_factor():
     # the "paper" kernel base corresponds to dropping the 1/2 in the
-    # Gaussian-tail exponent; at high SNR it roughly halves the value
+    # Gaussian-tail exponent; at high SNR it roughly halves the value.  With
+    # rho_e = 1 and unit variance both conventions give the same lam, so
+    # only the kernel differs.
     cfg = sym_config(M=2, power=100.0, rho_e=1.0, rho_f=0.9)
-    exact = an.aser_total(cfg, CTRL, kernel="exact").value
-    alt = an.aser_total(cfg, CTRL, kernel="paper").value
+    paper_cfg = dataclasses.replace(cfg, lambda_convention="paper")
+    assert paper_cfg.relay_params() == cfg.relay_params()
+    exact = an.aser_total(cfg, CTRL).value
+    alt = an.aser_total(paper_cfg, CTRL).value
     assert 0.4 < alt / exact < 0.75
-
-
-def test_aser_paper_convention_selects_paper_kernel():
-    cfg = sym_config(M=2, power=10.0, rho_f=0.9, lambda_convention="paper")
-    auto = an.aser_total(cfg, CTRL).value
-    forced = an.aser_total(cfg, CTRL, kernel="paper").value
-    assert auto == forced
 
 
 def test_aser_values_in_unit_interval():
@@ -280,15 +267,14 @@ def test_capacity_degenerate_matches_quadrature():
 # kernel tables
 # ---------------------------------------------------------------------------
 
-def aser_qapprox_table_per_k(kind, K, q, cfg, n_a):
+def aser_qapprox_table_per_k(K, q, cfg, n_a):
     """Reference: the Q-approximation ASER kernel evaluated one k at a time."""
     bp = cfg.beta * cfg.power
-    h = 0.5 if kind == "qapprox" else 1.0
     a = specfn.qapprox_coefficients(n_a)
     n = np.arange(1, n_a + 1, dtype=float)
     log_bp = math.log(bp)
     log_q = math.log(q)
-    log_denom = math.log(q + bp * h)
+    log_denom = math.log(q + bp)
     out = np.empty(K + 1)
     for k in range(K + 1):
         exps = (
@@ -302,14 +288,14 @@ def aser_qapprox_table_per_k(kind, K, q, cfg, n_a):
     return out
 
 
-@pytest.mark.parametrize("kind", ["qapprox", "paper"])
+@pytest.mark.parametrize("convention", ["paper"])
 @pytest.mark.parametrize("K", [0, 1, 150])
 @pytest.mark.parametrize("n_a", [1, 20])
-def test_aser_qapprox_table_matches_per_k_loop(kind, K, n_a):
-    cfg = sym_config(M=2, power=31.6, rho_e=0.97, rho_f=0.95)
+def test_aser_qapprox_table_matches_per_k_loop(convention, K, n_a):
+    cfg = sym_config(M=2, power=31.6, rho_e=0.97, rho_f=0.95, lambda_convention=convention)
     q = cfg.relay_params()[0].q
-    got = an._aser_kernel_table(kind, K, q, cfg, n_a)
-    want = aser_qapprox_table_per_k(kind, K, q, cfg, n_a)
+    got = an._paper_kernel_table(K, q, cfg.beta * cfg.power, n_a)
+    want = aser_qapprox_table_per_k(K, q, cfg, n_a)
     assert got.shape == want.shape
     assert np.all(got == want)
 
@@ -332,7 +318,10 @@ def _shared_link_m3():
     [
         (lambda cfg: an.outage_total(cfg, CTRL), "lower_gamma_ratio_table"),
         (lambda cfg: an.aser_total(cfg, CTRL), "mean_q_gamma_table"),
-        (lambda cfg: an.aser_total(cfg, CTRL, kernel="qapprox"), "qapprox_coefficients"),
+        (
+            lambda cfg: an.aser_total(dataclasses.replace(cfg, lambda_convention="paper"), CTRL),
+            "qapprox_coefficients",
+        ),
         (lambda cfg: an.capacity_lb_avg(cfg, CTRL), "log_gamma_mean_table"),
     ],
     ids=["outage", "aser-exact", "aser-qapprox", "capacity"],
@@ -368,7 +357,7 @@ def _aser_reference(cfg, ctrl=CTRL) -> float:
     """ASER as the explicit sum over decoding sets D and candidates m in D."""
     rel = cfg.relay_params()
     b = [an.relay_error_prob(lp, cfg) for lp in cfg.source_params()]
-    metric = an._aser(cfg, ctrl, None)
+    metric = an._aser(cfg, ctrl)
     tables = [metric.table(lp) for lp in rel]
     total = 0.0
     for D in an.all_decoding_sets(cfg.M):
@@ -439,3 +428,15 @@ def test_general_path_evaluates_one_candidate_per_relay(monkeypatch, general, M)
 def test_symmetric_path_rejects_asymmetric_config(symmetric):
     with pytest.raises(ValueError, match="identical per-link parameters"):
         symmetric(mixed_asym_config(3), CTRL)
+
+
+@pytest.mark.parametrize("path", ["general", "symmetric"])
+@pytest.mark.parametrize("metric", ["outage_total", "aser_total", "capacity_lb_avg"])
+def test_rho_f_zero_evaluates_without_warnings(metric, path):
+    # rho_f = 0 makes every series ratio 0, whose log is -inf: the k = 0
+    # power is 0^0 = 1, not the -inf * 0 of the log form
+    cfg = sym_config(M=3, power=10.0, rho_f=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = getattr(an, f"{metric}_{path}")(cfg, CTRL).value
+    assert math.isfinite(value)

@@ -138,6 +138,14 @@ def test_config_rejects_non_finite_scalars(field, value):
         ch.SystemConfig(source_links=(fp, fp), relay_links=(fp, fp), **kwargs)
 
 
+def test_config_rejects_alpha_above_two():
+    # beyond alpha = 2 the closed forms' relay decode probability
+    # 1 - (alpha/2)(1 - sqrt(beta P / (beta P + 2 lam))) can be negative
+    assert ch.SystemConfig.symmetric(M=2, power=10.0, alpha=2.0).alpha == 2.0
+    with pytest.raises(ValueError, match="alpha must be <= 2"):
+        ch.SystemConfig.symmetric(M=2, power=10.0, alpha=2.5)
+
+
 @pytest.mark.parametrize("field", ["sigma2_h", "rho_e", "rho_f"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_fading_params_reject_non_finite(field, value):
@@ -149,26 +157,17 @@ def test_fading_params_reject_non_finite(field, value):
 # sampling model
 # ---------------------------------------------------------------------------
 
+def _current(rng, g, rho_f, theta):
+    """Current SNRs drawn from a copy of the old SNRs g."""
+    g = np.array(g, dtype=float)
+    return ch.draw_current_into(rng, g, rho_f, theta, np.empty_like(g), np.empty_like(g))
+
+
 def _old_and_current(cfg, rng, n):
     """n draws of (old, current) relay-to-destination SNRs of relay 0."""
     lp = cfg.relay_params()[0]
     g = ch.sample_gamma_batch(cfg, rng, n)["gamma_md_o"][:, 0]
-    return g, ch.sample_current(rng, g, lp.rho_f, lp.theta), lp
-
-
-def test_degenerate_draw_reuses_old_estimate(rng):
-    cfg = ch.SystemConfig.symmetric(M=3, power=5.0, rho_f=1.0)
-    lp = cfg.relay_params()[0]
-    g = ch.sample_gamma_batch(cfg, rng, 1000)["gamma_md_o"]
-    state = rng.bit_generator.state
-    np.testing.assert_array_equal(ch.sample_current(rng, g, lp.rho_f, lp.theta), g)
-    assert rng.bit_generator.state == state  # rho_f = 1 draws nothing
-    # mixed links: the rho_f = 1 columns still come back exactly
-    rho_f = np.array([1.0, 0.8, 1.0])
-    theta = np.array([0.0, (1.0 - 0.64) / (2.0 * lp.lam), 0.0])
-    cur = ch.sample_current(rng, g, rho_f, theta)
-    np.testing.assert_array_equal(cur[:, [0, 2]], g[:, [0, 2]])
-    assert np.all(cur[:, 1] != g[:, 1])
+    return g, _current(rng, g, lp.rho_f, lp.theta), lp
 
 
 def test_trial_gammas_are_functions_of_draws():
@@ -180,7 +179,7 @@ def test_trial_gammas_are_functions_of_draws():
     np.testing.assert_allclose(batch["gamma_sm_o"], ref.standard_exponential((n, 2)) / lp.lam, rtol=1e-15)
     np.testing.assert_allclose(batch["gamma_md_o"], ref.standard_exponential((n, 2)) / lp.lam, rtol=1e-15)
     g = batch["gamma_md_o"][:, 0]
-    cur = ch.sample_current(np.random.default_rng(4), g, lp.rho_f, lp.theta)
+    cur = _current(np.random.default_rng(4), g, lp.rho_f, lp.theta)
     x, y = np.random.default_rng(4).standard_normal((2, n))
     expect = (lp.rho_f * np.sqrt(g) + np.sqrt(lp.theta) * x) ** 2 + lp.theta * y**2
     np.testing.assert_allclose(cur, expect, rtol=1e-14)
@@ -226,7 +225,7 @@ def test_current_given_old_is_scaled_noncentral_chi2():
     cfg = ch.SystemConfig.symmetric(M=1, power=10.0, rho_e=0.9, rho_f=0.85)
     lp = cfg.relay_params()[0]
     g = 0.7
-    cur = ch.sample_current(np.random.default_rng(12), np.full(100_000, g), lp.rho_f, lp.theta)
+    cur = _current(np.random.default_rng(12), np.full(100_000, g), lp.rho_f, lp.theta)
     law = stats.ncx2(df=2, nc=lp.c * g, scale=lp.theta)
     assert stats.kstest(cur, law.cdf).pvalue > 1e-3
 
@@ -268,7 +267,7 @@ def test_batch_sampling_is_reproducible():
         np.testing.assert_array_equal(a[key], b[key])
     lp = cfg.relay_params()[0]
     cur_a, cur_b = (
-        ch.sample_current(np.random.default_rng(124), a["gamma_md_o"], lp.rho_f, lp.theta)
+        _current(np.random.default_rng(124), a["gamma_md_o"], lp.rho_f, lp.theta)
         for _ in range(2)
     )
     np.testing.assert_array_equal(cur_a, cur_b)

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, CSV contract, exit codes."""
 
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from relaysel import cli
+from relaysel.channel import FadingParams
 from relaysel.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -114,6 +116,35 @@ def test_load_config_rejects_malformed_values(doc, field):
         load_config(doc)
 
 
+@pytest.mark.parametrize("doc, args, message", [
+    ({"M": 2, "rho_f": 0.9, "alpha": 3.0, "beta": 0.2}, ["sweep", "--metric", "aser"],
+     "alpha must be <= 2"),
+    ({"M": 2, "rate": 600}, ["sweep", "--metric", "outage"], "outage threshold"),
+    ({"M": 2, "rate": 600}, ["info"], "outage threshold"),
+    ({"M": 2, "rate": 600}, ["validate", "--trials", "10"], "outage threshold"),
+    ({"M": 2, "rate": 500}, ["sweep", "--metric", "outage", "--snr-db", "-100:0:50"],
+     "outage threshold"),
+    ({"M": 2, "beta": 1e308}, ["sweep", "--metric", "aser", "--snr-db", "0:10:10"],
+     "beta * power"),
+    ({"M": 2, "sigma2_h": 1e-320}, ["sweep", "--metric", "outage"], "floating-point range"),
+    ({"M": 2, "rho_e": 1e-320}, ["sweep", "--metric", "outage"], "floating-point range"),
+    ({"M": 1, "power_db": 100, "rho_e": 1e-10, "sigma2_h": 1e290},
+     ["sweep", "--metric", "outage", "--lambda-convention", "paper"], "lambda-convention"),
+], ids=[
+    "alpha-3", "rate-600-sweep", "rate-600-info", "rate-600-validate", "rate-500-low-snr",
+    "beta-1e308", "sigma2_h-1e-320", "rho_e-1e-320", "paper-lam-overflow",
+])
+def test_cli_rejects_configs_it_cannot_evaluate(tmp_path, monkeypatch, doc, args, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    evaluated = []
+    monkeypatch.setattr(cli.analytic, "aser_total", lambda *a: evaluated.append(a))
+    res = CliRunner().invoke(cli.main, [args[0], "--config", str(path), *args[1:]])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert evaluated == []  # rejected before any grid point is evaluated
+
+
 def test_cli_non_numeric_power_exits_2(tmp_path: Path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"M": 2, "power_db": "loud"}))
@@ -211,6 +242,29 @@ def test_cli_diversity_consumes_aser_sweep(config_file, tmp_path):
     # M = 4 with feedback delay: slope near one on this window
     mid = [float(r["value"]) for r in rows[1:-1]]
     assert all(0.7 < d < 1.4 for d in mid)
+
+
+@pytest.mark.parametrize("case, message", [
+    ("multi-curve", "strictly increasing"),
+    ("non-positive", "must be positive"),
+    ("no-snr_db-column", "no snr_db column"),
+    ("missing", "cannot read"),
+], ids=["multi-curve", "non-positive", "no-snr_db-column", "missing"])
+def test_cli_diversity_from_csv_rejects_unusable_files(tmp_path, config_file, case, message):
+    path = tmp_path / "aser.csv"
+    header = ",".join(CSV_COLUMNS) + "\n"
+    if case == "multi-curve":
+        cli.reproduce_figure(4, str(path))  # five ASER curves on one grid
+    elif case == "non-positive":
+        path.write_text(header + "0.0,aser,analytic,0.1,,,,,,\n2.0,aser,analytic,0.0,,,,,,\n")
+    elif case == "no-snr_db-column":
+        path.write_text("metric,value\naser,0.1\naser,0.05\n")
+    res = CliRunner().invoke(
+        cli.main, ["sweep", "--config", config_file, "--metric", "diversity", "--in", str(path)]
+    )
+    assert res.exit_code == 2, res.output
+    assert str(path) in res.output and message in res.output
+    assert "Traceback" not in res.output
 
 
 def test_cli_exit_code_on_bad_config(tmp_path):
@@ -338,11 +392,20 @@ def test_cli_validate_rejects_bad_trials_and_seed(config_file, option, value):
     assert "Traceback" not in cp.stderr
 
 
-def test_validate_detects_corrupted_lambda():
+def test_validate_detects_corrupted_lambda(monkeypatch):
+    # the closed forms see relay-link variances halved, so their rates are
+    # off by 2x; the simulator draws from the true config
     cfg = load_config({"M": 4, "rho_f": 0.9})
-    ok, report = validate(cfg, 60_000, 42, corrupt_lambda=2.0)
+    corrupted = dataclasses.replace(cfg, relay_links=tuple(
+        FadingParams(fp.sigma2_h / 2.0, fp.rho_e, fp.rho_f) for fp in cfg.relay_links
+    ))
+    monkeypatch.setattr(cli, "_ANALYTIC", {
+        name: (lambda _cfg, ctrl, f=f: f(corrupted, ctrl)) for name, f in cli._ANALYTIC.items()
+    })
+    ok, report = validate(cfg, 60_000, 42)
     assert not ok
-    assert any("FAIL" in line and "analytic-vs-mc" in line for line in report)
+    failed = [line for line in report if line.startswith("FAIL")]
+    assert len(failed) == 3 and all("analytic-vs-mc" in line for line in failed), report
 
 
 def test_validate_degenerate_branch_runs():

@@ -321,3 +321,30 @@ def test_chunks_do_not_fault_in_fresh_pages():
         [sys.executable, "-c", _FAULTS_PER_CHUNK], capture_output=True, text=True, check=True
     )
     assert float(cp.stdout) < 150
+
+
+def test_select_keeps_the_old_snr_of_rho_f_1_relays():
+    M, n = 3, 5000
+    md = np.random.default_rng(31).standard_exponential((n, M))
+    decoded = np.ones((n, M), bool)
+    m_star = md.argmax(axis=1)
+    old = md[np.arange(n), m_star]
+    ws = mc._Workspace(M)
+
+    # relay 1 is stale, relays 0 and 2 are current (rho_f = 1)
+    ws.md[:n] = md
+    rho_f, theta = np.array([1.0, 0.8, 1.0]), np.array([0.0, 0.18, 0.0])
+    none, cur = mc._select(np.random.default_rng(32), decoded, rho_f, theta, ws)
+    assert not none.any()
+    kept = m_star != 1
+    assert kept.any() and not kept.all()
+    assert cur[kept].tobytes() == old[kept].tobytes()
+    assert np.all(cur[~kept] != old[~kept])
+
+    # every relay at rho_f = 1: the old SNRs come back and nothing is drawn
+    ws.md[:n] = md
+    rng = np.random.default_rng(33)
+    state = rng.bit_generator.state
+    none, cur = mc._select(rng, decoded, np.ones(M), np.zeros(M), ws)
+    assert rng.bit_generator.state == state
+    assert cur.tobytes() == old.tobytes()
