@@ -23,16 +23,20 @@ p_m prod_{i in S} p_i.  The general (asymmetric) path therefore evaluates
 
 with one candidate pass per relay: M 2^(M-1) subset rows instead of the
 M 3^(M-1) of the explicit decoding-set sum.  The symmetric path groups the
-decoding sets by size and the subsets by size with binomial multiplicities.
-rho_f = 1 collapses to exact order-statistics forms (a kernel evaluated at
-the rate sums instead of a series).
+decoding sets by size and the subsets by size with binomial multiplicities;
+a subset of size s has rate sum s*lam in every decoding set, so the M rows
+s = 0..M-1 are evaluated once per call.  rho_f = 1 collapses to exact
+order-statistics forms (a kernel evaluated at the rate sums instead of a
+series).
 
 Each metric is one `_Metric` record: its decode probability, its value when
 no relay decodes, its kernel table, its rho_f = 1 kernel and its final
-scaling.  One candidate function (`_candidate`) evaluates the term above for
-any record, and two drivers (`_total_general`, `_total_symmetric`) sum it
-over decoding sets; the public `*_general` / `*_symmetric` functions and
-their dispatchers only pick a record and a driver.
+scaling.  A candidate sum is one row kernel (`_rows`) and one combine step
+(`_combine`, which also takes the condition); `_candidate` chains them, and
+two drivers (`_total_general`, `_total_symmetric`) sum over decoding sets
+and raise `SeriesError` on a negative total.  The public `*_general` /
+`*_symmetric` functions and their dispatchers only pick a record and a
+driver.
 """
 
 from __future__ import annotations
@@ -89,7 +93,6 @@ class MetricResult:
     value: float
     series_terms_used: int
     condition_estimate: float
-    oracle_value: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +194,6 @@ def _subset_expansion(
     return coeffs, extra
 
 
-def _symmetric_expansion(l: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Grouped expansion for identical links: subsets of size s collapse to
-    (-1)^s C(l-1, s) with rate sum s*lam."""
-    s = np.arange(l, dtype=float)
-    signs = np.where(np.arange(l) % 2 == 0, 1.0, -1.0)
-    mult = np.array([specfn.binomial(l - 1, int(i)) for i in range(l)], dtype=float)
-    return signs * mult, s * lam
-
-
 def _series_length(
     r_max: float,
     tol: float,
@@ -231,14 +225,9 @@ def _r_max(link: LinkParams) -> float:
     return half_c / (link.lam + half_c)
 
 
-def _series_dot(
-    link: LinkParams,
-    coeffs: np.ndarray,
-    lam_extra: np.ndarray,
-    kernel: np.ndarray,
-) -> tuple[float, float]:
-    """sum_j coeffs_j sum_k kernel[k] lam (c/2)^k / a_j^(k+1), plus the same
-    with all magnitudes (for the cancellation condition estimate)."""
+def _series_rows(link: LinkParams, lam_extra: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """sum_k kernel[k] lam (c/2)^k / a_j^(k+1) for every rate sum
+    a_j = lam + c/2 + lam_extra[j]: one uncombined row per subset."""
     half_c = 0.5 * link.c
     base = link.lam + half_c + lam_extra
     t0 = link.lam / base
@@ -249,10 +238,7 @@ def _series_dot(
     with np.errstate(divide="ignore", invalid="ignore"):
         powers = np.exp(np.outer(np.log(ratio), np.arange(K + 1)))
     powers[ratio == 0.0, 0] = 1.0
-    per_subset = t0 * (powers @ kernel)
-    value = float(coeffs @ per_subset)
-    abs_sum = float(np.abs(coeffs) @ np.abs(per_subset))
-    return value, abs_sum
+    return t0 * (powers @ kernel)
 
 
 class _Diag:
@@ -273,6 +259,16 @@ class _Diag:
                 RuntimeWarning,
                 stacklevel=3,
             )
+
+    def result(self, total: float) -> MetricResult:
+        """A driver's total with these diagnostics.  Every metric is
+        nonnegative, so a negative total lost its digits to cancellation."""
+        if total < 0.0:
+            raise SeriesError(
+                f"total {total:.3g} is negative: the inclusion-exclusion sum lost "
+                f"its digits to cancellation (condition {self.condition:.3g})"
+            )
+        return MetricResult(total, self.terms, self.condition)
 
 
 def _link_tables(links: list[LinkParams], build) -> list:
@@ -307,6 +303,28 @@ class _Metric(NamedTuple):
     finish: Callable[[float], float]
 
 
+def _rows(
+    metric: _Metric, link: LinkParams, table: np.ndarray | None, lam_extra: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Candidate m's uncombined per-subset terms at the rate sums lam_extra,
+    with the number of series terms behind each: the rho_f = 1 kernel
+    lam / a * degenerate(a) at a = lam + lam_extra, else the series rows."""
+    if table is None:
+        a = link.lam + lam_extra
+        return link.lam / a * metric.degenerate(a), 1
+    return _series_rows(link, lam_extra, table), len(table)
+
+
+def _combine(
+    metric: _Metric, coeffs: np.ndarray, rows: np.ndarray, terms: int, diag: _Diag
+) -> float:
+    """The signed subset sum coeffs @ rows in the metric's units; its
+    magnitude sum |coeffs| @ |rows| feeds the cancellation condition."""
+    value = metric.finish(float(coeffs @ rows))
+    diag.update(terms, value, metric.finish(float(np.abs(coeffs) @ np.abs(rows))))
+    return value
+
+
 def _candidate(
     metric: _Metric,
     link: LinkParams,
@@ -317,18 +335,8 @@ def _candidate(
 ) -> float:
     """E[f(current SNR of m); m has the largest old SNR] over the subsets
     that coeffs and lam_extra describe; f is the metric's kernel."""
-    if table is None:
-        a = link.lam + lam_extra
-        per_subset = link.lam / a * metric.degenerate(a)
-        value = float(coeffs @ per_subset)
-        abs_sum = float(np.abs(coeffs) @ np.abs(per_subset))
-        terms = 1
-    else:
-        value, abs_sum = _series_dot(link, coeffs, lam_extra, table)
-        terms = len(table)
-    value = metric.finish(value)
-    diag.update(terms, value, metric.finish(abs_sum))
-    return value
+    rows, terms = _rows(metric, link, table, lam_extra)
+    return _combine(metric, coeffs, rows, terms, diag)
 
 
 def _total_general(
@@ -349,27 +357,29 @@ def _total_general(
             [rel[i].lam for i in others], [p[i] for i in others]
         )
         total += p[m] * _candidate(metric, rel[m], tables[m], coeffs, lam_extra, diag)
-    return MetricResult(total, diag.terms, diag.condition)
+    return diag.result(total)
 
 
 def _total_symmetric(config: SystemConfig, metric: _Metric) -> MetricResult:
     """Identical links: decoding sets grouped by size l with weight
-    C(M, l) p^l fail^(M-l), and the subsets of each by size (signed binomial
-    sum).  Must agree with the general path exactly."""
+    C(M, l) p^l fail^(M-l), and the subsets of each by size s, which
+    collapse to (-1)^s C(l-1, s) times the row at rate sum s*lam.  The row
+    for s is the same for every l, so the M rows are evaluated once."""
     if not config.is_symmetric():
         raise ValueError("symmetric path requires identical per-link parameters")
     M = config.M
     p, fail = metric.decode(config.source_params()[0])
     rel = config.relay_params()[0]
-    table = metric.table(rel)
+    rows, terms = _rows(metric, rel, metric.table(rel), np.arange(M, dtype=float) * rel.lam)
+    signs = np.where(np.arange(M) % 2 == 0, 1.0, -1.0)
     diag = _Diag()
     total = metric.empty * fail**M
     for l in range(1, M + 1):
-        coeffs, lam_extra = _symmetric_expansion(l, rel.lam)
-        per_m = _candidate(metric, rel, table, coeffs, lam_extra, diag)
+        mult = np.array([specfn.binomial(l - 1, s) for s in range(l)], dtype=float)
+        per_m = _combine(metric, signs[:l] * mult, rows[:l], terms, diag)
         weight = specfn.binomial(M, l) * p**l * fail ** (M - l)
         total += weight * l * per_m
-    return MetricResult(total, diag.terms, diag.condition)
+    return diag.result(total)
 
 
 def _threshold_decode(r_o: float) -> Callable[[LinkParams], tuple[float, float]]:
@@ -578,24 +588,11 @@ def aser_conditional_pdf(
     if link.degenerate:
         return cdf_max_others(x, D, m, rel) * link.lam * math.exp(-link.lam * x)
     q = link.q
-    if x == 0.0:
-        # only the k = 0 gamma density is nonzero at the origin
-        per_subset = link.lam / (link.lam + 0.5 * link.c + lam_extra)
-        return q * float(coeffs @ per_subset)
+    # the gamma(k+1) density at x is q times the Poisson(q x) pmf at k; the
+    # pmf window is zero below k_lo
     k_lo, w = specfn.poisson_weight_window(q * x, ctrl.abs_tol, ctrl.k_max)
-    half_c = 0.5 * link.c
-    base = link.lam + half_c + lam_extra
-    t0 = link.lam / base
-    ratio = half_c / base
-    k = np.arange(k_lo, k_lo + len(w), dtype=float)
-    # ratio = 0 (rho_f = 0) gives log -inf: 0^k is 0 for k > 0, and the
-    # -inf * 0 at k = 0 is replaced by 0^0 = 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        powers = np.exp(np.outer(np.log(ratio), k))
-    if k_lo == 0:
-        powers[ratio == 0.0, 0] = 1.0
-    per_subset = t0 * (powers @ w)
-    return q * float(coeffs @ per_subset)
+    kernel = np.concatenate((np.zeros(k_lo), w))
+    return q * float(coeffs @ _series_rows(link, lam_extra, kernel))
 
 
 def selected_snr_pdf(

@@ -184,8 +184,10 @@ class SystemConfig:
                 f"rate {self.rate} at power {self.power:.6g} has no finite outage "
                 "threshold (2^(2R) - 1) / P"
             )
-        if self.beta * self.power == math.inf:
-            raise ValueError(f"beta * power = {self.beta} * {self.power:.6g} is not finite")
+        if not 0.0 < self.beta * self.power < math.inf:
+            raise ValueError(
+                f"beta * power = {self.beta} * {self.power:.6g} is not finite and > 0"
+            )
         # one check per distinct link object: symmetric configs repeat one
         # object, and keying by id skips hashing the dataclass fields
         for fp in {id(fp): fp for fp in self.source_links + self.relay_links}.values():

@@ -1,6 +1,7 @@
 """SER and capacity closed forms against quadrature and structural oracles."""
 
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -11,7 +12,7 @@ from scipy import integrate
 from relaysel import analytic as an
 from relaysel import channel as ch
 from relaysel import specfn
-from relaysel.specfn import SeriesControl, gaussian_q
+from relaysel.specfn import SeriesControl, SeriesError, gaussian_q
 
 from conftest import CTRL, mixed_asym_config, sym_config
 
@@ -83,6 +84,24 @@ def test_pdf_degenerate_single_member_is_exponential():
         assert an.aser_conditional_pdf(x, D, 0, cfg, CTRL) == pytest.approx(
             lam * math.exp(-lam * x), rel=1e-12
         )
+
+
+@pytest.mark.parametrize("rho_f", [0.0, 0.85])
+def test_pdf_at_zero_is_the_k_0_density(rho_f):
+    # only the k = 0 gamma density is nonzero at the origin:
+    # q sum_S (-1)^|S| lam / (lam + c/2 + lam_S)
+    links = tuple(ch.FadingParams(v, 0.95, rho_f) for v in (0.8, 0.95, 1.1))
+    cfg = ch.SystemConfig(M=3, power=10.0, source_links=links, relay_links=links)
+    rel = cfg.relay_params()
+    D = an.DecodingSet((0, 1, 2))
+    for m in D:
+        link = rel[m]
+        others = [rel[i].lam for i in D if i != m]
+        want = link.q * math.fsum(
+            (-1) ** len(S) * link.lam / (link.lam + 0.5 * link.c + sum(S))
+            for r in range(len(others) + 1) for S in itertools.combinations(others, r)
+        )
+        assert an.aser_conditional_pdf(0.0, D, m, cfg, CTRL) == pytest.approx(want, rel=1e-15)
 
 
 def test_pdf_matches_threshold_derivative():
@@ -428,6 +447,47 @@ def test_general_path_evaluates_one_candidate_per_relay(monkeypatch, general, M)
 def test_symmetric_path_rejects_asymmetric_config(symmetric):
     with pytest.raises(ValueError, match="identical per-link parameters"):
         symmetric(mixed_asym_config(3), CTRL)
+
+
+@pytest.mark.parametrize(
+    "symmetric",
+    [an.outage_total_symmetric, an.aser_total_symmetric, an.capacity_lb_avg_symmetric],
+    ids=["outage", "aser", "capacity"],
+)
+@pytest.mark.parametrize("rho_f", [0.9, 1.0])
+def test_symmetric_path_evaluates_its_m_rows_once(monkeypatch, symmetric, rho_f):
+    # a subset of size s has rate sum s * lam in every decoding set, so one
+    # call evaluates the rows s = 0..M-1 and every set size reuses them
+    calls = []
+    original = an._rows
+
+    def counting(metric, link, table, lam_extra):
+        calls.append(lam_extra)
+        return original(metric, link, table, lam_extra)
+
+    monkeypatch.setattr(an, "_rows", counting)
+    cfg = sym_config(M=4, power=10.0, rho_f=rho_f)
+    symmetric(cfg, CTRL)
+    lam = cfg.relay_params()[0].lam
+    assert [c.tolist() for c in calls] == [[s * lam for s in range(4)]]
+
+
+def _all_fresh_m14() -> ch.SystemConfig:
+    links = tuple(ch.FadingParams(0.5 + 0.1 * i, 1.0, 1.0) for i in range(14))
+    return ch.SystemConfig(M=14, power=100.0, source_links=links, relay_links=links)
+
+
+@pytest.mark.parametrize("driver, cfg", [
+    (an.aser_total_symmetric, sym_config(M=8, power=1000.0, rho_f=1.0)),
+    (an.aser_total_general, sym_config(M=8, power=1000.0, rho_f=1.0)),
+    (an.outage_total_general, _all_fresh_m14()),
+], ids=["aser-symmetric-M8", "aser-general-M8", "outage-general-M14"])
+def test_negative_total_is_a_series_error(driver, cfg):
+    # every metric is nonnegative: these sums cancel to -9.4e-16, -9.5e-16
+    # and -1.1e-15, and no digit of them is left
+    with pytest.warns(RuntimeWarning, match="cancellation"):
+        with pytest.raises(SeriesError, match="negative"):
+            driver(cfg, CTRL)
 
 
 @pytest.mark.parametrize("path", ["general", "symmetric"])

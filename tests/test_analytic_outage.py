@@ -280,7 +280,7 @@ def test_outage_values_are_probabilities_without_clamping():
             rho_f=float(rng.uniform(0.0, 1.0)),
         )
         v = an.outage_total(cfg, CTRL).value
-        assert -1e-9 <= v <= 1.0 + 1e-9
+        assert 0.0 <= v <= 1.0 + 1e-9
 
 
 def test_outage_degenerate_limit_matches_series():

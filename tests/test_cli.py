@@ -126,13 +126,15 @@ def test_load_config_rejects_malformed_values(doc, field):
      "outage threshold"),
     ({"M": 2, "beta": 1e308}, ["sweep", "--metric", "aser", "--snr-db", "0:10:10"],
      "beta * power"),
+    ({"M": 2, "rho_f": 0.9, "beta": 1e-300, "lambda_convention": "paper"},
+     ["sweep", "--metric", "aser", "--snr-db", "-300"], "beta * power"),
     ({"M": 2, "sigma2_h": 1e-320}, ["sweep", "--metric", "outage"], "floating-point range"),
     ({"M": 2, "rho_e": 1e-320}, ["sweep", "--metric", "outage"], "floating-point range"),
     ({"M": 1, "power_db": 100, "rho_e": 1e-10, "sigma2_h": 1e290},
      ["sweep", "--metric", "outage", "--lambda-convention", "paper"], "lambda-convention"),
 ], ids=[
     "alpha-3", "rate-600-sweep", "rate-600-info", "rate-600-validate", "rate-500-low-snr",
-    "beta-1e308", "sigma2_h-1e-320", "rho_e-1e-320", "paper-lam-overflow",
+    "beta-1e308", "beta-power-underflow", "sigma2_h-1e-320", "rho_e-1e-320", "paper-lam-overflow",
 ])
 def test_cli_rejects_configs_it_cannot_evaluate(tmp_path, monkeypatch, doc, args, message):
     path = tmp_path / "cfg.json"
@@ -413,6 +415,34 @@ def test_validate_degenerate_branch_runs():
     ok, report = validate(cfg, 60_000, 42)
     assert ok, report
     assert any("degenerate-order-statistics" in line for line in report)
+
+
+def test_validate_degenerate_check_is_relative():
+    # the symmetric outage at M = 8, 20 dB is 5.1e-6 off the order-statistics
+    # value, an absolute difference of only 6.7e-16
+    cfg = load_config({"M": 8, "rho_f": 1.0, "power_db": 20})
+    with pytest.warns(RuntimeWarning, match="cancellation"):
+        ok, report = validate(cfg, 2_000, 42)
+    assert not ok
+    assert any(line.startswith("FAIL  degenerate-order-statistics") for line in report), report
+
+
+def test_cli_negative_total_is_a_series_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"M": 8, "rho_f": 1.0}))
+    out = tmp_path / "aser.csv"
+    # the ASER at 30 dB sums to -9.4e-16: the sweep leaves its cell empty
+    cp = run_cli(
+        "sweep", "--config", str(path), "--metric", "aser", "--snr-db", "10:30:10",
+        "--out", str(out),
+    )
+    assert cp.returncode == 0, cp.stderr
+    assert [r["value"] == "" for r in read_rows(out)] == [False, False, True]
+    assert "warning: snr 30.0 dB: total" in cp.stderr and "is negative" in cp.stderr
+    path.write_text(json.dumps({"M": 8, "rho_f": 1.0, "power_db": 30}))
+    cp = run_cli("validate", "--config", str(path), "--trials", "2000")
+    assert cp.returncode == 3, cp.stdout + cp.stderr
+    assert "is negative" in cp.stderr and "Traceback" not in cp.stderr
 
 
 # ---------------------------------------------------------------------------
