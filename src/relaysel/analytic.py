@@ -448,7 +448,8 @@ def outage_conditional_quadrature(D: DecodingSet, m: int, config: SystemConfig) 
 
     if link.degenerate:
         val, _ = integrate.quad(
-            lambda g: chi(g) * lam * math.exp(-lam * g), 0.0, r_o, limit=200
+            lambda g: chi(g) * lam * math.exp(-lam * g), 0.0, r_o,
+            limit=200, epsabs=0.0, epsrel=1e-10,
         )
         return val
 
@@ -460,7 +461,8 @@ def outage_conditional_quadrature(D: DecodingSet, m: int, config: SystemConfig) 
 
     upper = 60.0 / lam
     val, _ = integrate.quad(
-        integrand, 0.0, upper, limit=400, points=[r_o, 1.0 / lam, 10.0 / lam]
+        integrand, 0.0, upper, limit=400, points=[r_o, 1.0 / lam, 10.0 / lam],
+        epsabs=0.0, epsrel=1e-10,
     )
     return val
 

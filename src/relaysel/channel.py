@@ -270,7 +270,10 @@ def sample_gamma_batch(
             raise ValueError(f"out: expected two C-contiguous float64 arrays of shape {shape}")
     for buf, lam in zip(out, rates):
         rng.standard_exponential(out=buf)
-        buf /= lam
+        # column by column: a broadcast divide by the (M,) rates runs an
+        # inner loop only M long, and is slower for the same bits
+        for j, rate in enumerate(lam):
+            buf[:, j] /= rate
     return {"gamma_sm_o": out[0], "gamma_md_o": out[1]}
 
 

@@ -5,31 +5,40 @@ forms the decoding set, selects the relay with the best *old* relay-to-
 destination SNR, and only then draws that relay's *current* SNR given its
 old one, on which the metric is scored; no other current SNR is drawn.
 Trials are processed in fixed-size chunks, each chunk seeded from
-SeedSequence(seed, chunk_index) and run end to end (draw, decode, select,
-score).  The chunks are dealt round-robin to one task per worker on a thread
-pool as wide as the available CPUs; each task allocates one workspace and
-runs every chunk it is dealt in place in it, so the per-chunk path allocates
-no array of chunk size.  The SER decode evaluates erfc only for the entries
-that the Chernoff bound Q(x) <= exp(-x^2/2)/2 cannot decide, and compares
-those exactly, so its mask is the exact mask.  The calling thread adds the
-per-chunk partial sums in chunk order, so results are bit-for-bit
-reproducible for a given (config, seed, trials) whatever the worker count.
+SeedSequence(seed, chunk_index) and run end to end.  One pass
+(`simulate`) serves every requested metric: a chunk draws the old SNRs
+once, then runs two branches on that draw.  The threshold branch decodes on
+the old source SNR against R_o, selects, and scores outage and capacity;
+the SER branch restarts from the generator state right after the draw,
+decodes on its own uniforms, selects, and scores the ASER.  Each metric so
+sees the random stream of a pass for it alone, and its estimate is the same
+to the bit.  The chunks are dealt round-robin to one task per worker on a
+thread pool as wide as the available CPUs; each task allocates one
+workspace and runs every chunk it is dealt in place in it, so the per-chunk
+path allocates no array of chunk size.  The SER decode evaluates erfc only
+for the entries that the Chernoff bound Q(x) <= exp(-x^2/2)/2 cannot
+decide, and compares those exactly, so its mask is the exact mask.  The
+calling thread adds the per-chunk partial sums in chunk order, so results
+are bit-for-bit reproducible for a given (config, seed, trials) whatever
+the worker count.
 """
-
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
 from .channel import SystemConfig, draw_current_into, sample_gamma_batch
 
 CHUNK_SIZE = 1 << 15
+METRICS = ("outage", "aser", "capacity")
 
 # numpy's generators and ufuncs and scipy's erfc release the GIL, so chunks
 # on threads use every CPU this process may run on
@@ -140,18 +149,17 @@ def _select(
     theta: np.ndarray,
     ws: _Workspace,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Best old relay-destination SNR (ws.md[:n], overwritten) among decoded
-    relays, then the current SNR of that relay alone.  Ties (probability
-    zero for continuous draws) break toward the lowest index.  Returns
-    (none, current): the trials in which no relay decoded, and the current
-    SNR, drawn from old SNR 0 and relay 0's link in those trials."""
+    """Best old relay-destination SNR (ws.md[:n], left as it is) among
+    decoded relays, then the current SNR of that relay alone.  Ties
+    (probability zero for continuous draws) break toward the lowest index.
+    Returns (none, current): the trials in which no relay decoded, and the
+    current SNR, drawn from old SNR 0 and relay 0's link in those trials."""
     n, M = decoded.shape
-    md = ws.md[:n]
     # (decoded - 1/2) inf is +inf where a relay decoded and -inf elsewhere,
     # so the minimum with it masks out the relays that did not decode
-    cap = np.subtract(decoded, 0.5, out=ws.scratch[:n])
-    cap *= np.inf
-    np.minimum(md, cap, out=md)
+    md = np.subtract(decoded, 0.5, out=ws.scratch[:n])
+    md *= np.inf
+    np.minimum(ws.md[:n], md, out=md)
     # argmax over the M columns: a later column wins only when strictly
     # greater, so ties keep the lowest index
     g, m_star = ws.g[:n], ws.m_star[:n]
@@ -199,42 +207,99 @@ def _sums(contrib: np.ndarray) -> tuple[float, float]:
     return total, float(contrib.sum())
 
 
+def _count(flags: np.ndarray) -> tuple[float, float]:
+    """(sum, sum of squares) of per-trial 0/1 contributions."""
+    count = float(np.count_nonzero(flags))
+    return count, count
+
+
 def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _estimate(
-    config: SystemConfig, trials: int, seed: int, decode: Callable, score: Callable
-) -> McEstimate:
-    """Mean and standard error of a per-trial score over `trials` trials.
+def simulate(
+    config: SystemConfig,
+    trials: int,
+    seed: int,
+    metrics: tuple[str, ...] = METRICS,
+    estimator: str = "conditional",
+) -> Mapping[str, McEstimate]:
+    """Mean and standard error of each requested metric over `trials` trials,
+    as an immutable mapping from metric name to McEstimate.
 
-    decode(rng, ws, n) returns the (n, M) mask of relays that decode, from
-    the old source SNRs in ws.sm[:n]; score(rng, none, current, ws) returns
-    the (sum, sum of squares) of the n per-trial contributions and may
-    overwrite current and use ws.y and ws.flag as scratch.  Link constants
-    are derived once per call, not once per chunk.  Worker w runs chunks
-    w, w + workers, ... in one workspace.
+    Every chunk draws the old SNRs once.  The threshold branch (outage,
+    capacity) decodes on the old source SNR against R_o and selects; outage
+    is scored, then capacity, which overwrites the current SNRs.  The SER
+    branch (aser) restarts from the generator state right after the draw,
+    draws its uniforms, decodes on them and selects anew, so each metric
+    sees the random stream that a call for it alone would see, and its
+    estimate is the same to the bit.  Only the branches that a requested
+    metric needs run.  Link constants are derived once per call, not once
+    per chunk.  Worker w runs chunks w, w + workers, ... in one workspace.
+
+    aser with estimator="conditional" accumulates the conditional error
+    probability of each trial (1/2 with an empty decoding set,
+    alpha Q(sqrt(beta P gamma)) otherwise), a Rao-Blackwellized estimator
+    whose variance is orders of magnitude below bit counting at high SNR.
+    estimator="bernoulli" flips an actual error bit per trial, from uniforms
+    drawn after the selection, and exists as a cross-check.
     """
+    metrics = tuple(metrics)
+    if not metrics or not set(metrics) <= set(METRICS):
+        raise ValueError(f"metrics must be a non-empty selection of {METRICS}, got {metrics!r}")
+    if estimator not in ("conditional", "bernoulli"):
+        raise ValueError(f"unknown estimator {estimator!r}")
     if not _is_int(trials) or trials < 1:
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     if not _is_int(seed) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     trials, seed = int(trials), int(seed)
+    outage, ser, capacity = (m in metrics for m in METRICS)
+    threshold = outage or capacity
+    r_o, power = config.r_o, config.power
+    alpha, bp = config.alpha, config.beta * config.power
     source, relay = config.source_params(), config.relay_params()
     rates = (np.array([lp.lam for lp in source]), np.array([lp.lam for lp in relay]))
     rho_f = np.array([lp.rho_f for lp in relay])
     theta = np.array([lp.theta for lp in relay])
 
-    def run_task(chunks: list[tuple[int, int]], ws: _Workspace) -> list[tuple[float, float]]:
-        sums = []
-        for idx, n in chunks:
-            rng = _chunk_rng(seed, idx)
-            with _DRAW_LOCK:
-                sample_gamma_batch(config, rng, n, rates=rates, out=(ws.sm[:n], ws.md[:n]))
-            decoded = decode(rng, ws, n)
+    def run_chunk(idx: int, n: int, ws: _Workspace) -> dict[str, tuple[float, float]]:
+        rng = _chunk_rng(seed, idx)
+        with _DRAW_LOCK:
+            sample_gamma_batch(config, rng, n, rates=rates, out=(ws.sm[:n], ws.md[:n]))
+        sums = {}
+        if threshold:
+            drawn = rng.bit_generator.state if ser else None
+            decoded = np.greater_equal(ws.sm[:n], r_o, out=ws.decoded[:n])
             none, current = _select(rng, decoded, rho_f, theta, ws)
-            sums.append(score(rng, none, current, ws))
+            if outage:
+                lost = np.less(current, r_o, out=ws.flag.reshape(-1)[:n])
+                lost |= none
+                sums["outage"] = _count(lost)
+            if capacity:
+                current *= power
+                current += 1.0
+                np.log2(current, out=current)
+                current *= 0.5
+                np.copyto(current, 0.0, where=none)
+                sums["capacity"] = _sums(current)
+            if ser:
+                rng.bit_generator.state = drawn
+        if ser:
+            rng.random(out=ws.u[:n])
+            decoded = _decode_screened(ws, n, alpha, bp)
+            none, current = _select(rng, decoded, rho_f, theta, ws)
+            cond_err = _error_prob_into(current, alpha, bp)
+            np.copyto(cond_err, 0.5, where=none)
+            if estimator == "bernoulli":
+                u = rng.random(out=ws.y[:n])
+                sums["aser"] = _count(np.less(u, cond_err, out=ws.flag.reshape(-1)[:n]))
+            else:
+                sums["aser"] = _sums(cond_err)
         return sums
+
+    def run_task(chunks: list[tuple[int, int]], ws: _Workspace) -> list[dict]:
+        return [run_chunk(idx, n, ws) for idx, n in chunks]
 
     chunks = list(_chunks(trials))
     workers = min(_WORKERS, len(chunks))
@@ -243,78 +308,56 @@ def _estimate(
     spaces = [_Workspace(config.M) for _ in range(workers)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         per_task = list(pool.map(run_task, [chunks[w::workers] for w in range(workers)], spaces))
-    total = 0.0
-    total_sq = 0.0
-    for i in range(len(chunks)):
-        s, sq = per_task[i % workers][i // workers]
-        total += s
-        total_sq += sq
-    mean = total / trials
-    var = max(total_sq / trials - mean * mean, 0.0)
-    return McEstimate(mean, math.sqrt(var / trials), trials, seed)
+    per_chunk = [per_task[i % workers][i // workers] for i in range(len(chunks))]
+    estimates = {}
+    for metric in metrics:
+        total = 0.0
+        total_sq = 0.0
+        for sums in per_chunk:
+            s, sq = sums[metric]
+            total += s
+            total_sq += sq
+        mean = total / trials
+        var = max(total_sq / trials - mean * mean, 0.0)
+        estimates[metric] = McEstimate(mean, math.sqrt(var / trials), trials, seed)
+    return MappingProxyType(estimates)
 
 
-def _decode_threshold(config: SystemConfig) -> Callable:
-    r_o = config.r_o
-    return lambda rng, ws, n: np.greater_equal(ws.sm[:n], r_o, out=ws.decoded[:n])
+# validate's three per-metric calls on one setup read one pass through this;
+# validate clears it when it returns
+_shared_pass = functools.lru_cache(maxsize=1)(simulate)
+clear_shared_pass = _shared_pass.cache_clear
 
 
-def simulate_outage(config: SystemConfig, trials: int, seed: int) -> McEstimate:
-    """Outage frequency: empty decoding set, or selected current SNR < R_o."""
-    r_o = config.r_o
+def _simulate_one(
+    metric: str, config: SystemConfig, trials: int, seed: int, estimator: str, shared: bool
+) -> McEstimate:
+    if shared:
+        return _shared_pass(config, trials, seed, METRICS, estimator)[metric]
+    return simulate(config, trials, seed, (metric,), estimator)[metric]
 
-    def score(rng, none, current, ws):
-        outage = np.less(current, r_o, out=ws.flag.reshape(-1)[: len(current)])
-        outage |= none
-        count = float(np.count_nonzero(outage))
-        return count, count
 
-    return _estimate(config, trials, seed, _decode_threshold(config), score)
+def simulate_outage(config: SystemConfig, trials: int, seed: int, shared: bool = False) -> McEstimate:
+    """Outage frequency: empty decoding set, or selected current SNR < R_o.
+    shared=True reads the estimate from the all-metric pass of the last
+    shared call with the same (config, trials, seed), or runs that pass."""
+    return _simulate_one("outage", config, trials, seed, "conditional", shared)
 
 
 def simulate_ser(
-    config: SystemConfig, trials: int, seed: int, estimator: str = "conditional"
+    config: SystemConfig,
+    trials: int,
+    seed: int,
+    estimator: str = "conditional",
+    shared: bool = False,
 ) -> McEstimate:
-    """Average symbol error rate.
-
-    estimator="conditional" accumulates the conditional error probability of
-    each trial (1/2 with an empty decoding set, alpha Q(sqrt(beta P gamma))
-    otherwise), a Rao-Blackwellized estimator whose variance is orders of
-    magnitude below bit counting at high SNR.  estimator="bernoulli" flips
-    an actual error bit per trial and exists as a cross-check.
-    """
-    if estimator not in ("conditional", "bernoulli"):
-        raise ValueError(f"unknown estimator {estimator!r}")
-    alpha, bp = config.alpha, config.beta * config.power
-
-    def decode(rng, ws, n):
-        rng.random(out=ws.u[:n])
-        return _decode_screened(ws, n, alpha, bp)
-
-    def score(rng, none, current, ws):
-        cond_err = _error_prob_into(current, alpha, bp)
-        np.copyto(cond_err, 0.5, where=none)
-        if estimator == "bernoulli":
-            n = len(cond_err)
-            u = rng.random(out=ws.y[:n])
-            count = float(np.count_nonzero(np.less(u, cond_err, out=ws.flag.reshape(-1)[:n])))
-            return count, count
-        return _sums(cond_err)
-
-    return _estimate(config, trials, seed, decode, score)
+    """Average symbol error rate, by the `estimator` of `simulate`; shared
+    as for simulate_outage."""
+    return _simulate_one("aser", config, trials, seed, estimator, shared)
 
 
-def simulate_capacity(config: SystemConfig, trials: int, seed: int) -> McEstimate:
+def simulate_capacity(config: SystemConfig, trials: int, seed: int, shared: bool = False) -> McEstimate:
     """Mean of (1/2) log2(1 + P gamma) on the selected link, 0 when no relay
-    decodes; decoding gated on the old source SNR against R_o."""
-
-    def score(rng, none, current, ws):
-        contrib = current
-        contrib *= config.power
-        contrib += 1.0
-        np.log2(contrib, out=contrib)
-        contrib *= 0.5
-        np.copyto(contrib, 0.0, where=none)
-        return _sums(contrib)
-
-    return _estimate(config, trials, seed, _decode_threshold(config), score)
+    decodes; decoding gated on the old source SNR against R_o.  shared as
+    for simulate_outage."""
+    return _simulate_one("capacity", config, trials, seed, "conditional", shared)

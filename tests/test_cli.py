@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from relaysel import cli
+from relaysel import cli, montecarlo
 from relaysel.channel import FadingParams
 from relaysel.cli import (
     CSV_COLUMNS,
@@ -425,6 +426,35 @@ def test_validate_degenerate_check_is_relative():
         ok, report = validate(cfg, 2_000, 42)
     assert not ok
     assert any(line.startswith("FAIL  degenerate-order-statistics") for line in report), report
+
+
+def test_validate_series_vs_quadrature_is_relative():
+    # the candidate terms are near 7e-14, so the series' 1.5e-3 relative
+    # error is an absolute difference of only 1.1e-16
+    cfg = load_config({"M": 8, "rho_f": 1.0, "power_db": 20})
+    with pytest.warns(RuntimeWarning, match="cancellation"):
+        ok, report = validate(cfg, 2_000, 42)
+    assert not ok
+    assert any(line.startswith("FAIL  series-vs-quadrature") for line in report), report
+
+
+def test_validate_draws_the_old_snrs_once_per_chunk(monkeypatch):
+    # the three analytic-vs-mc checks share one Monte-Carlo pass, and a
+    # second identical validate runs its own
+    real = montecarlo.sample_gamma_batch
+    calls = []
+
+    def counting(config, rng, n, **kwargs):
+        calls.append(n)
+        return real(config, rng, n, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "sample_gamma_batch", counting)
+    cfg = load_config({"M": 2, "rho_f": 0.9})
+    trials = 2 * montecarlo.CHUNK_SIZE + 5
+    first = validate(cfg, trials, 42)
+    assert len(calls) == math.ceil(trials / montecarlo.CHUNK_SIZE) and sum(calls) == trials
+    assert validate(cfg, trials, 42) == first
+    assert len(calls) == 2 * math.ceil(trials / montecarlo.CHUNK_SIZE)
 
 
 def test_cli_negative_total_is_a_series_error(tmp_path):

@@ -253,6 +253,67 @@ def test_estimates_match_recorded_bits(config, sim):
     assert (est.mean.hex(), est.std_error.hex()) == _GOLDEN[(config, sim)]
 
 
+@pytest.mark.parametrize("config", sorted(_GOLDEN_CONFIGS))
+def test_one_pass_matches_recorded_bits(config):
+    # one draw of the old SNRs per chunk feeds all three metrics, and each
+    # reproduces the bits of its own pass
+    cfg = _GOLDEN_CONFIGS[config]()
+    trials = 3 * mc.CHUNK_SIZE + 777
+    for estimator, ser in [("conditional", "ser"), ("bernoulli", "ser-bernoulli")]:
+        got = mc.simulate(cfg, trials, 2026, estimator=estimator)
+        assert list(got) == list(mc.METRICS)
+        for metric, name in [("outage", "outage"), ("aser", ser), ("capacity", "capacity")]:
+            est = got[metric]
+            assert (est.mean.hex(), est.std_error.hex()) == _GOLDEN[(config, name)], (metric, name)
+
+
+def test_one_pass_independent_of_worker_count(monkeypatch):
+    cfg = mixed_asym_config(3)
+    trials = 5 * mc.CHUNK_SIZE + 777
+    for seed in (41, 42):
+        results = []
+        for workers in (1, 3):
+            monkeypatch.setattr(mc, "_WORKERS", workers)
+            results.append(dict(mc.simulate(cfg, trials, seed)))
+        assert results[0] == results[1]
+
+
+def test_simulate_returns_an_immutable_mapping_of_the_requested_metrics():
+    cfg = sym_config(M=2, power=10.0, rho_f=0.9)
+    got = mc.simulate(cfg, 1000, 3, metrics=("capacity", "outage"))
+    assert list(got) == ["capacity", "outage"]
+    with pytest.raises(TypeError):
+        got["aser"] = got["outage"]
+    for metrics in [(), ("outage", "ser"), ("bogus",)]:
+        with pytest.raises(ValueError):
+            mc.simulate(cfg, 1000, 3, metrics=metrics)
+
+
+def test_outage_alone_skips_the_ser_branch(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the SER decode ran for an outage-only call")
+
+    cfg = mixed_asym_config(3)
+    want = mc.simulate_outage(cfg, 2 * mc.CHUNK_SIZE + 9, 5)
+    monkeypatch.setattr(mc, "_decode_screened", fail)
+    assert mc.simulate(cfg, 2 * mc.CHUNK_SIZE + 9, 5, metrics=("outage",))["outage"] == want
+    with pytest.raises(AssertionError, match="SER decode"):
+        mc.simulate(cfg, 1000, 5, metrics=("outage", "aser"))
+
+
+def test_select_leaves_the_old_relay_snrs_in_place():
+    # the SER branch selects again on the same old SNRs after the threshold
+    # branch has selected on them
+    M, n = 3, 5000
+    rng = np.random.default_rng(34)
+    md = rng.standard_exponential((n, M))
+    decoded = rng.random((n, M)) < 0.6
+    ws = mc._Workspace(M)
+    ws.md[:n] = md
+    mc._select(rng, decoded, np.array([0.9, 1.0, 0.7]), np.array([0.19, 0.0, 0.51]), ws)
+    assert ws.md[:n].tobytes() == md.tobytes()
+
+
 def _screen_cases():
     """(gamma, u) pairs per (alpha, beta P): the edge SNRs, and SNRs whose
     Chernoff bound alpha/2 exp(-beta P gamma / 2) lands within an ulp or so
