@@ -495,8 +495,8 @@ def _paper_kernel_table(K: int, q: float, bp: float, n_a: int) -> np.ndarray:
     approximation: kernel[k] = q^(k+1)/k! *
     sum_n a_n (beta P)^((n-1)/2) Gamma(k+(n+1)/2) / (q + beta P)^(k+(n+1)/2)."""
     # Gamma(k+(n+1)/2) and k! = Gamma(k+1) both take arguments on the
-    # half-integer grid 1, 1.5, ..., K + (n_a+1)/2: lgamma is evaluated once
-    # there, at index 2k + n - 1 and 2k.
+    # half-integer grid 1, 1.5, ..., K + (n_a+1)/2, at index 2k + n - 1 and
+    # 2k of the process-wide lgamma table on that grid.
     a = specfn.qapprox_coefficients(n_a)
     n = np.arange(1, n_a + 1, dtype=float)
     two_k = 2 * np.arange(K + 1)[:, None]
@@ -504,8 +504,7 @@ def _paper_kernel_table(K: int, q: float, bp: float, n_a: int) -> np.ndarray:
     log_bp = math.log(bp)
     log_q = math.log(q)
     log_denom = math.log(q + bp)
-    half_grid = (1.0 + 0.5 * np.arange(2 * K + n_a)).tolist()
-    lgam_half = np.array([math.lgamma(x) for x in half_grid])
+    lgam_half = specfn.ln_gamma_half_grid(2 * K + n_a - 1)
     exps = (
         lgam_half[two_k + np.arange(n_a)]
         - lgam_half[two_k]

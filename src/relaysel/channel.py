@@ -192,6 +192,11 @@ class SystemConfig:
         # object, and keying by id skips hashing the dataclass fields
         for fp in {id(fp): fp for fp in self.source_links + self.relay_links}.values():
             _link_constants(fp, self.power, self.lambda_convention)
+        # a plain attribute, not a field: ==, hash and replace see only the
+        # fields, and replace reruns this check.  Tuple == compares items by
+        # identity before ==, and stops at the first unequal pair.
+        src, rel = tuple(self.source_links), tuple(self.relay_links)
+        object.__setattr__(self, "_symmetric", src == (src[0],) * self.M and rel == (rel[0],) * self.M)
 
     @classmethod
     def symmetric(
@@ -230,15 +235,25 @@ class SystemConfig:
         return replace(self, power=power)
 
     def source_params(self) -> list[LinkParams]:
-        return [derive_link_params(fp, self.power, self.lambda_convention) for fp in self.source_links]
+        return self._derive(self.source_links)
 
     def relay_params(self) -> list[LinkParams]:
-        return [derive_link_params(fp, self.power, self.lambda_convention) for fp in self.relay_links]
+        return self._derive(self.relay_links)
+
+    def _derive(self, links: tuple[FadingParams, ...]) -> list[LinkParams]:
+        """derive_link_params of every link, in order, called once per
+        distinct link object (keyed by id, as in __post_init__)."""
+        out, derived = [], {}
+        for fp in links:
+            lp = derived.get(id(fp))
+            if lp is None:
+                lp = derived[id(fp)] = derive_link_params(fp, self.power, self.lambda_convention)
+            out.append(lp)
+        return out
 
     def is_symmetric(self) -> bool:
-        return all(fp == self.source_links[0] for fp in self.source_links) and all(
-            fp == self.relay_links[0] for fp in self.relay_links
-        )
+        """True when all source links are equal and all relay links are."""
+        return self._symmetric
 
 
 def sample_gamma_batch(

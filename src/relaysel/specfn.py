@@ -2,13 +2,19 @@
 
 Everything downstream (closed-form outage / SER / capacity expressions and
 their oracles) is assembled from the functions in this module.  All routines
-are pure functions of their arguments and safe for concurrent use.
+are pure functions of their arguments and safe for concurrent use.  Tables
+that depend on no argument but their length (ln n!, lgamma on the
+half-integer grid, the Q-approximation coefficients) are computed once per
+process, on first use, and handed out read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -44,17 +50,54 @@ class SeriesControl:
 # factorials / binomials
 # ---------------------------------------------------------------------------
 
-_LOGFACT = [0.0]  # grows on demand; _LOGFACT[n] = ln(n!) = lgamma(n+1)
+class _Grid:
+    """Process-wide read-only table entry(0), entry(1), ..., built on demand.
+
+    It only ever grows: a copy at least twice as long replaces the array, so
+    an array a caller already holds never changes, and `upto(n)` keeps
+    returning at least n + 1 entries once it has.
+    """
+
+    def __init__(self, entry: Callable[[int], float]):
+        self._entry = entry
+        self._table = np.empty(0)
+        self._table.flags.writeable = False
+        self._lock = threading.Lock()
+
+    def upto(self, n: int) -> np.ndarray:
+        """The table with at least n + 1 entries."""
+        table = self._table
+        if len(table) > n:
+            return table
+        with self._lock:
+            table = self._table
+            if len(table) <= n:
+                size = max(n + 1, 2 * len(table))
+                tail = np.fromiter(map(self._entry, range(len(table), size)), float, size - len(table))
+                table = np.concatenate((table, tail))
+                table.flags.writeable = False
+                self._table = table
+        return table
+
+
+_LOGFACT = _Grid(lambda n: math.lgamma(n + 1.0))  # ln(n!)
+_LGAMMA_HALF = _Grid(lambda j: math.lgamma(1.0 + 0.5 * j))  # lgamma(1 + j/2)
 
 
 def ln_factorial(n: int) -> float:
     """ln(n!) for n >= 0, accurate to a couple of ulp via lgamma."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    while len(_LOGFACT) <= n:
-        m = len(_LOGFACT)
-        _LOGFACT.append(math.lgamma(m + 1.0))
-    return _LOGFACT[n]
+    return float(_LOGFACT.upto(n)[n])
+
+
+def ln_gamma_half_grid(n: int) -> np.ndarray:
+    """Read-only array G with G[j] = lgamma(1 + j/2) for j = 0..n (and
+    possibly beyond): the half-integer grid 1, 1.5, 2, ..., computed once
+    per process."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return _LGAMMA_HALF.upto(n)
 
 
 def binomial(n: int, k: int) -> int:
@@ -118,8 +161,9 @@ def lower_gamma_ratio_table(k_max: int, x: float) -> np.ndarray:
 
 
 def _ln_factorial_array(n: int) -> np.ndarray:
-    ln_factorial(n)  # ensure cache
-    return np.asarray(_LOGFACT[: n + 1])
+    """Read-only view of ln(k!) for k = 0..n."""
+    ln_factorial(n)  # grows the table to n
+    return _LOGFACT.upto(n)[: n + 1]
 
 
 def poisson_weight_window(lam: float, tol: float, k_cap: int) -> tuple[int, np.ndarray]:
@@ -256,11 +300,12 @@ def gaussian_q(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
+@functools.cache
 def qapprox_coefficients(n_a: int) -> np.ndarray:
     """Coefficients a_1..a_na of the exponential-type Q approximation.
 
     a_n = (-1)^(n+1) A^n / (B sqrt(pi) sqrt(2)^(n+1) n!) with A = 1.98 and
-    B = 1.135.
+    B = 1.135.  Computed once per n_a per process; the array is read-only.
     """
     if n_a < 1:
         raise ValueError("n_a must be >= 1")
@@ -273,7 +318,9 @@ def qapprox_coefficients(n_a: int) -> np.ndarray:
         - (n + 1.0) * 0.5 * math.log(2.0)
         - _ln_factorial_array(n_a)[1:]
     )
-    return sign * np.exp(log_mag)
+    a = sign * np.exp(log_mag)
+    a.flags.writeable = False
+    return a
 
 
 def gaussian_q_approx(x: float, n_a: int) -> float:

@@ -319,6 +319,36 @@ def test_aser_qapprox_table_matches_per_k_loop(convention, K, n_a):
     assert np.all(got == want)
 
 
+def _paper_kernel_table_per_call_grid(K, q, bp, n_a):
+    """The "paper" kernel with its lgamma grid rebuilt by a list
+    comprehension on every call."""
+    a = specfn.qapprox_coefficients(n_a)
+    n = np.arange(1, n_a + 1, dtype=float)
+    two_k = 2 * np.arange(K + 1)[:, None]
+    k = np.arange(K + 1, dtype=float)[:, None]
+    half_grid = (1.0 + 0.5 * np.arange(2 * K + n_a)).tolist()
+    lgam_half = np.array([math.lgamma(x) for x in half_grid])
+    exps = (
+        lgam_half[two_k + np.arange(n_a)]
+        - lgam_half[two_k]
+        + (k + 1.0) * math.log(q)
+        + (n - 1.0) / 2.0 * math.log(bp)
+        - (k + (n + 1.0) / 2.0) * math.log(q + bp)
+    )
+    return (np.exp(exps)[:, None, :] @ a[:, None]).ravel()
+
+
+@pytest.mark.parametrize("order", [(400, 50, 1), (1, 50, 400)], ids=["large-first", "small-first"])
+def test_paper_kernel_table_matches_per_call_grid(monkeypatch, order):
+    # a fresh process-wide grid, so the first K of `order` is what grows it
+    monkeypatch.setattr(specfn, "_LGAMMA_HALF", specfn._Grid(specfn._LGAMMA_HALF._entry))
+    cfg = sym_config(M=2, power=31.6, rho_e=0.97, rho_f=0.95, lambda_convention="paper")
+    q, bp = cfg.relay_params()[0].q, cfg.beta * cfg.power
+    for K in order:
+        got = an._paper_kernel_table(K, q, bp, an.N_A)
+        assert np.array_equal(got, _paper_kernel_table_per_call_grid(K, q, bp, an.N_A))
+
+
 def _asymmetric_m3():
     src = tuple(ch.FadingParams(v, 1.0, 0.9) for v in (1.0, 0.95, 1.05))
     rel = tuple(ch.FadingParams(v, 1.0, r) for v, r in ((1.0, 0.85), (0.9, 0.9), (1.1, 0.88)))

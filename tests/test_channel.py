@@ -1,5 +1,6 @@
 """Parameter derivation and the joint (old, current) sampling model."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -151,6 +152,67 @@ def test_config_rejects_alpha_above_two():
 def test_fading_params_reject_non_finite(field, value):
     with pytest.raises(ValueError, match=field):
         ch.FadingParams(**{field: value})
+
+
+def _count_derivations(monkeypatch) -> list:
+    """Record the FadingParams of every derive_link_params call."""
+    calls = []
+    original = ch.derive_link_params
+
+    def counting(fp, power, convention="derived"):
+        calls.append(fp)
+        return original(fp, power, convention)
+
+    monkeypatch.setattr(ch, "derive_link_params", counting)
+    return calls
+
+
+@pytest.mark.parametrize("which", ["source", "relay"])
+def test_link_params_derived_once_per_distinct_link_object(monkeypatch, which):
+    a = ch.FadingParams(1.0, 0.95, 0.9)
+    b = ch.FadingParams(1.1, 0.95, 0.8)
+    a_twin = ch.FadingParams(1.0, 0.95, 0.9)  # equal to a, another object
+    links = (a, b, a, a_twin, b)
+    cfg = ch.SystemConfig(M=5, power=10.0, source_links=links, relay_links=links[::-1])
+    want = [ch.derive_link_params(fp, cfg.power) for fp in getattr(cfg, f"{which}_links")]
+    calls = _count_derivations(monkeypatch)
+    got = getattr(cfg, f"{which}_params")()
+    assert sorted(map(id, calls)) == sorted(map(id, (a, b, a_twin)))
+    assert got == want  # M entries, in link order
+
+
+def test_symmetric_config_derives_one_link_per_list(monkeypatch):
+    cfg = ch.SystemConfig.symmetric(M=6, power=10.0, rho_e=0.95, rho_f=0.9)
+    calls = _count_derivations(monkeypatch)
+    src, rel = cfg.source_params(), cfg.relay_params()
+    assert len(calls) == 2
+    assert src == [ch.derive_link_params(cfg.source_links[0], cfg.power)] * 6
+    assert rel == [ch.derive_link_params(cfg.relay_links[0], cfg.power)] * 6
+
+
+def test_symmetry_flag_stays_out_of_equality_hash_and_replace():
+    fp = ch.FadingParams(1.0, 1.0, 0.9)
+    twin = ch.FadingParams(1.0, 1.0, 0.9)
+    other = ch.FadingParams(1.2, 1.0, 0.9)
+    sym = ch.SystemConfig(M=2, power=10.0, source_links=(fp, fp), relay_links=(fp, fp))
+    asym = dataclasses.replace(sym, relay_links=(fp, other))
+    assert sym.is_symmetric() and not asym.is_symmetric()
+    assert [f.name for f in dataclasses.fields(sym)] == [
+        "M", "power", "rate", "alpha", "beta", "source_links", "relay_links", "lambda_convention"
+    ]
+    assert "_symmetric" not in repr(sym)
+    # equal links held by distinct objects: symmetric, and equal to sym
+    same = ch.SystemConfig(M=2, power=10.0, source_links=(fp, twin), relay_links=(twin, fp))
+    assert same.is_symmetric() and same == sym and hash(same) == hash(sym)
+    # replace and with_power rerun the check on the new fields
+    back = dataclasses.replace(asym, relay_links=(fp, fp))
+    assert back.is_symmetric() and back == sym and hash(back) == hash(sym)
+    assert not dataclasses.replace(sym, source_links=(other, fp)).is_symmetric()
+    assert sym.with_power(20.0).is_symmetric() and not asym.with_power(20.0).is_symmetric()
+    assert sym.with_power(20.0) == dataclasses.replace(sym, power=20.0) != sym
+    assert sym.with_power(10.0) == sym and hash(sym.with_power(10.0)) == hash(sym)
+    # links given as lists are compared by value too
+    assert ch.SystemConfig(M=2, power=10.0, source_links=[fp, twin], relay_links=[fp, fp]).is_symmetric()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ frozen; the oracle is re-run next to each frozen value.
 """
 
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -296,6 +299,57 @@ def test_ln_factorial_against_stirling():
     assert math.isfinite(v)
     assert v == pytest.approx(stirling, rel=1e-10)
     assert specfn.ln_factorial(5) == pytest.approx(math.log(120.0), rel=1e-14)
+
+
+def test_ln_factorial_table_matches_lgamma():
+    table = specfn._ln_factorial_array(300)
+    assert len(table) == 301
+    assert np.array_equal(table, [math.lgamma(n + 1.0) for n in range(301)])
+    assert all(specfn.ln_factorial(n) == table[n] for n in (0, 1, 170, 300))
+    assert type(specfn.ln_factorial(7)) is float
+
+
+def test_half_integer_lgamma_grid():
+    grid = specfn.ln_gamma_half_grid(41)
+    assert len(grid) >= 42
+    assert np.array_equal(grid[:42], [math.lgamma(1.0 + 0.5 * j) for j in range(42)])
+    with pytest.raises(ValueError):
+        specfn.ln_gamma_half_grid(-1)
+
+
+def test_memoised_tables_are_read_only():
+    a = specfn.qapprox_coefficients(20)
+    assert specfn.qapprox_coefficients(20) is a
+    for table in (a, specfn._ln_factorial_array(30), specfn.ln_gamma_half_grid(30)):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+        with pytest.raises(ValueError):
+            table += 1.0
+
+
+def test_grid_never_shrinks_under_concurrent_growth():
+    """Workers grow a fresh table to nearby lengths at once.  A lost update
+    would let a shorter table replace a longer one already handed out."""
+    sizes = [400 + 25 * i for i in range(8)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            grid = specfn._Grid(lambda j: float(j))  # Python bytecode: threads switch mid-growth
+            start = threading.Barrier(len(sizes))
+
+            def grow(n: int) -> bool:
+                start.wait(timeout=10)
+                table = grid.upto(n)
+                return len(table) > n and table[n] == n
+
+            with ThreadPoolExecutor(max_workers=len(sizes)) as pool:
+                assert all(pool.map(grow, sizes, timeout=60))
+            table = grid.upto(0)
+            assert len(table) > max(sizes)
+            assert np.array_equal(table, np.arange(len(table)))
+    finally:
+        sys.setswitchinterval(old)
 
 
 # ---------------------------------------------------------------------------
