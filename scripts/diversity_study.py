@@ -9,7 +9,6 @@ Usage: python scripts/diversity_study.py
 import sys
 
 from relaysel.channel import SystemConfig
-from relaysel.cli import CLI_CTRL
 from relaysel.diversity import asymptotic_checks
 
 snrs = list(range(25, 47, 3))
@@ -25,7 +24,7 @@ failed = False
 for name, kw in cases:
     base = SystemConfig.symmetric(power=1.0, **kw)
     family = [base.with_power(10 ** (s / 10.0)) for s in snrs]
-    rep = asymptotic_checks(family, CLI_CTRL)
+    rep = asymptotic_checks(family)
     status = "ok" if rep["passed"] else "MISMATCH"
     failed = failed or not rep["passed"]
     print(f"{name:28s} scenario={rep['scenario']:24s} "

@@ -9,7 +9,6 @@ from .analytic import (
     aser_conditional_pdf,
     aser_total,
     capacity_lb_avg,
-    cdf_current_given_old,
     cdf_max_others,
     outage_conditional,
     outage_conditional_quadrature,
@@ -47,7 +46,6 @@ __all__ = [
     "aser_total",
     "asymptotic_checks",
     "capacity_lb_avg",
-    "cdf_current_given_old",
     "cdf_max_others",
     "derive_link_params",
     "doppler_correlation",

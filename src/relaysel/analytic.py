@@ -55,6 +55,9 @@ from .specfn import SeriesControl, SeriesError
 
 LN2 = math.log(2.0)
 CONDITION_FLAG = 1e12
+# cap on one candidate's 2^(M-1) x K float64 series rows on the general
+# path; the largest real sweeps need under 1 MB
+ROWS_MAX_BYTES = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -130,31 +133,8 @@ def _check_subset(config: SystemConfig, D: DecodingSet) -> None:
 
 
 # ---------------------------------------------------------------------------
-# conditional current-given-old CDF and the max-of-others CDF
+# the max-of-others CDF
 # ---------------------------------------------------------------------------
-
-def cdf_current_given_old(
-    x: float, gamma_old: float, link: LinkParams, ctrl: SeriesControl = SeriesControl()
-) -> float:
-    """CDF of the current SNR given the old one: Poisson mixture
-    sum_k w_k(c g / 2) * P(k+1, q x) with q = lam / (1 - rho_f^2).
-
-    Equals 1 - MarcumQ1(sqrt(c g), sqrt(2 q x)); rho_f = 1 degenerates to a
-    step at gamma_old.
-    """
-    if x < 0.0 or gamma_old < 0.0:
-        raise ValueError("x and gamma_old must be nonnegative")
-    if link.degenerate:
-        return 1.0 if gamma_old <= x else 0.0
-    if x == 0.0:
-        return 0.0
-    q = link.q
-    if gamma_old == 0.0:
-        return float(specfn.lower_gamma_ratio_table(0, q * x)[0])
-    k_lo, w = specfn.poisson_weight_window(0.5 * link.c * gamma_old, ctrl.abs_tol, ctrl.k_max)
-    g_table = specfn.lower_gamma_ratio_table(k_lo + len(w) - 1, q * x)
-    return float(w @ g_table[k_lo:])
-
 
 def cdf_max_others(
     x: float, D: DecodingSet, excluded: int, links: list[LinkParams]
@@ -347,8 +327,15 @@ def _total_general(
     call per relay.  empty_term defaults to empty * prod_i fail_i."""
     rel = config.relay_params()
     tables = _link_tables(rel, metric.table)
-    p, fail = zip(*map(metric.decode, config.source_params()))
     M = len(rel)
+    longest = max((len(t) for t in tables if t is not None), default=1)
+    need = (1 << (M - 1)) * longest * 8
+    if need > ROWS_MAX_BYTES:
+        raise SeriesError(
+            f"the general path at M = {M} needs {need:.3g} bytes for 2^{M - 1} subset "
+            f"rows of {longest} series terms, above the cap of {ROWS_MAX_BYTES} bytes"
+        )
+    p, fail = zip(*map(metric.decode, config.source_params()))
     diag = _Diag()
     total = metric.empty * math.prod(fail) if empty_term is None else empty_term
     for m in range(M):

@@ -50,7 +50,18 @@ class FadingParams:
 
     @property
     def sigma2_hat(self) -> float:
+        """Variance of the estimate h_hat."""
         return self.sigma2_h / self.rho_e
+
+    @property
+    def sigma2_u(self) -> float:
+        """Variance of the residual u in h = rho_e h_hat + u."""
+        return (1.0 - self.rho_e) * self.sigma2_h
+
+    @property
+    def sigma2_e(self) -> float:
+        """Estimation-error variance (1 - rho_e) sigma2_hat."""
+        return (1.0 - self.rho_e) * self.sigma2_hat
 
 
 @dataclass(frozen=True)
@@ -59,16 +70,14 @@ class LinkParams:
 
     lam is the exponential rate of the effective SNR, c the noncentrality
     coupling of current-given-old (+inf when rho_f = 1), theta the
-    conditional scale ((1 - rho_f^2) / (2 lam), 0 when rho_f = 1).
+    conditional scale ((1 - rho_f^2) / (2 lam), 0 when rho_f = 1).  Kernel
+    tables depend on these four fields alone; what does not depend on the
+    power (rho_e and the variances) is read from FadingParams.
     """
 
     lam: float
     c: float
     theta: float
-    sigma2_hat: float
-    sigma2_u: float
-    sigma2_e: float
-    rho_e: float
     rho_f: float
 
     @property
@@ -93,17 +102,7 @@ def derive_link_params(fp: FadingParams, power: float, convention: str = "derive
     two coincide when rho_e * sigma2_hat = 1 (in particular for perfect CSI
     with unit estimate variance).
     """
-    lam, c, theta = _link_constants(fp, power, convention)
-    return LinkParams(
-        lam=lam,
-        c=c,
-        theta=theta,
-        sigma2_hat=fp.sigma2_hat,
-        sigma2_u=(1.0 - fp.rho_e) * fp.sigma2_h,
-        sigma2_e=(1.0 - fp.rho_e) * fp.sigma2_hat,
-        rho_e=fp.rho_e,
-        rho_f=fp.rho_f,
-    )
+    return LinkParams(*_link_constants(fp, power, convention), rho_f=fp.rho_f)
 
 
 def _link_constants(fp: FadingParams, power: float, convention: str) -> tuple[float, float, float]:
@@ -114,9 +113,8 @@ def _link_constants(fp: FadingParams, power: float, convention: str) -> tuple[fl
         raise ValueError("power must be > 0")
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown lambda convention {convention!r}")
-    sigma2_u = (1.0 - fp.rho_e) * fp.sigma2_h
     scale = fp.rho_e if convention == "paper" else fp.rho_e**2 * fp.sigma2_hat
-    lam = (1.0 + power * sigma2_u) / scale if scale > 0.0 else math.inf
+    lam = (1.0 + power * fp.sigma2_u) / scale if scale > 0.0 else math.inf
     if fp.rho_f == 1.0:
         c, theta = math.inf, 0.0
     else:

@@ -51,14 +51,11 @@ import click
 from . import analytic, montecarlo
 from .channel import CONVENTIONS, FadingParams, SystemConfig
 from .diversity import SweepCurve, effective_diversity
-from .specfn import SeriesControl, SeriesError
+from .specfn import SeriesError
 
 METRICS = ("outage", "aser", "capacity", "diversity")
 MODES = ("analytic", "mc", "both")
 
-# headroom over the SeriesControl default so figure presets near rho_f = 1
-# converge; tolerance stays at the default
-CLI_CTRL = SeriesControl(abs_tol=1e-12, k_max=65536)
 # far above any real sweep: a grid with more points is a mistyped STEP
 _GRID_MAX_POINTS = 100_000
 
@@ -264,10 +261,13 @@ class SweepSpec:
             raise ConfigError("trials: must be >= 1 when Monte Carlo runs")
 
 
+# lambdas, so that each call looks the function up on the module: a tracer
+# or a test that replaces analytic.* at run time is seen, where a reference
+# captured at import would keep calling the original
 _ANALYTIC = {
-    "outage": lambda cfg, ctrl: analytic.outage_total(cfg, ctrl),
-    "aser": lambda cfg, ctrl: analytic.aser_total(cfg, ctrl),
-    "capacity": lambda cfg, ctrl: analytic.capacity_lb_avg(cfg, ctrl),
+    "outage": lambda cfg: analytic.outage_total(cfg),
+    "aser": lambda cfg: analytic.aser_total(cfg),
+    "capacity": lambda cfg: analytic.capacity_lb_avg(cfg),
 }
 
 _SIMULATE = {
@@ -292,19 +292,28 @@ def _row_seed(seed: int, index: int) -> int:
     return (seed * 1_000_003 + index) % (1 << 63)
 
 
-def run_sweep(spec: SweepSpec, ctrl: SeriesControl = CLI_CTRL) -> list[MetricPoint]:
+def _z_score(value: float, est: montecarlo.McEstimate) -> float:
+    """|value - MC mean| in standard errors.  A zero standard error gives 0
+    only when the two agree exactly, and inf otherwise."""
+    diff = abs(value - est.mean)
+    if est.std_error > 0:
+        return diff / est.std_error
+    return 0.0 if diff == 0.0 else math.inf
+
+
+def run_sweep(spec: SweepSpec) -> list[MetricPoint]:
     """One row per grid point; `both` mode adds MC columns and a z-score.
     Numerical failures are surfaced per row (value left empty) rather than
     aborting the whole sweep."""
     if spec.metric == "diversity":
-        return _diversity_rows_from_config(spec, ctrl)
+        return _diversity_rows_from_config(spec)
     rows = []
     for i, snr in enumerate(spec.snr_db):
         cfg = spec.config.with_power(_linear_power(snr))
         value = terms = cond = None
         if spec.mode in ("analytic", "both"):
             try:
-                res = _ANALYTIC[spec.metric](cfg, ctrl)
+                res = _ANALYTIC[spec.metric](cfg)
                 value, terms, cond = res.value, res.series_terms_used, res.condition_estimate
             except SeriesError as e:
                 click.echo(f"warning: snr {snr} dB: {e}", err=True)
@@ -313,8 +322,7 @@ def run_sweep(spec: SweepSpec, ctrl: SeriesControl = CLI_CTRL) -> list[MetricPoi
             est = _SIMULATE[spec.metric](cfg, spec.trials, _row_seed(spec.seed, i))
             mean, stderr = est.mean, est.std_error
             if value is not None:
-                diff = abs(value - mean)
-                z = diff / stderr if stderr > 0 else (0.0 if diff < 1e-15 else math.inf)
+                z = _z_score(value, est)
         rows.append(
             MetricPoint(
                 snr_db=snr, metric=spec.metric, mode=spec.mode, value=value,
@@ -325,9 +333,9 @@ def run_sweep(spec: SweepSpec, ctrl: SeriesControl = CLI_CTRL) -> list[MetricPoi
     return rows
 
 
-def _diversity_rows_from_config(spec: SweepSpec, ctrl: SeriesControl) -> list[MetricPoint]:
+def _diversity_rows_from_config(spec: SweepSpec) -> list[MetricPoint]:
     aser_spec = replace(spec, metric="aser", mode="analytic")
-    base = run_sweep(aser_spec, ctrl)
+    base = run_sweep(aser_spec)
     failed = [r.snr_db for r in base if r.value is None]
     if failed:
         raise SeriesError(f"diversity: the ASER series failed at snr_db {failed}, so no slope")
@@ -480,7 +488,7 @@ def _figure_presets() -> dict[int, dict]:
     }
 
 
-def reproduce_figure(fig_id: int, output_path: str, ctrl: SeriesControl = CLI_CTRL) -> list[MetricPoint]:
+def reproduce_figure(fig_id: int, output_path: str) -> list[MetricPoint]:
     """Emit the analytic CSV behind one of the nine reference figures.
 
     Presets follow the source experiment set-up: BPSK (alpha=1, beta=2),
@@ -498,7 +506,7 @@ def reproduce_figure(fig_id: int, output_path: str, ctrl: SeriesControl = CLI_CT
             metric=preset["metric"], snr_db=preset["snr"], mode="analytic",
             trials=0, seed=0, config=cfg, label=label,
         )
-        rows.extend(run_sweep(spec, ctrl))
+        rows.extend(run_sweep(spec))
     write_csv(rows, output_path)
     return rows
 
@@ -507,12 +515,7 @@ def reproduce_figure(fig_id: int, output_path: str, ctrl: SeriesControl = CLI_CT
 # cross-oracle validation
 # ---------------------------------------------------------------------------
 
-def validate(
-    config: SystemConfig,
-    trials: int,
-    seed: int,
-    ctrl: SeriesControl = CLI_CTRL,
-) -> tuple[bool, list[str]]:
+def validate(config: SystemConfig, trials: int, seed: int) -> tuple[bool, list[str]]:
     """Run the cross-oracle suite; returns (all_passed, report lines).
 
     Checks: decoding-set partition of unity, series vs quadrature for every
@@ -537,7 +540,7 @@ def validate(
     full = analytic.DecodingSet(tuple(range(config.M)))
     worst = 0.0
     for m in full:
-        series = analytic.outage_conditional(full, m, config, ctrl)
+        series = analytic.outage_conditional(full, m, config)
         quad = analytic.outage_conditional_quadrature(full, m, config)
         worst = max(worst, abs(series - quad) / max(abs(quad), 1e-300))
     check("series-vs-quadrature", worst < 1e-8, f"max rel diff = {worst:.3g} (tol 1e-8)")
@@ -549,8 +552,8 @@ def validate(
             "capacity": (analytic.capacity_lb_avg_general, analytic.capacity_lb_avg_symmetric),
         }
         for name, (gen, sym) in pairs.items():
-            g = gen(config, ctrl).value
-            s = sym(config, ctrl).value
+            g = gen(config).value
+            s = sym(config).value
             rel = abs(g - s) / max(abs(s), 1e-300)
             check(f"symmetric-vs-general[{name}]", rel < 1e-10, f"rel diff = {rel:.3g} (tol 1e-10)")
 
@@ -562,18 +565,17 @@ def validate(
         for D in analytic.all_decoding_sets(config.M):
             w = analytic.prob_decoding_set(config, D)
             direct += w * (1.0 if not D.members else (-math.expm1(-lam * r_o)) ** len(D))
-        got = analytic.outage_total(config, ctrl).value
+        got = analytic.outage_total(config).value
         rel = abs(got - direct) / max(abs(direct), 1e-300)
         check("degenerate-order-statistics", rel < 1e-10, f"rel diff = {rel:.3g} (tol 1e-10)")
 
     z_tol = 4.0  # validate() runs at arbitrary trial counts; keep false alarms rare
     try:
         for name, sim in _SIMULATE.items():
-            value = _ANALYTIC[name](config, ctrl).value
+            value = _ANALYTIC[name](config).value
             # the first metric runs one pass for all three; the others read it
             est = sim(config, trials, seed, shared=True)
-            diff = abs(value - est.mean)
-            z = diff / est.std_error if est.std_error > 0 else (0.0 if diff < 1e-15 else math.inf)
+            z = _z_score(value, est)
             check(f"analytic-vs-mc[{name}]", z < z_tol, f"z = {z:.2f} (tol {z_tol})")
     finally:
         montecarlo.clear_shared_pass()
@@ -695,11 +697,11 @@ def info(config_path):
     with _exit_codes():
         config = load_config_file(config_path)
 
-    def link_doc(lp):
+    def link_doc(fp, lp):
         return {
             "lam": lp.lam, "c": lp.c, "theta": lp.theta,
-            "sigma2_hat": lp.sigma2_hat, "sigma2_u": lp.sigma2_u,
-            "sigma2_e": lp.sigma2_e, "rho_e": lp.rho_e, "rho_f": lp.rho_f,
+            "sigma2_hat": fp.sigma2_hat, "sigma2_u": fp.sigma2_u,
+            "sigma2_e": fp.sigma2_e, "rho_e": fp.rho_e, "rho_f": lp.rho_f,
         }
     out = {
         "M": config.M,
@@ -710,8 +712,8 @@ def info(config_path):
         "alpha": config.alpha,
         "beta": config.beta,
         "lambda_convention": config.lambda_convention,
-        "source_links": [link_doc(lp) for lp in config.source_params()],
-        "relay_links": [link_doc(lp) for lp in config.relay_params()],
+        "source_links": list(map(link_doc, config.source_links, config.source_params())),
+        "relay_links": list(map(link_doc, config.relay_links, config.relay_params())),
     }
     click.echo(json.dumps(out, indent=2))
 

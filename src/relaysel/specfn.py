@@ -33,11 +33,12 @@ class SeriesError(RuntimeError):
 class SeriesControl:
     """Truncation policy for the infinite sums over the Poisson index k.
 
-    abs_tol is an absolute tail bound; k_max is a hard cap on the index.
+    abs_tol is an absolute tail bound; k_max is a hard cap on the index,
+    which only decides whether a series raises SeriesError, never its value.
     """
 
     abs_tol: float = 1e-12
-    k_max: int = 512
+    k_max: int = 65536
 
     def __post_init__(self):
         if not self.abs_tol > 0.0:

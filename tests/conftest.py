@@ -4,8 +4,9 @@ import pytest
 from relaysel.channel import FadingParams, SystemConfig
 from relaysel.specfn import SeriesControl
 
-# roomy cap so tests near rho_f -> 1 converge; tolerance is the default
-CTRL = SeriesControl(abs_tol=1e-12, k_max=65536)
+# the one series policy: the library default, which the CLI uses as well.
+# Tests that take a ctrl argument pass it explicitly
+CTRL = SeriesControl()
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ import pytest
 
 from relaysel import analytic as an
 from relaysel import channel as ch
-from relaysel.specfn import SeriesControl, SeriesError, marcum_q1
+from relaysel.specfn import SeriesControl, SeriesError
 
 from conftest import CTRL, mixed_asym_config, sym_config
 
@@ -76,51 +76,8 @@ def test_two_relay_single_member_probability():
 
 
 # ---------------------------------------------------------------------------
-# conditional CDFs
+# the max-of-others CDF
 # ---------------------------------------------------------------------------
-
-def test_cdf_current_given_old_at_zero():
-    lp = sym_config(M=1, rho_f=0.9).relay_params()[0]
-    assert an.cdf_current_given_old(0.0, 1.3, lp, CTRL) == 0.0
-
-
-def test_cdf_current_given_old_central_case():
-    lp = sym_config(M=1, rho_f=0.9).relay_params()[0]
-    for x in (0.1, 0.7, 2.0):
-        expect = -math.expm1(-lp.q * x)
-        assert an.cdf_current_given_old(x, 0.0, lp, CTRL) == pytest.approx(expect, rel=1e-12)
-
-
-def test_cdf_current_given_old_matches_marcum():
-    lp = sym_config(M=1, power=10.0, rho_f=0.9).relay_params()[0]
-    assert lp.lam == 1.0
-    val = an.cdf_current_given_old(0.3, 1.0, lp, CTRL)
-    oracle = 1.0 - marcum_q1(math.sqrt(lp.c * 1.0), math.sqrt(2.0 * lp.q * 0.3))
-    assert val == pytest.approx(oracle, abs=1e-9)
-
-
-def test_cdf_current_given_old_is_a_cdf():
-    lp = sym_config(M=1, rho_f=0.8).relay_params()[0]
-    xs = np.linspace(0.0, 30.0, 120)
-    vals = [an.cdf_current_given_old(float(x), 0.9, lp, CTRL) for x in xs]
-    assert vals[0] == 0.0
-    assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-    assert vals[-1] == pytest.approx(1.0, abs=1e-9)
-    assert all(-1e-9 <= v <= 1.0 + 1e-9 for v in vals)
-
-
-def test_cdf_current_given_old_degenerate_step():
-    lp = sym_config(M=1, rho_f=1.0).relay_params()[0]
-    assert an.cdf_current_given_old(0.5, 0.4, lp, CTRL) == 1.0
-    assert an.cdf_current_given_old(0.5, 0.6, lp, CTRL) == 0.0
-
-
-def test_cdf_series_flags_nonconvergence():
-    lp = sym_config(M=1, rho_f=0.999).relay_params()[0]
-    tight = SeriesControl(abs_tol=1e-12, k_max=64)
-    with pytest.raises(SeriesError):
-        an.cdf_current_given_old(0.3, 5.0, lp, tight)
-
 
 def test_cdf_max_others_cases():
     cfg = sym_config(M=3, power=10.0, rho_f=1.0)
@@ -296,6 +253,24 @@ def test_outage_series_error_respects_k_max():
     cfg = sym_config(M=2, power=10.0, rho_f=0.9999)
     with pytest.raises(SeriesError):
         an.outage_total(cfg, SeriesControl(abs_tol=1e-12, k_max=512))
+
+
+@pytest.mark.parametrize("total", [an.outage_total, an.aser_total, an.capacity_lb_avg],
+                         ids=["outage", "aser", "capacity"])
+def test_general_path_refuses_rows_above_the_memory_cap(total, monkeypatch):
+    # series_terms_used is the longest kernel table, so one candidate's rows
+    # take 2^(M-1) x that many float64s; the cap admits exactly that much
+    cfg = mixed_asym_config(5, power=20.0)
+    res = total(cfg)
+    need = (1 << 4) * res.series_terms_used * 8
+    monkeypatch.setattr(an, "ROWS_MAX_BYTES", need)
+    assert total(cfg) == res
+    monkeypatch.setattr(an, "ROWS_MAX_BYTES", need - 1)
+    with pytest.raises(SeriesError, match="general path at M = 5"):
+        total(cfg)
+    # the symmetric path holds M rows, not 2^(M-1), and has no such cap
+    monkeypatch.setattr(an, "ROWS_MAX_BYTES", 0)
+    assert total(sym_config(M=5, power=20.0)).value > 0.0
 
 
 def test_metric_result_diagnostics_populated():

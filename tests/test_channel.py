@@ -29,11 +29,11 @@ def test_fading_params_validation():
 
 def test_perfect_csi_collapses_conventions():
     fp = ch.FadingParams(sigma2_h=1.0, rho_e=1.0, rho_f=0.7)
+    assert fp.sigma2_u == 0.0
+    assert fp.sigma2_e == 0.0
+    assert fp.sigma2_hat == 1.0
     for conv in ("paper", "derived"):
-        lp = ch.derive_link_params(fp, 25.0, conv)
-        assert lp.sigma2_u == 0.0
-        assert lp.sigma2_hat == 1.0
-        assert lp.lam == 1.0
+        assert ch.derive_link_params(fp, 25.0, conv).lam == 1.0
 
 
 def test_convention_values_and_ratio():
@@ -41,8 +41,8 @@ def test_convention_values_and_ratio():
     fp = ch.FadingParams(sigma2_h=0.9, rho_e=0.9, rho_f=0.9)
     paper = ch.derive_link_params(fp, 10.0, "paper")
     derived = ch.derive_link_params(fp, 10.0, "derived")
-    assert paper.sigma2_u == pytest.approx(0.09, rel=1e-14)
-    assert paper.sigma2_e == pytest.approx(0.1, rel=1e-14)
+    assert fp.sigma2_u == pytest.approx(0.09, rel=1e-14)
+    assert fp.sigma2_e == pytest.approx(0.1, rel=1e-14)
     assert paper.lam == pytest.approx((1.0 + 10.0 * 0.09) / 0.9, rel=1e-14)
     assert derived.lam == pytest.approx((1.0 + 10.0 * 0.09) / (0.81 * 1.0), rel=1e-14)
     # nominal rate over self-consistent rate = rho_e * sigma2_hat
@@ -52,11 +52,16 @@ def test_convention_values_and_ratio():
 def test_link_invariants():
     fp = ch.FadingParams(sigma2_h=0.8, rho_e=0.8, rho_f=0.6)
     lp = ch.derive_link_params(fp, 4.0, "derived")
-    assert lp.sigma2_u == pytest.approx((1.0 - 0.8) * 0.8, rel=1e-14)
-    assert lp.sigma2_e == pytest.approx((1.0 - 0.8) * 1.0, rel=1e-14)
+    assert fp.sigma2_u == pytest.approx((1.0 - 0.8) * 0.8, rel=1e-14)
+    assert fp.sigma2_e == pytest.approx((1.0 - 0.8) * 1.0, rel=1e-14)
     assert 2.0 * lp.theta * lp.lam == pytest.approx(1.0 - 0.36, rel=1e-12)
     assert lp.c == pytest.approx(2.0 * 0.36 * lp.lam / (1.0 - 0.36), rel=1e-12)
     assert lp.q == pytest.approx(lp.lam / (1.0 - 0.36), rel=1e-12)
+
+
+def test_link_params_hold_only_power_dependent_constants():
+    # the variances depend on the link alone and stay on FadingParams
+    assert [f.name for f in dataclasses.fields(ch.LinkParams)] == ["lam", "c", "theta", "rho_f"]
 
 
 def test_degenerate_feedback_sentinels():
@@ -77,13 +82,12 @@ def test_degenerate_feedback_sentinels():
 def test_scale_consistency(sigma2_h, rho_e, rho_f, power):
     fp1 = ch.FadingParams(sigma2_h=sigma2_h, rho_e=rho_e, rho_f=rho_f)
     fp2 = ch.FadingParams(sigma2_h=2.0 * sigma2_h, rho_e=rho_e, rho_f=rho_f)
-    lp1 = ch.derive_link_params(fp1, power)
-    lp2 = ch.derive_link_params(fp2, power)
-    assert lp2.sigma2_u == pytest.approx(2.0 * lp1.sigma2_u, rel=1e-12)
-    assert lp2.sigma2_hat == pytest.approx(2.0 * lp1.sigma2_hat, rel=1e-12)
+    assert fp2.sigma2_u == pytest.approx(2.0 * fp1.sigma2_u, rel=1e-12)
+    assert fp2.sigma2_e == pytest.approx(2.0 * fp1.sigma2_e, rel=1e-12)
+    assert fp2.sigma2_hat == pytest.approx(2.0 * fp1.sigma2_hat, rel=1e-12)
     # determinism
-    again = ch.derive_link_params(fp1, power)
-    assert again == lp1
+    lp1 = ch.derive_link_params(fp1, power)
+    assert ch.derive_link_params(fp1, power) == lp1
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from relaysel import cli, montecarlo
-from relaysel.channel import FadingParams
+from relaysel import analytic, cli, montecarlo
+from relaysel.channel import FadingParams, SystemConfig
+from relaysel.diversity import aser_sweep
 from relaysel.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -184,6 +185,46 @@ def test_run_sweep_both_mode_has_z_scores():
     for r in rows:
         assert r.value is not None and r.mc_mean is not None
         assert r.z_score is not None and r.z_score < 5.0
+
+
+def test_z_score_of_a_zero_standard_error():
+    # every trial scored the same: only an exact match has z = 0
+    est = montecarlo.McEstimate(0.0, 0.0, 20_000, 1)
+    assert cli._z_score(0.0, est) == 0.0
+    assert cli._z_score(1e-300, est) == math.inf
+    assert cli._z_score(0.5, montecarlo.McEstimate(0.25, 0.125, 20_000, 1)) == 2.0
+
+
+def test_cli_sweep_z_score_flags_a_value_no_trial_can_see(tmp_path):
+    # the series gives 1.42e-16 for an outage of 1.64e-18; no trial of
+    # 20000 is in outage, so the MC standard error is 0 and the row's
+    # z-score must not read as agreement
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"M": 8, "rho_f": 1.0}))
+    cp = run_cli(
+        "sweep", "--config", str(path), "--metric", "outage", "--snr-db", "30",
+        "--mode", "both", "--trials", "20000",
+    )
+    assert cp.returncode == 0, cp.stderr
+    row = cp.stdout.splitlines()[1].split(",")
+    assert float(row[3]) > 0.0 and row[4:7] == ["0.0", "0.0", "inf"]
+
+
+def test_library_default_series_policy_is_the_cli_policy():
+    # rho_f = 0.99 needs 1539 series terms; the library default, the
+    # diversity sweep and the CLI sweep evaluate it alike
+    cfg = SystemConfig.symmetric(M=3, power=100.0, rho_f=0.99)
+    res = analytic.aser_total(cfg)
+    assert res.value == 1.1177713823089605e-05 and res.series_terms_used == 1539
+    grid = (20.0, 30.0)
+    curve = aser_sweep(cfg, grid)
+    spec = SweepSpec(metric="aser", snr_db=grid, mode="analytic", trials=0, seed=0, config=cfg)
+    rows = run_sweep(spec)
+    assert curve.points[0] == (20.0, res.value)
+    assert [(r.snr_db, r.value) for r in rows] == list(curve.points)
+    assert (rows[0].series_terms, rows[0].condition_estimate) == (
+        res.series_terms_used, res.condition_estimate
+    )
 
 
 def test_render_csv_schema():
@@ -381,6 +422,42 @@ def test_cli_info_reports_link_params(config_file):
     assert doc["relay_links"][0]["lam"] == pytest.approx(1.0)
 
 
+def test_cli_info_asymmetric_imperfect_estimation(tmp_path):
+    # per-link variances come from the fading parameters, the rest from the
+    # links derived at the config's power; rho_f = 1 prints c as Infinity
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({
+        "M": 2, "power_db": 12.0, "rate": 1.5, "lambda_convention": "paper",
+        "source_links": [{"sigma2_h": 0.8, "rho_e": 0.9, "rho_f": 0.7},
+                         {"sigma2_h": 1.3, "rho_e": 0.95, "rho_f": 0.85}],
+        "relay_links": [{"sigma2_h": 0.6, "rho_e": 0.85, "rho_f": 1.0},
+                        {"sigma2_h": 1.1, "rho_e": 0.99, "rho_f": 0.6}],
+    }))
+    want = {
+        "M": 2, "power": 15.848931924611133, "snr_db": 12.0, "rate": 1.5,
+        "r_o": 0.44167014113613534, "alpha": 1.0, "beta": 2.0, "lambda_convention": "paper",
+        "source_links": [
+            {"lam": 2.519905059965434, "c": 4.842170507384559, "theta": 0.10119428864653253,
+             "sigma2_hat": 0.888888888888889, "sigma2_u": 0.07999999999999999,
+             "sigma2_e": 0.08888888888888888, "rho_e": 0.9, "rho_f": 0.7},
+            {"lam": 2.1370321843155, "c": 11.127969392201427, "theta": 0.06492649058743223,
+             "sigma2_hat": 1.368421052631579, "sigma2_u": 0.06500000000000006,
+             "sigma2_e": 0.06842105263157901, "rho_e": 0.95, "rho_f": 0.85},
+        ],
+        "relay_links": [
+            {"lam": 2.8545927920176495, "c": math.inf, "theta": 0.0,
+             "sigma2_hat": 0.7058823529411765, "sigma2_u": 0.09000000000000001,
+             "sigma2_e": 0.1058823529411765, "rho_e": 0.85, "rho_f": 1.0},
+            {"lam": 1.1862002537078005, "c": 1.3344752854212754, "theta": 0.2697689525859993,
+             "sigma2_hat": 1.1111111111111112, "sigma2_u": 0.011000000000000012,
+             "sigma2_e": 0.011111111111111122, "rho_e": 0.99, "rho_f": 0.6},
+        ],
+    }
+    cp = run_cli("info", "--config", str(path))
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == json.dumps(want, indent=2) + "\n"
+
+
 def test_cli_validate_passes_default(config_file):
     cp = run_cli("validate", "--config", config_file, "--trials", "60000")
     assert cp.returncode == 0, cp.stdout + cp.stderr
@@ -403,7 +480,7 @@ def test_validate_detects_corrupted_lambda(monkeypatch):
         FadingParams(fp.sigma2_h / 2.0, fp.rho_e, fp.rho_f) for fp in cfg.relay_links
     ))
     monkeypatch.setattr(cli, "_ANALYTIC", {
-        name: (lambda _cfg, ctrl, f=f: f(corrupted, ctrl)) for name, f in cli._ANALYTIC.items()
+        name: (lambda _cfg, f=f: f(corrupted)) for name, f in cli._ANALYTIC.items()
     })
     ok, report = validate(cfg, 60_000, 42)
     assert not ok

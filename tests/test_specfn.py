@@ -511,7 +511,7 @@ def test_series_control_validation():
     with pytest.raises(ValueError):
         specfn.SeriesControl(k_max=0)
     ctrl = specfn.SeriesControl()
-    assert ctrl.abs_tol == 1e-12 and ctrl.k_max == 512
+    assert ctrl.abs_tol == 1e-12 and ctrl.k_max == 65536
 
 
 def test_poisson_window_raises_past_cap():
