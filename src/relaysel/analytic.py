@@ -136,20 +136,19 @@ def _check_subset(config: SystemConfig, D: DecodingSet) -> None:
 # the max-of-others CDF
 # ---------------------------------------------------------------------------
 
-def cdf_max_others(
-    x: float, D: DecodingSet, excluded: int, links: list[LinkParams]
-) -> float:
+def cdf_max_others(x, D: DecodingSet, excluded: int, links: list[LinkParams]):
     """CDF of max of the other members' old SNRs, product form
-    prod_{i in D, i != excluded} (1 - exp(-lam_i x))."""
+    prod_{i in D, i != excluded} (1 - exp(-lam_i x)), 0 for x < 0.  An
+    array x gives an array, a scalar a float."""
     if excluded not in D:
         raise ValueError("excluded index must belong to the decoding set")
-    if x < 0.0:
-        return 0.0
-    p = 1.0
+    x = np.asarray(x, dtype=float)
+    p = np.where(x < 0.0, 0.0, 1.0)
+    x = np.maximum(x, 0.0)
     for i in D:
         if i != excluded:
-            p *= -math.expm1(-links[i].lam * x)
-    return p
+            p = p * -np.expm1(-links[i].lam * x)
+    return float(p) if p.ndim == 0 else p
 
 
 # ---------------------------------------------------------------------------
@@ -416,12 +415,78 @@ def outage_conditional(
     return _candidate(metric, link, metric.table(link), coeffs, lam_extra, _Diag())
 
 
-def outage_conditional_quadrature(D: DecodingSet, m: int, config: SystemConfig) -> float:
-    """Independent oracle for outage_conditional: adaptive quadrature of
-    int F(R_o | g) F_max_others(g) lam e^(-lam g) dg with the inner CDF
-    evaluated through the Marcum Q function."""
-    from scipy import integrate  # only this oracle needs scipy's quadrature
+# Gauss-Kronrod G7-K15 on [-1, 1] as QUADPACK's qk15 lists it: the Kronrod
+# nodes from 1 down to the centre, their weights, and the Gauss weights of the
+# odd-indexed ones; the rule mirrors them to the 15 nodes
+_XGK = np.array([
+    0.991455371120812639, 0.949107912342758525, 0.864864423359769073, 0.741531185599394440,
+    0.586087235467691130, 0.405845151377397167, 0.207784955007898468, 0.0,
+])
+_WGK = np.array([
+    0.022935322010529225, 0.063092092629978553, 0.104790010322250184, 0.140653259715525919,
+    0.169004726639267903, 0.190350578064785410, 0.204432940075298892, 0.209482141084727828,
+])
+_WG = np.array([0.129484966168869693, 0.279705391489276668, 0.381830050505118945,
+                0.417959183673469388])
+_GK_NODES = np.concatenate((-_XGK, _XGK[-2::-1]))
+_KRONROD_WEIGHTS = np.concatenate((_WGK, _WGK[-2::-1]))
+_GAUSS_WEIGHTS = np.zeros(15)
+_GAUSS_WEIGHTS[1::2] = np.concatenate((_WG, _WG[-2::-1]))
+QUAD_RTOL = 1e-10
+# bisection rounds before the panel rule gives up: 2^-50 of a panel is far
+# below the resolution of its end points
+QUAD_ROUNDS_MAX = 50
+# open panels after which it gives up: each round bisects every panel that
+# fails, so an integrand too noisy to meet the tolerance doubles them per
+# round, and the round cap alone would not bound the memory
+QUAD_PANELS_MAX = 1 << 12
 
+
+def _panel_quadrature(f: Callable[[np.ndarray], np.ndarray], points: list[float]) -> float:
+    """int f over [points[0], points[-1]] for f >= 0, by adaptive G7-K15
+    panels that start at the given break points.  Each round evaluates f
+    once, on the nodes of every open panel.  A panel closes when |K15 - G7|
+    is within its share of QUAD_RTOL * |estimate|, half of which is shared
+    out by length and half by the panel's integral of |f|; the others are
+    bisected.  Raises SeriesError when panels are still open after
+    QUAD_ROUNDS_MAX rounds or more than QUAD_PANELS_MAX are open."""
+    lo, hi = np.array(points[:-1]), np.array(points[1:])
+    span = points[-1] - points[0]
+    closed = closed_abs = 0.0
+    for rounds in range(1, QUAD_ROUNDS_MAX + 1):
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        vals = f((mid[:, None] + half[:, None] * _GK_NODES).ravel()).reshape(len(lo), -1)
+        kronrod = half * (vals @ _KRONROD_WEIGHTS)
+        err = np.abs(kronrod - half * (vals @ _GAUSS_WEIGHTS))
+        absint = half * (np.abs(vals) @ _KRONROD_WEIGHTS)
+        estimate = closed + kronrod.sum()
+        mass = max(closed_abs + absint.sum(), np.finfo(float).tiny)
+        share = 0.5 * QUAD_RTOL * abs(estimate) * ((hi - lo) / span + absint / mass)
+        done = err <= share
+        closed += kronrod[done].sum()
+        closed_abs += absint[done].sum()
+        if done.all():
+            return float(closed)
+        lo, mid, hi = lo[~done], mid[~done], hi[~done]
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        if len(lo) > QUAD_PANELS_MAX:
+            break
+    raise SeriesError(
+        f"panel quadrature left {len(lo)} panels above tolerance after "
+        f"{rounds} rounds (caps: {QUAD_ROUNDS_MAX} rounds, {QUAD_PANELS_MAX} panels)"
+    )
+
+
+def outage_conditional_quadrature(D: DecodingSet, m: int, config: SystemConfig) -> float:
+    """Independent oracle for outage_conditional: the integral
+    int F(R_o | g) F_max_others(g) lam e^(-lam g) dg over [0, 60 / lam] by
+    an adaptive Gauss-Kronrod panel rule (`_panel_quadrature`).  The inner
+    CDF F(R_o | g) = 1 - Q1(sqrt(c g), sqrt(2 q R_o)) is `specfn.marcum_q1`'s
+    complement sum, one array call per round.  The panels start at the break
+    points 0, R_o, R_o / rho_f^2 (where F falls from 1 to 0, steeply as
+    rho_f -> 1), 1 / lam and 10 / lam; rho_f = 1 integrates
+    F_max_others(g) lam e^(-lam g) over [0, R_o] by the same rule.  Raises
+    SeriesError if the rule does not converge."""
     _check_subset(config, D)
     if m not in D:
         raise ValueError("candidate m must belong to the decoding set")
@@ -430,28 +495,23 @@ def outage_conditional_quadrature(D: DecodingSet, m: int, config: SystemConfig) 
     r_o = config.r_o
     lam = link.lam
 
-    def chi(g: float) -> float:
-        return cdf_max_others(g, D, m, rel)
+    def density(g: np.ndarray) -> np.ndarray:
+        return cdf_max_others(g, D, m, rel) * lam * np.exp(-lam * g)
 
     if link.degenerate:
-        val, _ = integrate.quad(
-            lambda g: chi(g) * lam * math.exp(-lam * g), 0.0, r_o,
-            limit=200, epsabs=0.0, epsrel=1e-10,
-        )
-        return val
+        return _panel_quadrature(density, [0.0, r_o])
 
     root_2qro = math.sqrt(2.0 * link.q * r_o)
 
-    def integrand(g: float) -> float:
-        inner = 1.0 - specfn.marcum_q1(math.sqrt(link.c * g), root_2qro)
-        return inner * chi(g) * lam * math.exp(-lam * g)
+    def integrand(g: np.ndarray) -> np.ndarray:
+        inner = specfn.marcum_q1(np.sqrt(link.c * g), root_2qro, complement=True)
+        return inner * density(g)
 
     upper = 60.0 / lam
-    val, _ = integrate.quad(
-        integrand, 0.0, upper, limit=400, points=[r_o, 1.0 / lam, 10.0 / lam],
-        epsabs=0.0, epsrel=1e-10,
-    )
-    return val
+    breaks = {0.0, r_o, 1.0 / lam, 10.0 / lam, upper}
+    if link.rho_f > 0.0:
+        breaks.add(r_o / link.rho_f**2)
+    return _panel_quadrature(integrand, sorted(b for b in breaks if b <= upper))
 
 
 def outage_total_general(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) -> MetricResult:

@@ -167,6 +167,14 @@ def _ln_factorial_array(n: int) -> np.ndarray:
     return _LOGFACT.upto(n)[: n + 1]
 
 
+def _poisson_span(mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index window [lo, hi] = mean -/+ (10 sqrt(mean) + 45), outside which
+    Poisson(mean) keeps under ~1e-20 of its mass, as int64 arrays."""
+    spread = np.ceil(10.0 * np.sqrt(mean) + 45.0)
+    centre = np.floor(mean)
+    return np.maximum(centre - spread, 0.0).astype(np.int64), (centre + spread).astype(np.int64)
+
+
 def poisson_weight_window(lam: float, tol: float, k_cap: int) -> tuple[int, np.ndarray]:
     """Poisson(lam) pmf restricted to k where the weight exceeds tol.
 
@@ -178,20 +186,18 @@ def poisson_weight_window(lam: float, tol: float, k_cap: int) -> tuple[int, np.n
         raise ValueError("lam must be nonnegative")
     if lam == 0.0:
         return 0, np.array([1.0])
-    spread = math.ceil(10.0 * math.sqrt(lam) + 45.0)
-    k_lo = max(0, int(lam) - spread)
-    k_hi = int(lam) + spread
+    (k_lo,), (k_hi,) = _poisson_span(np.array([lam]))
     if k_hi > k_cap:
         raise SeriesError(
             f"Poisson window for mean {lam:.3g} needs k up to {k_hi}, cap is {k_cap}"
         )
     k = np.arange(k_lo, k_hi + 1, dtype=float)
-    logw = k * math.log(lam) - lam - _ln_factorial_array(k_hi)[k_lo:]
+    logw = k * math.log(lam) - lam - _ln_factorial_array(int(k_hi))[k_lo:]
     w = np.exp(logw)
     keep = w >= tol * w.max()
     first = int(np.argmax(keep))
     last = len(keep) - 1 - int(np.argmax(keep[::-1]))
-    return k_lo + first, w[first : last + 1]
+    return int(k_lo) + first, w[first : last + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -338,29 +344,146 @@ def gaussian_q_approx(x: float, n_a: int) -> float:
     return math.exp(-0.5 * x * x) * float(a @ powers)
 
 
-def marcum_q1(a: float, b: float) -> float:
-    """First-order Marcum Q function Q1(a, b).
+# elements of the largest temporary array the Marcum Q1 kernel builds (2 MiB)
+MARCUM_CHUNK = 1 << 18
 
-    Canonical series over Poisson(a^2/2) weights times regularized upper
-    gamma tails, evaluated on a log-stable weight window so that large
-    noncentrality (a^2/2 of order 10^4) stays accurate.
+# ln k! - ((k + 1/2) ln k - k + ln(2 pi)/2) for k = 0..15 (0 at k = 0); from
+# k = 16 on, five terms of its asymptotic series are exact to double precision
+_STIRLING_ERR = np.array([0.0] + [
+    math.lgamma(k + 1.0) - ((k + 0.5) * math.log(k) - k + 0.5 * math.log(2.0 * math.pi))
+    for k in range(1, 16)
+])
+
+
+def _poisson_base(k_lo: int, k_hi: int) -> np.ndarray:
+    """B[k - k_lo] for k = k_lo..k_hi, the part of ln Pr[Poisson(mean) = k]
+    that does not depend on the mean: -ln(2 pi k)/2 - stirling_err(k), and
+    0 at k = 0.  With the deviance D = k ln(k / mean) - (k - mean),
+    ln Pr = B - D, a saddle-point form in which no large terms cancel: its
+    rounding stays near eps |k - mean|, where k ln(mean) - mean - ln k!
+    loses eps ln k!."""
+    k = np.arange(k_lo, k_hi + 1, dtype=float)
+    r = 1.0 / np.maximum(k, 16.0)
+    r2 = r * r
+    err = r * (1.0 / 12 - r2 * (1.0 / 360 - r2 * (1.0 / 1260 - r2 * (1.0 / 1680 - r2 / 1188))))
+    small = max(0, min(16, k_hi + 1) - k_lo)
+    err[:small] = _STIRLING_ERR[k_lo : k_lo + small]
+    with np.errstate(divide="ignore"):
+        base = -0.5 * np.log(2.0 * math.pi * k) - err
+    if k_lo == 0:
+        base[0] = 0.0
+    return base
+
+
+def _poisson_deviance(k: np.ndarray, mean) -> np.ndarray:
+    """D = k ln(k / mean) - (k - mean) for integer k >= 0 (mean at k = 0)."""
+    kf = k.astype(float)
+    d = kf / mean - 1.0
+    np.log1p(d, out=d, where=k > 0)  # d stays -1 at k = 0, where k * d = 0
+    d *= kf
+    kf -= mean
+    d -= kf
+    return d
+
+
+def marcum_q1(a, b, *, complement: bool = False):
+    """First-order Marcum Q function Q1(a, b), or with complement=True the
+    noncentral chi-square CDF 1 - Q1(a, b), each as its own sum of positive
+    terms, so a small value is not lost to cancellation (values far below
+    the windows' ~1e-20 cut lose relative digits: 6e-24 keeps eleven).
+
+    Q1(a, b) = Pr[Y <= N] for independent N ~ Poisson(a^2/2) and
+    Y ~ Poisson(b^2/2): sum_k Pr[N = k] Pr[Y <= k], and the complement sums
+    Pr[N = k] Pr[Y > k].  Both laws are cut to their `_poisson_span`
+    windows, and the Poisson weights are computed in the saddle-point form
+    of `_poisson_base`, so they stay accurate far beyond the underflow
+    point of exp(-a^2/2).  Where the two windows do not meet, the value is
+    0 or 1.  a and b broadcast against each other; array arguments give an
+    array, scalars a float.  The (node, k) terms are summed in whole-node
+    pieces of at most MARCUM_CHUNK, so an array call returns bit for bit
+    the values of the elementwise scalar calls.  Raises SeriesError when the
+    terms at one b span more than MARCUM_CHUNK indices (b^2/2 above ~4e7).
     """
-    if a < 0.0 or b < 0.0:
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if (a < 0.0).any() or (b < 0.0).any():
         raise ValueError("marcum_q1 requires a >= 0 and b >= 0")
-    if b == 0.0:
-        return 1.0
-    if a == 0.0:
-        return math.exp(-0.5 * b * b)
-    eta = 0.5 * a * a
-    y = 0.5 * b * b
-    k_lo, w = poisson_weight_window(eta, 1e-20, k_cap=10_000_000)
-    k_hi = k_lo + len(w) - 1
-    # u[k] = Pr[Poisson(y) <= k]: prefix sums of log-computed pmf terms
-    j = np.arange(k_hi + 1, dtype=float)
-    pmf = np.exp(j * math.log(y) - y - _ln_factorial_array(k_hi))
-    u = np.minimum(np.cumsum(pmf), 1.0)
-    val = float(w @ u[k_lo:])
-    return min(max(val, 0.0), 1.0)
+    shape = a.shape
+    eta = 0.5 * a.ravel() ** 2
+    y = 0.5 * b.ravel() ** 2
+    # a = 0 is the closed form Q1(0, b) = exp(-b^2/2); b = 0 is Q1 = 1
+    out = -np.expm1(-y) if complement else np.exp(-y)
+    out[y == 0.0] = 0.0 if complement else 1.0
+    k_lo, k_hi = _poisson_span(eta)
+    j_lo, j_hi = _poisson_span(y)
+    live = (eta > 0.0) & (y > 0.0)
+    above = live & (k_lo > j_hi)  # N's window lies above Y's: Q1 = 1
+    below = live & (k_hi < j_lo)  # below it: Q1 = 0
+    out[above] = 0.0 if complement else 1.0
+    out[below] = 1.0 if complement else 0.0
+    todo = np.flatnonzero(live & ~above & ~below)
+    for yv in np.unique(y[todo]):
+        nodes = todo[y[todo] == yv]
+        out[nodes] = _marcum_group(
+            eta[nodes], float(yv), k_lo[nodes], k_hi[nodes], int(j_lo[nodes[0]]),
+            int(j_hi[nodes[0]]), complement,
+        )
+    out = np.clip(out, 0.0, 1.0).reshape(shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def _marcum_group(
+    eta: np.ndarray, y: float, k_lo: np.ndarray, k_hi: np.ndarray, j_lo: int, j_hi: int,
+    complement: bool,
+) -> np.ndarray:
+    """`marcum_q1` at one y = b^2/2 for nodes whose window [k_lo, k_hi]
+    meets Y's window [j_lo, j_hi]."""
+    # the terms run over both windows, cut where the factor from Y's window
+    # vanishes: the product of the two laws can peak outside N's window
+    if complement:
+        first, last = np.minimum(k_lo, j_lo), np.minimum(k_hi, j_hi)
+    else:
+        first, last = np.maximum(k_lo, j_lo), np.maximum(k_hi, j_hi)
+    base_lo = min(j_lo, int(first.min()))
+    width = max(j_hi, int(last.max())) - base_lo + 1
+    if width > MARCUM_CHUNK:
+        raise SeriesError(
+            f"Marcum Q1 at b^2/2 = {y:.6g} spans {width} Poisson indices, above {MARCUM_CHUNK}"
+        )
+    base = _poisson_base(base_lo, base_lo + width - 1)
+    j = np.arange(j_lo, j_hi + 1)
+    pmf = np.exp(base[j - base_lo] - _poisson_deviance(j, y))
+    if complement:
+        # table[i] = Pr[Y > j_lo + i - 1]; it is 0 past j_hi
+        table = np.append(np.minimum(np.cumsum(pmf[::-1])[::-1], 1.0), 0.0)
+        shift = 1 - j_lo
+    else:
+        # table[i] = Pr[Y <= j_lo + i]; it is 0 before j_lo and 1 past j_hi
+        table = np.append(np.minimum(np.cumsum(pmf), 1.0), 1.0)
+        shift = -j_lo
+    size = last - first + 1
+    ends = np.cumsum(size)
+    starts = ends - size
+    acc = np.zeros(len(eta))
+    node = 0
+    while node < len(eta):
+        # whole nodes while they fit; a node longer than the chunk alone, in
+        # pieces from its first term, exactly as a scalar call cuts it
+        stop = max(int(np.searchsorted(ends, starts[node] + MARCUM_CHUNK, "right")), node + 1)
+        for lo in range(int(starts[node]), int(ends[stop - 1]), MARCUM_CHUNK):
+            hi = min(lo + MARCUM_CHUNK, int(ends[stop - 1]))
+            count = np.minimum(ends[node:stop], hi) - np.maximum(starts[node:stop], lo)
+            owner = np.repeat(np.arange(node, stop), count)
+            # term p of the piece is term k = first + (p - start) of its node
+            k = np.arange(lo, hi)
+            k -= np.repeat(starts[node:stop] - first[node:stop], count)
+            terms = base[k - base_lo]
+            terms -= _poisson_deviance(k, eta[owner])
+            terms = np.exp(terms, out=terms)
+            k += shift
+            terms *= table[np.clip(k, 0, len(pmf), out=k)]
+            acc += np.bincount(owner, terms, minlength=len(eta))
+        node = stop
+    return acc
 
 
 def mean_q_gamma_table(shape_max: int, c: float) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 
 from relaysel import analytic as an
 from relaysel import channel as ch
+from relaysel import specfn
 from relaysel.specfn import SeriesControl, SeriesError
 
 from conftest import CTRL, mixed_asym_config, sym_config
@@ -166,6 +167,153 @@ def test_outage_conditional_heterogeneous_vs_quadrature():
         series = an.outage_conditional(D, m, cfg, CTRL)
         quad = an.outage_conditional_quadrature(D, m, cfg)
         assert series == pytest.approx(quad, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the quadrature oracle against pinned references
+# ---------------------------------------------------------------------------
+
+ORACLE_M = {1.0: 6, 10.0: 3, 1e3: 5}  # relays per power, so M <= 6
+
+
+def oracle_config(rho_f: float, power: float) -> ch.SystemConfig:
+    """Asymmetric links (variance and rho_e differ per relay), all at rho_f."""
+    links = tuple(
+        ch.FadingParams(0.8 + 0.08 * i, 1.0 - 0.02 * i, rho_f) for i in range(ORACLE_M[power])
+    )
+    return ch.SystemConfig(M=len(links), power=power, source_links=links, relay_links=links)
+
+
+def scipy_reference(D: an.DecodingSet, m: int, cfg: ch.SystemConfig) -> float:
+    """scipy quad at epsrel 1e-12 of the same integral, the inner CDF from
+    scipy's noncentral chi-square; an IntegrationWarning is an error."""
+    import warnings
+
+    from scipy import integrate, special
+
+    rel = cfg.relay_params()
+    link, r_o = rel[m], cfg.r_o
+    lam = link.lam
+
+    def density(g: float) -> float:
+        p = lam * math.exp(-lam * g)
+        for i in D:
+            if i != m:
+                p *= -math.expm1(-rel[i].lam * g)
+        return p
+
+    x = 2.0 * link.q * r_o
+    breaks = [r_o, 1.0 / lam, 10.0 / lam] + ([r_o / link.rho_f**2] if link.rho_f > 0.0 else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val, _ = integrate.quad(
+            lambda g: special.chndtr(x, 2.0, link.c * g) * density(g), 0.0, 60.0 / lam,
+            points=sorted(b for b in breaks if b < 60.0 / lam), limit=400,
+            epsabs=0.0, epsrel=1e-12,
+        )
+    return val
+
+
+@pytest.mark.parametrize("power", sorted(ORACLE_M))
+@pytest.mark.parametrize("rho_f", [0.0, 0.5, 0.9, 0.99])
+def test_outage_quadrature_matches_scipy_reference(rho_f, power):
+    cfg = oracle_config(rho_f, power)
+    D = an.DecodingSet(tuple(range(cfg.M)))
+    for m in D:
+        want = scipy_reference(D, m, cfg)
+        assert an.outage_conditional_quadrature(D, m, cfg) == pytest.approx(want, rel=1e-10)
+
+
+# Where scipy's quadrature of the old oracle warned (rho_f >= 0.999), the
+# references are 50-digit mpmath values of the finite form the integral
+# takes: given an Exponential(a) old SNR the current SNR is Exponential with
+# mean (1 - rho_f^2) / lam + rho_f^2 / a, so the candidate term is
+#   sum_{S subset of D\{m}} (-1)^|S| (lam / a_S)
+#       (1 - exp(-R_o / ((1 - rho_f^2) / lam + rho_f^2 / a_S)))
+# with a_S = lam + sum_{i in S} lam_i, at the config's float constants.
+PINNED = [
+    (0.999, 1.0, 0, "1.1516162580555552945112840673116e-1"),
+    (0.999, 1.0, 5, "1.4830156802152383490864204363202e-1"),
+    (0.999, 10.0, 0, "1.3136841730349135589139138365753e-2"),
+    (0.999, 10.0, 2, "1.2725376787474846955545360799189e-2"),
+    (0.999, 1e3, 0, "9.2314153802704643411310280763428e-6"),
+    (0.999, 1e3, 4, "2.4889813929471965947641712016659e-7"),
+    (0.9999, 1.0, 0, "1.1513923960918510911085429861155e-1"),
+    (0.9999, 1.0, 5, "1.4826192356120810397499883319056e-1"),
+    (0.9999, 10.0, 0, "1.2895958315508965866020157906854e-2"),
+    (0.9999, 10.0, 2, "1.2528812022810799522284354368225e-2"),
+    (0.9999, 1e3, 0, "5.2727355842331261513909575841185e-7"),
+    (0.9999, 1e3, 4, "2.2158686255011434022764640022969e-7"),
+    (1.0, 1.0, 0, "1.1513675811955475277106047223578e-1"),
+    (1.0, 1.0, 5, "1.4825753078057069826334093897761e-1"),
+    (1.0, 10.0, 0, "1.2869162749452785008556963020648e-2"),
+    (1.0, 10.0, 2, "1.2506953417872647110076969173632e-2"),
+    (1.0, 1e3, 0, "2.4392102963857564341077937484855e-7"),
+    (1.0, 1e3, 4, "2.1865587580673550925817188110949e-7"),
+]
+
+
+@pytest.mark.parametrize("rho_f, power, m, want", PINNED)
+def test_outage_quadrature_matches_pinned_mpmath(rho_f, power, m, want):
+    import warnings
+
+    cfg = oracle_config(rho_f, power)
+    D = an.DecodingSet(tuple(range(cfg.M)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = an.outage_conditional_quadrature(D, m, cfg)
+    assert got == pytest.approx(float(want), rel=1e-10)
+
+
+def test_outage_quadrature_slow_fading_is_fast():
+    # rho_f = 0.99999 at P = 100: the inner CDF falls from 1 to 0 within
+    # ~10% of g = R_o / rho_f^2, on a range 2000 times longer
+    import time
+
+    links = tuple(ch.FadingParams(0.8 + 0.08 * i, 1.0 - 0.02 * i, 0.99999) for i in range(4))
+    cfg = ch.SystemConfig(M=4, power=100.0, source_links=links, relay_links=links)
+    t0 = time.perf_counter()
+    got = an.outage_conditional_quadrature(an.DecodingSet((0, 1, 2, 3)), 0, cfg)
+    assert time.perf_counter() - t0 < 1.0
+    assert got == pytest.approx(2.5503669478177640069715770113443e-5, rel=1e-10)
+
+
+def test_outage_quadrature_memory_is_bounded():
+    import tracemalloc
+
+    from relaysel.specfn import MARCUM_CHUNK
+
+    cfg = oracle_config(0.9999, 1e3)
+    D = an.DecodingSet(tuple(range(cfg.M)))
+    tracemalloc.start()
+    try:
+        an.outage_conditional_quadrature(D, 0, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * MARCUM_CHUNK * 8  # eight of the kernel's largest temporaries
+
+
+def test_outage_quadrature_round_cap_is_a_series_error(monkeypatch):
+    cfg = oracle_config(0.9, 10.0)
+    D = an.DecodingSet(tuple(range(cfg.M)))
+    assert an.outage_conditional_quadrature(D, 0, cfg) > 0.0
+    monkeypatch.setattr(an, "QUAD_ROUNDS_MAX", 1)
+    with pytest.raises(SeriesError, match="after 1 rounds"):
+        an.outage_conditional_quadrature(D, 0, cfg)
+
+
+def test_outage_quadrature_noisy_integrand_is_a_series_error(monkeypatch):
+    # 1 - Q1 in floating point carries ~1e-16 absolute noise where the CDF
+    # is tiny, which no panel size resolves to 1e-10 of a 5e-7 integral:
+    # bisection would double the open panels each round until memory ran out
+    cfg = oracle_config(0.9999, 1e3)
+    D = an.DecodingSet(tuple(range(cfg.M)))
+    real = specfn.marcum_q1
+    monkeypatch.setattr(specfn, "marcum_q1", lambda a, b, complement: 1.0 - real(a, b))
+    monkeypatch.setattr(an, "QUAD_PANELS_MAX", 256)
+    with pytest.raises(SeriesError, match="256 panels"):
+        an.outage_conditional_quadrature(D, 0, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -515,6 +515,36 @@ def test_validate_series_vs_quadrature_is_relative():
     assert any(line.startswith("FAIL  series-vs-quadrature") for line in report), report
 
 
+@pytest.mark.parametrize("doc, calls", [
+    ({"M": 4, "rho_f": 0.9}, 1),
+    ({"M": 4, "rho_f": [0.85, 0.9, 0.9, 0.95]}, 4),
+])
+def test_validate_integrates_each_distinct_candidate_once(monkeypatch, doc, calls):
+    # on identical links every candidate is the same integral, bit for bit
+    real = analytic.outage_conditional_quadrature
+    seen = []
+
+    def counting(D, m, config):
+        seen.append(m)
+        return real(D, m, config)
+
+    monkeypatch.setattr(analytic, "outage_conditional_quadrature", counting)
+    ok, report = validate(load_config(doc), 2_000, 42)
+    assert seen == list(range(calls))
+    assert any(line.startswith("PASS  series-vs-quadrature") for line in report), report
+
+
+def test_validate_loads_no_scipy_integrate():
+    code = (
+        "import sys; from relaysel import cli; "
+        "cli.validate(cli.load_config({'M': 2, 'rho_f': [0.9, 0.8]}), 2000, 1); "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+    )
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout.strip() == "[]"
+
+
 def test_validate_draws_the_old_snrs_once_per_chunk(monkeypatch):
     # the three analytic-vs-mc checks share one Monte-Carlo pass, and a
     # second identical validate runs its own
@@ -569,6 +599,22 @@ def test_cli_reproduce_figure_1_ordering(tmp_path):
     fresh = by_label["rho_f=1.0"]
     for lab in labels[:-1]:
         assert all(f <= o for f, o in zip(fresh, by_label[lab]))
+
+
+def test_reproduce_figure_builds_only_its_own_curves(tmp_path, monkeypatch):
+    real = cli._sym
+    built = []
+
+    def counting(M, rho_e, rho_f):
+        built.append((M, rho_e, rho_f))
+        return real(M, rho_e, rho_f)
+
+    monkeypatch.setattr(cli, "_sym", counting)
+    rows = cli.reproduce_figure(2, str(tmp_path / "fig2.csv"))
+    assert len(built) == len({r.label for r in rows}) == 6
+    with pytest.raises(ConfigError, match="unknown id 10"):
+        cli.reproduce_figure(10, str(tmp_path / "fig10.csv"))
+    assert len(built) == 6
 
 
 def test_reproduce_figure_3_error_floor(tmp_path):

@@ -270,6 +270,56 @@ def test_marcum_large_noncentrality():
     assert specfn.marcum_q1(a, b) == pytest.approx(marcum_quad(a, b), abs=1e-9)
 
 
+def test_marcum_array_equals_scalar_calls():
+    a = np.linspace(0.0, 8.0, 17)[:, None]
+    b = np.array([0.0, 0.3, 1.0, 2.5, 6.0, 40.0])
+    for complement in (False, True):
+        got = specfn.marcum_q1(a, b, complement=complement)
+        assert got.shape == (17, 6)
+        want = [[specfn.marcum_q1(x, y, complement=complement) for y in b] for x in a[:, 0]]
+        assert np.max(np.abs(got - np.array(want))) <= 1e-15
+
+
+def test_marcum_scalar_call_returns_float():
+    assert type(specfn.marcum_q1(1.0, 2.0)) is float
+    assert type(specfn.marcum_q1(np.float64(1.0), 2, complement=True)) is float
+    assert type(specfn.marcum_q1(0.0, 2.0)) is float and type(specfn.marcum_q1(2.0, 0.0)) is float
+
+
+def test_marcum_complement_edges_and_tail():
+    assert specfn.marcum_q1(3.7, 0.0, complement=True) == 0.0
+    assert specfn.marcum_q1(0.0, 0.5, complement=True) == pytest.approx(
+        -math.expm1(-0.125), rel=1e-14
+    )
+    assert specfn.marcum_q1(1.0, 2.0, complement=True) == pytest.approx(
+        1.0 - 0.26901206003591005, rel=1e-12
+    )
+    # deep lower tail, far below what 1 - Q1 in floating point resolves:
+    # 25-digit mpmath sums of Pr[N = k] Pr[Y > k]
+    for a, b, want in (
+        (10.0, 1.0, 3.413648946230375215813801e-20),
+        (20.0, 3.0, 1.577984921455947136430267e-65),
+        (30.0, 20.0, 6.207589807643933402399397e-24),
+    ):
+        assert specfn.marcum_q1(a, b, complement=True) == pytest.approx(want, rel=1e-10)
+
+
+def test_marcum_large_array_memory_is_bounded():
+    # 300 nodes of ~8,600 terms each: one array of every (node, k) term
+    # would take 21 MB, and the kernel makes several
+    import tracemalloc
+
+    one = specfn.marcum_q1(600.0, 598.0)
+    tracemalloc.start()
+    try:
+        got = specfn.marcum_q1(np.full(300, 600.0), 598.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(got == one) and 0.9 < one < 1.0
+    assert peak < 8 * specfn.MARCUM_CHUNK * 8
+
+
 # ---------------------------------------------------------------------------
 # factorials / binomials
 # ---------------------------------------------------------------------------
