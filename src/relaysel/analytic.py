@@ -13,7 +13,12 @@ candidate term into
 
 with a_S = lam_m + c/2 + sum_{i in S} lam_i and a metric-specific kernel[k]
 (an incomplete-gamma ratio for outage, an averaged Gaussian tail for SER, an
-averaged log for capacity).
+averaged log for capacity).  The mixture over k of one subset row is itself
+one exponential law: with a = lam_m + sum_{i in S} lam_i, the row equals
+(lam_m / a) E[f(X)] for X ~ Exponential(r), r = q a / (a + c/2), which is
+the rho_f = 1 kernel of the metric evaluated at rate r instead of a (the
+"paper" ASER, whose rho_f < 1 kernel is a Q-function approximation, takes
+the k = 0 entry of that kernel at rate r).
 
 Relays decode independently, relay i with probability p_i, so for a fixed
 (m, S) the weights of all decoding sets D containing S and m add up to
@@ -21,20 +26,22 @@ p_m prod_{i in S} p_i.  The general (asymmetric) path therefore evaluates
 
     empty-set term + sum_m p_m sum_{S subset of [M]\\{m}} prod_{i in S}(-p_i) f_m(a_S)
 
-with one candidate pass per relay: M 2^(M-1) subset rows instead of the
-M 3^(M-1) of the explicit decoding-set sum.  The symmetric path groups the
-decoding sets by size and the subsets by size with binomial multiplicities;
-a subset of size s has rate sum s*lam in every decoding set, so the M rows
-s = 0..M-1 are evaluated once per call.  rho_f = 1 collapses to exact
-order-statistics forms (a kernel evaluated at the rate sums instead of a
-series).
+over one subset expansion of all M relays: M 2^(M-1) rows instead of the
+M 3^(M-1) of the explicit decoding-set sum, each in the finite form above,
+all in one kernel call, so no series and no kernel table.  The symmetric
+path groups the decoding sets by size and the subsets by size with binomial
+multiplicities; a subset of size s has rate sum s*lam in every decoding set,
+so the M rows s = 0..M-1 are evaluated once per call, each by the k-series
+over the metric's kernel table.  rho_f = 1 collapses to exact
+order-statistics forms (the kernel evaluated at the rate sums) on both.
 
 Each metric is one `_Metric` record: its decode probability, its value when
 no relay decodes, its kernel table, its rho_f = 1 kernel and its final
-scaling.  A candidate sum is one row kernel (`_rows`) and one combine step
-(`_combine`, which also takes the condition); `_candidate` chains them, and
-two drivers (`_total_general`, `_total_symmetric`) sum over decoding sets
-and raise `SeriesError` on a negative total.  The public `*_general` /
+scaling.  A candidate sum is one row kernel (`_rows` for the series,
+`_finite_rows` for the finite form) and one combine step (`_combine`, which
+also takes the condition); `_candidate` chains the series ones, and two
+drivers (`_total_general`, `_total_symmetric`) sum over decoding sets and
+raise `SeriesError` on a negative total.  The public `*_general` /
 `*_symmetric` functions and their dispatchers only pick a record and a
 driver.
 """
@@ -55,8 +62,8 @@ from .specfn import SeriesControl, SeriesError
 
 LN2 = math.log(2.0)
 CONDITION_FLAG = 1e12
-# cap on one candidate's 2^(M-1) x K float64 series rows on the general
-# path; the largest real sweeps need under 1 MB
+# cap on the M x 2^(M-1) float64 subset rows of the general path; the
+# largest real sweeps (M = 10) need 40 kB
 ROWS_MAX_BYTES = 1 << 28
 
 
@@ -250,17 +257,6 @@ class _Diag:
         return MetricResult(total, self.terms, self.condition)
 
 
-def _link_tables(links: list[LinkParams], build) -> list:
-    """build(link) for every relay link, evaluated once per distinct link.
-
-    A kernel table and its series length depend only on the link (and the
-    config and SeriesControl that build closes over), never on the decoding
-    set, so one metric evaluation builds each table once.
-    """
-    built = {lp: build(lp) for lp in dict.fromkeys(links)}
-    return [built[lp] for lp in links]
-
-
 # ---------------------------------------------------------------------------
 # one metric record, one candidate, two drivers
 # ---------------------------------------------------------------------------
@@ -271,8 +267,11 @@ class _Metric(NamedTuple):
     decode(source link) is the relay's (decode, fail) probability pair;
     empty is the metric's value when no relay decodes; table(relay link) is
     the kernel table truncated to its series length, None when rho_f = 1;
-    degenerate(a) is the rho_f = 1 kernel at rate sums a; finish maps a raw
-    candidate sum to the metric's units.
+    degenerate(r) is the rho_f = 1 kernel E[f(X)], X ~ Exponential(r), at
+    an array of rates r; finish maps a raw candidate sum to the metric's
+    units.  stale(r), when set, replaces degenerate on the finite rows of
+    rho_f < 1 links, for a metric whose f there differs from its rho_f = 1
+    one (the "paper" ASER).
     """
 
     decode: Callable[[LinkParams], tuple[float, float]]
@@ -280,6 +279,7 @@ class _Metric(NamedTuple):
     table: Callable[[LinkParams], np.ndarray | None]
     degenerate: Callable[[np.ndarray], np.ndarray]
     finish: Callable[[float], float]
+    stale: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def _rows(
@@ -318,31 +318,57 @@ def _candidate(
     return _combine(metric, coeffs, rows, terms, diag)
 
 
+def _finite_rows(metric: _Metric, links: list[LinkParams], lam_extra: np.ndarray) -> np.ndarray:
+    """Uncombined subset rows in finite form, row i for candidate links[i]
+    at the rate sums a = lam_i + lam_extra[i].  The Poisson mixture of
+    `_series_rows` is one exponential law: sum_k kernel[k] lam (c/2)^k /
+    (a + c/2)^(k+1) = (lam / a) E[f(X)] with X ~ Exponential(r) and
+    r = q a / (a + c/2), which is r = a at rho_f = 1.  So every row is
+    lam / a times the metric's kernel at r, one call for all rows."""
+    lam = np.array([lp.lam for lp in links])[:, None]
+    a = lam + lam_extra
+    stale = np.array([not lp.degenerate for lp in links])
+    r = a.copy()
+    if stale.any():
+        live = [lp for lp in links if not lp.degenerate]
+        q = np.array([lp.q for lp in live])[:, None]
+        half_c = 0.5 * np.array([lp.c for lp in live])[:, None]
+        r[stale] = q * a[stale] / (a[stale] + half_c)
+    kernel = metric.degenerate(r)
+    if metric.stale is not None and stale.any():
+        kernel[stale] = metric.stale(r[stale])
+    return lam / a * kernel
+
+
 def _total_general(
     config: SystemConfig, metric: _Metric, empty_term: float | None = None
 ) -> MetricResult:
     """empty_term + sum_m p_m sum_{S subset of [M]\\{m}} prod_{i in S}(-p_i)
-    f_m(a_S): the decoding-set sum folded into the subset sum, one candidate
-    call per relay.  empty_term defaults to empty * prod_i fail_i."""
+    f_m(a_S): the decoding-set sum folded into the subset sum.  One subset
+    expansion over all M relays serves every candidate: m's subsets are the
+    masks with bit m clear, whose coefficients and rate sums are those of
+    the expansion without relay m, bit for bit.  The M x 2^(M-1) rows are
+    evaluated in finite form (`_finite_rows`), so every row reports one
+    series term.  empty_term defaults to empty * prod_i fail_i."""
     rel = config.relay_params()
-    tables = _link_tables(rel, metric.table)
     M = len(rel)
-    longest = max((len(t) for t in tables if t is not None), default=1)
-    need = (1 << (M - 1)) * longest * 8
+    need = M * (1 << (M - 1)) * 8
     if need > ROWS_MAX_BYTES:
         raise SeriesError(
-            f"the general path at M = {M} needs {need:.3g} bytes for 2^{M - 1} subset "
-            f"rows of {longest} series terms, above the cap of {ROWS_MAX_BYTES} bytes"
+            f"the general path at M = {M} needs {need:.3g} bytes for {M} x 2^{M - 1} "
+            f"subset rows, above the cap of {ROWS_MAX_BYTES} bytes"
         )
     p, fail = zip(*map(metric.decode, config.source_params()))
+    coeffs, lam_extra = _subset_expansion([lp.lam for lp in rel], p)
+    # masks[m, j]: the j-th mask with bit m clear, j's bits split around bit m
+    j = np.arange(1 << (M - 1))
+    bit = np.arange(M)[:, None]
+    masks = (j >> bit << (bit + 1)) | (j & ((1 << bit) - 1))
+    rows = _finite_rows(metric, rel, lam_extra[masks])
     diag = _Diag()
     total = metric.empty * math.prod(fail) if empty_term is None else empty_term
     for m in range(M):
-        others = [i for i in range(M) if i != m]
-        coeffs, lam_extra = _subset_expansion(
-            [rel[i].lam for i in others], [p[i] for i in others]
-        )
-        total += p[m] * _candidate(metric, rel[m], tables[m], coeffs, lam_extra, diag)
+        total += p[m] * _combine(metric, coeffs[masks[m]], rows[m], 1, diag)
     return diag.result(total)
 
 
@@ -396,7 +422,7 @@ def _outage(config: SystemConfig, ctrl: SeriesControl) -> _Metric:
         K = _series_length(_r_max(link), ctrl.abs_tol, ctrl.k_max, 1.0, gamma_cut)
         return specfn.lower_gamma_ratio_table(K, x)
 
-    return _Metric(_threshold_decode(r_o), 1.0, table, lambda a: -np.expm1(-a * r_o), lambda v: v)
+    return _Metric(_threshold_decode(r_o), 1.0, table, lambda r: -np.expm1(-r * r_o), lambda v: v)
 
 
 def outage_conditional(
@@ -566,6 +592,24 @@ def _paper_kernel_table(K: int, q: float, bp: float, n_a: int) -> np.ndarray:
     return (np.exp(exps)[:, None, :] @ a[:, None]).ravel()
 
 
+def _paper_kernel_at_rates(r: np.ndarray, bp: float, n_a: int) -> np.ndarray:
+    """The k = 0 entry of `_paper_kernel_table` at q = r, elementwise over an
+    array of rates: the "paper" kernel averaged over X ~ Exponential(r),
+    r sum_n a_n (beta P)^((n-1)/2) Gamma((n+1)/2) / (r + beta P)^((n+1)/2).
+    Its n_a alternating terms are summed as the table sums them, one BLAS
+    dot per rate."""
+    a = specfn.qapprox_coefficients(n_a)
+    n = np.arange(1, n_a + 1, dtype=float)
+    r = r[..., None]
+    exps = (
+        specfn.ln_gamma_half_grid(n_a - 1)[:n_a]
+        + np.log(r)
+        + (n - 1.0) / 2.0 * math.log(bp)
+        - (n + 1.0) / 2.0 * np.log(r + bp)
+    )
+    return (np.exp(exps)[..., None, :] @ a[:, None])[..., 0, 0]
+
+
 def _aser(config: SystemConfig, ctrl: SeriesControl) -> _Metric:
     """ASER: relay i decodes with probability 1 - B_i (B_i its average
     decoding error probability), the all-off term is ½, and the kernel is
@@ -587,12 +631,13 @@ def _aser(config: SystemConfig, ctrl: SeriesControl) -> _Metric:
             return _paper_kernel_table(K, link.q, bp, N_A)
         return specfn.mean_q_gamma_table(K + 1, bp / (2.0 * link.q))
 
-    def degenerate(a: np.ndarray) -> np.ndarray:
-        # E[Q(sqrt(beta P X))], X ~ Exponential(a): (1 - sqrt(c / (1 + c))) / 2
-        c = bp / (2.0 * a)
+    def degenerate(r: np.ndarray) -> np.ndarray:
+        # E[Q(sqrt(beta P X))], X ~ Exponential(r): (1 - sqrt(c / (1 + c))) / 2
+        c = bp / (2.0 * r)
         return 0.5 * (1.0 - np.sqrt(c / (1.0 + c)))
 
-    return _Metric(decode, 0.5, table, degenerate, lambda v: alpha * v)
+    stale = (lambda r: _paper_kernel_at_rates(r, bp, N_A)) if paper else None
+    return _Metric(decode, 0.5, table, degenerate, lambda v: alpha * v, stale)
 
 
 def aser_total_general(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) -> MetricResult:
@@ -669,8 +714,9 @@ def _capacity(config: SystemConfig, ctrl: SeriesControl) -> _Metric:
         K = _series_length(r_max, ctrl.abs_tol, ctrl.k_max, cap)
         return specfn.log_gamma_mean_table(K, b)
 
-    def degenerate(a: np.ndarray) -> np.ndarray:
-        return np.array([specfn.log_gamma_mean_table(0, ai / power)[0] for ai in a])
+    def degenerate(r: np.ndarray) -> np.ndarray:
+        # E[ln(1 + P X)], X ~ Exponential(r): e^b E1(b) with b = r / P
+        return specfn.exp1_scaled(r / power)
 
     return _Metric(_threshold_decode(config.r_o), 0.0, table, degenerate, lambda v: v / (2.0 * LN2))
 

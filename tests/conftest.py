@@ -38,3 +38,15 @@ def mixed_asym_config(M: int, power: float = 10.0) -> SystemConfig:
     src = tuple(link(float(gen.uniform(0.5, 0.95))) for _ in range(M))
     rel = tuple(link(1.0 if i % 2 else float(gen.uniform(0.6, 0.95))) for i in range(M))
     return SystemConfig(M=M, power=power, source_links=src, relay_links=rel)
+
+
+def slow_fading_asym_config(rho: float) -> SystemConfig:
+    """Asymmetric M = 3 at P = 100 with rho_e = 0.97 on every link: sources
+    at rho_f = 0.9, relay variances (0.95, 1.05, 1.0) and relay rho_f
+    (rho, 0.99999 rho, rho), so that rho -> 1 makes the k-series of every
+    relay link long while the three links stay distinct."""
+    src = tuple(FadingParams(1.0, 0.97, 0.9) for _ in range(3))
+    rel = tuple(
+        FadingParams(v, 0.97, r) for v, r in zip((0.95, 1.05, 1.0), (rho, 0.99999 * rho, rho))
+    )
+    return SystemConfig(M=3, power=100.0, source_links=src, relay_links=rel)

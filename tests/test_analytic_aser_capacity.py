@@ -14,7 +14,7 @@ from relaysel import channel as ch
 from relaysel import specfn
 from relaysel.specfn import SeriesControl, SeriesError, gaussian_q
 
-from conftest import CTRL, mixed_asym_config, sym_config
+from conftest import CTRL, mixed_asym_config, slow_fading_asym_config, sym_config
 
 
 # ---------------------------------------------------------------------------
@@ -363,39 +363,43 @@ def _shared_link_m3():
 
 
 @pytest.mark.parametrize(
-    "metric, table_fn",
+    "metric, module, table_fn",
     [
-        (lambda cfg: an.outage_total(cfg, CTRL), "lower_gamma_ratio_table"),
-        (lambda cfg: an.aser_total(cfg, CTRL), "mean_q_gamma_table"),
+        (lambda cfg: an.outage_total(cfg, CTRL), specfn, "lower_gamma_ratio_table"),
+        (lambda cfg: an.aser_total(cfg, CTRL), specfn, "mean_q_gamma_table"),
         (
             lambda cfg: an.aser_total(dataclasses.replace(cfg, lambda_convention="paper"), CTRL),
-            "qapprox_coefficients",
+            an,
+            "_paper_kernel_table",
         ),
-        (lambda cfg: an.capacity_lb_avg(cfg, CTRL), "log_gamma_mean_table"),
+        (lambda cfg: an.capacity_lb_avg(cfg, CTRL), specfn, "log_gamma_mean_table"),
     ],
     ids=["outage", "aser-exact", "aser-qapprox", "capacity"],
 )
 @pytest.mark.parametrize(
-    "make_cfg, distinct",
+    "make_cfg, builds",
     [
         (lambda: sym_config(M=4, power=10.0, rho_e=0.97, rho_f=0.9), 1),
-        (_asymmetric_m3, 3),
-        (_shared_link_m3, 2),
+        (_asymmetric_m3, 0),
+        (_shared_link_m3, 0),
     ],
     ids=["symmetric-M4", "asymmetric-M3", "shared-link-M3"],
 )
-def test_kernel_table_built_once_per_distinct_link(monkeypatch, metric, table_fn, make_cfg, distinct):
+def test_kernel_table_built_once_per_distinct_link(monkeypatch, metric, module, table_fn, make_cfg, builds):
+    # the symmetric path builds its one link's table once; the general path
+    # evaluates its rows in finite form and builds none, however many
+    # distinct links the config has
     cfg = make_cfg()
     calls = []
-    original = getattr(specfn, table_fn)
+    original = getattr(module, table_fn)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(specfn, table_fn, counting)
+    monkeypatch.setattr(module, table_fn, counting)
     metric(cfg)
-    assert len(calls) == distinct
+    assert len(calls) == builds
 
 
 # ---------------------------------------------------------------------------
@@ -450,23 +454,122 @@ def test_general_equals_decoding_set_sum(general, reference, M, power):
 
 
 @pytest.mark.parametrize(
-    "general",
-    [an.outage_total_general, an.aser_total_general, an.capacity_lb_avg_general],
+    "general, record",
+    [
+        (an.outage_total_general, an._outage),
+        (an.aser_total_general, an._aser),
+        (an.capacity_lb_avg_general, an._capacity),
+    ],
     ids=["outage", "aser", "capacity"],
 )
 @pytest.mark.parametrize("M", [2, 5])
-def test_general_path_evaluates_one_candidate_per_relay(monkeypatch, general, M):
-    calls = []
-    original = an._candidate
+def test_general_path_evaluates_one_candidate_per_relay(monkeypatch, general, record, M):
+    # one finite-form kernel call holds every candidate's rows: row m is
+    # relay m at the subset rate sums of the other relays, and one combine
+    # step per relay takes the coefficients of those subsets; both are the
+    # per-candidate expansion without relay m, bit for bit
+    row_calls, combined = [], []
+    finite_rows, combine = an._finite_rows, an._combine
 
-    def counting(metric, link, *args):
-        calls.append(link)
-        return original(metric, link, *args)
+    def counting_rows(metric, links, lam_extra):
+        row_calls.append((links, lam_extra))
+        return finite_rows(metric, links, lam_extra)
 
-    monkeypatch.setattr(an, "_candidate", counting)
+    def counting_combine(metric, coeffs, rows, terms, diag):
+        combined.append((coeffs, terms))
+        return combine(metric, coeffs, rows, terms, diag)
+
+    monkeypatch.setattr(an, "_finite_rows", counting_rows)
+    monkeypatch.setattr(an, "_combine", counting_combine)
     cfg = mixed_asym_config(M)
     general(cfg, CTRL)
-    assert calls == cfg.relay_params()
+    rel = cfg.relay_params()
+    p = [record(cfg, CTRL).decode(lp)[0] for lp in cfg.source_params()]
+    assert len(row_calls) == 1
+    links, lam_extra = row_calls[0]
+    assert links == rel
+    assert lam_extra.shape == (M, 1 << (M - 1))
+    assert len(combined) == M
+    for m in range(M):
+        others = [i for i in range(M) if i != m]
+        coeffs, extra = an._subset_expansion([rel[i].lam for i in others], [p[i] for i in others])
+        assert np.array_equal(lam_extra[m], extra)
+        assert np.array_equal(combined[m][0], coeffs)
+        assert combined[m][1] == 1
+
+
+@pytest.mark.parametrize("convention", ["derived", "paper"])
+@pytest.mark.parametrize("rho", [0.99, 0.9999, 0.99999])
+def test_general_aser_and_capacity_finite_near_rho_f_one(rho, convention):
+    # at rho_f = 0.9999 the k-series needs ~1.8e5 terms and raised
+    # SeriesError; each finite row is one kernel evaluation at any rho_f
+    cfg = dataclasses.replace(slow_fading_asym_config(rho), lambda_convention=convention)
+    aser = an.aser_total_general(cfg, CTRL)
+    cap = an.capacity_lb_avg_general(cfg, CTRL)
+    assert 0.0 < aser.value < 0.5 * cfg.alpha
+    assert 0.0 < cap.value < math.log2(1.0 + 100.0 * cfg.power)
+    assert aser.series_terms_used == cap.series_terms_used == 1
+
+
+def test_general_path_builds_no_kernel_table(monkeypatch):
+    # the general path needs no series: neither a kernel table nor its length
+    def forbid(name):
+        def spy(*args, **kwargs):
+            raise AssertionError(f"general path called {name}")
+        return spy
+
+    for name in ("lower_gamma_ratio_table", "mean_q_gamma_table", "log_gamma_mean_table"):
+        monkeypatch.setattr(specfn, name, forbid(name))
+    for name in ("_paper_kernel_table", "_series_length", "_series_rows"):
+        monkeypatch.setattr(an, name, forbid(name))
+    for cfg in (mixed_asym_config(5), slow_fading_asym_config(0.9999)):
+        for convention in ("derived", "paper"):
+            c = dataclasses.replace(cfg, lambda_convention=convention)
+            for general in (an.outage_total_general, an.aser_total_general, an.capacity_lb_avg_general):
+                assert general(c, CTRL).value > 0.0
+
+
+def test_paper_kernel_at_rates_is_the_table_first_entry():
+    # the "paper" kernel of a finite row at rate r is the k = 0 entry of the
+    # series table at q = r, summed the same way
+    r = np.concatenate((np.logspace(-3, 5, 200), [0.37, 1.0, 2.5])).reshape(7, 29)
+    for bp in (0.2, 20.0, 2e5):
+        got = an._paper_kernel_at_rates(r, bp, an.N_A)
+        want = np.array([an._paper_kernel_table(0, q, bp, an.N_A)[0] for q in r.ravel()])
+        assert got.shape == r.shape
+        assert np.allclose(got.ravel(), want, rtol=1e-15, atol=0.0)
+
+
+_AGREEMENT_GRID = list(itertools.product(
+    range(1, 7), (1.0, 10.0, 1e3), (0.0, 0.5, 0.9, 0.99, 0.999, 1.0), (1.0, 0.97)
+))
+
+
+@pytest.mark.parametrize("convention", ["derived", "paper"])
+@pytest.mark.parametrize("metric", ["outage_total", "aser_total", "capacity_lb_avg"])
+def test_symmetric_and_general_drivers_agree(metric, convention):
+    # the symmetric driver sums the k-series, the general one the finite
+    # form: two formulas for one value.  They agree to 1e-10, or within the
+    # digits the inclusion-exclusion sum leaves; 256 eps x condition also
+    # covers the ASER kernels' own cancellation at large beta P / lam, which
+    # the condition estimate does not see (up to ~110 eps x condition here).
+    # A point where the series raises, or its sum cancels past the warning
+    # threshold, has no value to compare
+    eps = np.finfo(float).eps
+    compared = 0
+    for M, power, rho_f, rho_e in _AGREEMENT_GRID:
+        cfg = sym_config(M=M, power=power, rho_e=rho_e, rho_f=rho_f, lambda_convention=convention)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                sym = getattr(an, f"{metric}_symmetric")(cfg, CTRL)
+        except (SeriesError, RuntimeWarning):
+            continue
+        gen = getattr(an, f"{metric}_general")(cfg, CTRL)
+        tol = max(1e-10, 256.0 * eps * max(sym.condition_estimate, gen.condition_estimate))
+        assert abs(gen.value - sym.value) <= tol * abs(sym.value), (M, power, rho_f, rho_e)
+        compared += 1
+    assert compared >= len(_AGREEMENT_GRID) - 4
 
 
 @pytest.mark.parametrize(

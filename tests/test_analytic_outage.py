@@ -10,7 +10,7 @@ from relaysel import channel as ch
 from relaysel import specfn
 from relaysel.specfn import SeriesControl, SeriesError
 
-from conftest import CTRL, mixed_asym_config, sym_config
+from conftest import CTRL, mixed_asym_config, slow_fading_asym_config, sym_config
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +406,13 @@ def test_outage_series_error_respects_k_max():
 @pytest.mark.parametrize("total", [an.outage_total, an.aser_total, an.capacity_lb_avg],
                          ids=["outage", "aser", "capacity"])
 def test_general_path_refuses_rows_above_the_memory_cap(total, monkeypatch):
-    # series_terms_used is the longest kernel table, so one candidate's rows
-    # take 2^(M-1) x that many float64s; the cap admits exactly that much
+    # the finite form holds one float64 per subset row, 2^(M-1) rows for
+    # each of the M candidates, and no series terms; the cap admits exactly
+    # that much
     cfg = mixed_asym_config(5, power=20.0)
     res = total(cfg)
-    need = (1 << 4) * res.series_terms_used * 8
+    assert res.series_terms_used == 1
+    need = 5 * (1 << 4) * 8
     monkeypatch.setattr(an, "ROWS_MAX_BYTES", need)
     assert total(cfg) == res
     monkeypatch.setattr(an, "ROWS_MAX_BYTES", need - 1)
@@ -419,6 +421,20 @@ def test_general_path_refuses_rows_above_the_memory_cap(total, monkeypatch):
     # the symmetric path holds M rows, not 2^(M-1), and has no such cap
     monkeypatch.setattr(an, "ROWS_MAX_BYTES", 0)
     assert total(sym_config(M=5, power=20.0)).value > 0.0
+
+
+@pytest.mark.parametrize("rho", [0.99, 0.9999, 0.99999])
+def test_general_outage_near_rho_f_one_matches_quadrature(rho):
+    # the finite form has no series to run out of terms as rho_f -> 1; the
+    # reference integrates every (D, m) candidate by the panel rule
+    cfg = slow_fading_asym_config(rho)
+    want = 0.0
+    for D in an.all_decoding_sets(cfg.M):
+        inner = sum(an.outage_conditional_quadrature(D, m, cfg) for m in D) if D.members else 1.0
+        want += an.prob_decoding_set(cfg, D) * inner
+    res = an.outage_total_general(cfg, CTRL)
+    assert res.series_terms_used == 1
+    assert abs(res.value - want) <= 1e-12 * want
 
 
 def test_metric_result_diagnostics_populated():

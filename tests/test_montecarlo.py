@@ -212,6 +212,18 @@ def test_import_cli_loads_no_scipy():
     assert cp.stdout.strip() == "[]"
 
 
+def test_import_cli_loads_no_numpy_polynomial():
+    # importing numpy.polynomial, or solving for quadrature nodes at import,
+    # adds to the cold start of every CLI call; the Gauss-Legendre nodes of
+    # log_gamma_mean_table's b > 15 branch are computed when it runs
+    code = (
+        "import sys, relaysel.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    )
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert cp.stdout.strip() == "[]"
+
+
 _GOLDEN_CONFIGS = {
     "sym-rho_f-0.9": lambda: sym_config(M=3, power=10.0, rho_e=0.95, rho_f=0.9),
     "sym-rho_f-1": lambda: sym_config(M=3, power=10.0, rho_f=1.0),

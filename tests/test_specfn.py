@@ -177,6 +177,64 @@ def test_ei_rejects_nonnegative():
             specfn.exp_integral_ei(x)
 
 
+# e^b E1(b) from mpmath 1.3.0 at 50 digits, rounded to 30; the b are the
+# exact binary values.  They cover both branches and the switch at b = 1,
+# and b = 710, where e^b alone overflows
+EXP1_SCALED_30 = [
+    (1e-06, "13.2383091313650035014524393018"),
+    (0.0001, "8.63408807021272528227210922889"),
+    (0.01, "4.07851144345642582664274874835"),
+    (0.1, "2.01464254470845163477241961994"),
+    (0.5, "0.922910632483730468832849375829"),
+    (0.9, "0.639949226639299730303175030159"),
+    (0.999, "0.596751313368685824812663697872"),
+    (1.0, "0.596347362323194074341078499369"),
+    (1.001, "0.595944007625447721039236958827"),
+    (1.5, "0.448256669291582953916931735604"),
+    (2.0, "0.361328616888222584697161657679"),
+    (3.0, "0.262083740255318496188718606022"),
+    (7.5, "0.119025047208411135192992036048"),
+    (15.0, "0.0627202791074092418164341472658"),
+    (50.0, "0.0196151099301148703653076098"),
+    (300.0, "0.00332229556527070706443622859059"),
+    (709.0, "0.00140845349039518285020929058799"),
+    (710.0, "0.00140647253534139186209537395532"),
+    (1000.0, "0.000999001994023880714999960709356"),
+    (10000.0, "0.0000999900019994002398800719496403"),
+    (100000.0, "0.0000099999000019999400023998800072"),
+    (1000000.0, "0.00000099999900000199999400002399988"),
+]
+
+
+def test_exp1_scaled_against_mpmath():
+    b = np.array([x for x, _ in EXP1_SCALED_30])
+    want = np.array([float(v) for _, v in EXP1_SCALED_30])
+    got = specfn.exp1_scaled(b)
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
+def test_exp1_scaled_against_scalar_exp1_on_a_dense_grid():
+    # the scalar E1 times e^b, where e^b is finite, on both sides of b = 1
+    b = np.concatenate((np.logspace(-6, 2.5, 400), np.linspace(0.9, 1.1, 41)))
+    want = np.array([math.exp(x) * specfn.exp1(x) for x in b])
+    assert np.allclose(specfn.exp1_scaled(b), want, rtol=1e-13, atol=0.0)
+
+
+def test_exp1_scaled_array_equals_elementwise_calls():
+    # each element's continued fraction starts at its own depth, so no
+    # element's value depends on the others in the array
+    b = np.concatenate((np.logspace(-6, 6, 301), [1.0, 1.5, 2.0])).reshape(8, 38)
+    got = specfn.exp1_scaled(b)
+    assert got.shape == b.shape
+    assert np.array_equal(got.ravel(), [specfn.exp1_scaled(np.array([x]))[0] for x in b.ravel()])
+
+
+def test_exp1_scaled_rejects_nonpositive():
+    for b in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            specfn.exp1_scaled(np.array([1.0, b]))
+
+
 # ---------------------------------------------------------------------------
 # Gaussian tail and its exponential-type approximation
 # ---------------------------------------------------------------------------
