@@ -32,14 +32,17 @@ all in one kernel call, so no series and no kernel table.  The symmetric
 path groups the decoding sets by size and the subsets by size with binomial
 multiplicities; a subset of size s has rate sum s*lam in every decoding set,
 so the M rows s = 0..M-1 are evaluated once per call, each by the k-series
-over the metric's kernel table.  rho_f = 1 collapses to exact
-order-statistics forms (the kernel evaluated at the rate sums) on both.
+over the metric's kernel table, and one stacked product against a per-M
+table of the multiplicities combines them for every size at once.
+rho_f = 1 collapses to exact order-statistics forms (the kernel evaluated
+at the rate sums) on both.
 
 Each metric is one `_Metric` record: its decode probability, its value when
 no relay decodes, its kernel table, its rho_f = 1 kernel and its final
 scaling.  A candidate sum is one row kernel (`_rows` for the series,
 `_finite_rows` for the finite form) and one combine step (`_combine`, which
-also takes the condition); `_candidate` chains the series ones, and two
+also takes the condition; the symmetric driver does all sizes' combine
+steps in one product); `_candidate` chains the series ones, and two
 drivers (`_total_general`, `_total_symmetric`) sum over decoding sets and
 raise `SeriesError` on a negative total.  The public `*_general` /
 `*_symmetric` functions and their dispatchers only pick a record and a
@@ -48,6 +51,7 @@ driver.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -62,9 +66,14 @@ from .specfn import SeriesControl, SeriesError
 
 LN2 = math.log(2.0)
 CONDITION_FLAG = 1e12
-# cap on the M x 2^(M-1) float64 subset rows of the general path; the
-# largest real sweeps (M = 10) need 40 kB
+# cap on the general path's peak allocation.  Besides its M x 2^(M-1)
+# float64 subset rows it holds the masks, the gathered rate sums, a, r and the
+# kernel's temporaries: tracemalloc puts its peak at 6-16 times the rows over
+# M = 6..16 (the most for capacity, and at small M, where fixed costs count),
+# so the cap is applied to ROWS_PEAK_FACTOR times the rows.  The largest real
+# sweeps (M = 10) need 40 kB of rows
 ROWS_MAX_BYTES = 1 << 28
+ROWS_PEAK_FACTOR = 16
 
 
 @dataclass(frozen=True)
@@ -235,8 +244,13 @@ class _Diag:
         self.condition = 1.0
 
     def update(self, terms: int, value: float, abs_sum: float) -> None:
+        """One signed sum: its value and the sum of its terms' magnitudes."""
+        self.note(terms, abs_sum / abs(value) if value != 0.0 else 1.0)
+
+    def note(self, terms: int, cond: float) -> None:
+        """One sum's series terms and cancellation condition, warning when
+        the condition exceeds CONDITION_FLAG."""
         self.terms = max(self.terms, terms)
-        cond = abs_sum / abs(value) if value != 0.0 else 1.0
         self.condition = max(self.condition, cond)
         if cond > CONDITION_FLAG:
             warnings.warn(
@@ -352,11 +366,12 @@ def _total_general(
     series term.  empty_term defaults to empty * prod_i fail_i."""
     rel = config.relay_params()
     M = len(rel)
-    need = M * (1 << (M - 1)) * 8
+    need = ROWS_PEAK_FACTOR * M * (1 << (M - 1)) * 8
     if need > ROWS_MAX_BYTES:
         raise SeriesError(
-            f"the general path at M = {M} needs {need:.3g} bytes for {M} x 2^{M - 1} "
-            f"subset rows, above the cap of {ROWS_MAX_BYTES} bytes"
+            f"the general path at M = {M} needs {need:.3g} bytes at its peak, "
+            f"{ROWS_PEAK_FACTOR} times its {M} x 2^{M - 1} float64 subset rows, "
+            f"above the cap of {ROWS_MAX_BYTES} bytes"
         )
     p, fail = zip(*map(metric.decode, config.source_params()))
     coeffs, lam_extra = _subset_expansion([lp.lam for lp in rel], p)
@@ -372,25 +387,53 @@ def _total_general(
     return diag.result(total)
 
 
+@functools.lru_cache(maxsize=32)
+def _size_table(M: int) -> tuple[np.ndarray, tuple[float, ...]]:
+    """The decoding-set sizes l = 1..M of a symmetric config, once per M.
+    The read-only (2, M, 1, M) array holds in [0, l - 1, 0] the subset
+    multiplicities (-1)^s C(l-1, s) for s < l, zero-padded to M, and in
+    [1, l - 1, 0] their magnitudes; the tuple holds C(M, l) as floats."""
+    table = np.zeros((2, M, 1, M))
+    for l in range(1, M + 1):
+        mult = [float(math.comb(l - 1, s)) for s in range(l)]
+        table[0, l - 1, 0, :l] = [-c if s % 2 else c for s, c in enumerate(mult)]
+        table[1, l - 1, 0, :l] = mult
+    table.flags.writeable = False
+    return table, tuple(float(math.comb(M, l)) for l in range(1, M + 1))
+
+
 def _total_symmetric(config: SystemConfig, metric: _Metric) -> MetricResult:
     """Identical links: decoding sets grouped by size l with weight
     C(M, l) p^l fail^(M-l), and the subsets of each by size s, which
     collapse to (-1)^s C(l-1, s) times the row at rate sum s*lam.  The row
-    for s is the same for every l, so the M rows are evaluated once."""
+    for s is the same for every l, so the M rows are evaluated once, and one
+    stacked product with `_size_table(M)` gives every size's signed sum and
+    magnitude sum, one BLAS dot per size.  A row's zero padding past s = l - 1
+    adds exact zeros, so each dot equals the l-term dot of a per-size loop
+    bit for bit while BLAS sums those M terms in order (OpenBLAS's Haswell
+    ddot does below 16 terms); past that the order, not the terms, can
+    differ.  The condition is the largest of the sizes' conditions, with one
+    warning for them all.  The link is derived once, or twice when the two
+    hops hold different FadingParams objects (`SystemConfig.symmetric_params`)."""
     if not config.is_symmetric():
         raise ValueError("symmetric path requires identical per-link parameters")
     M = config.M
-    p, fail = metric.decode(config.source_params()[0])
-    rel = config.relay_params()[0]
+    src, rel = config.symmetric_params()
+    p, fail = metric.decode(src)
     rows, terms = _rows(metric, rel, metric.table(rel), np.arange(M, dtype=float) * rel.lam)
-    signs = np.where(np.arange(M) % 2 == 0, 1.0, -1.0)
-    diag = _Diag()
+    table, comb = _size_table(M)
+    both = np.empty((2, 1, M, 1))
+    both[0, 0, :, 0] = rows
+    np.abs(rows, out=both[1, 0, :, 0])
+    values, mags = metric.finish(table @ both)[:, :, 0, 0].tolist()
     total = metric.empty * fail**M
-    for l in range(1, M + 1):
-        mult = np.array([specfn.binomial(l - 1, s) for s in range(l)], dtype=float)
-        per_m = _combine(metric, signs[:l] * mult, rows[:l], terms, diag)
-        weight = specfn.binomial(M, l) * p**l * fail ** (M - l)
-        total += weight * l * per_m
+    cond = 1.0
+    for l, (c, value, mag) in enumerate(zip(comb, values, mags), 1):
+        total += c * p**l * fail ** (M - l) * l * value
+        if value != 0.0 and (ratio := mag / abs(value)) > cond:
+            cond = ratio
+    diag = _Diag()
+    diag.note(terms, cond)
     return diag.result(total)
 
 

@@ -23,7 +23,7 @@ buffers, so the simulator allocates nothing per chunk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,6 +129,11 @@ def _link_constants(fp: FadingParams, power: float, convention: str) -> tuple[fl
     return lam, c, theta
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
+
+
 def doppler_correlation(f_d: float, block_duration: float, delay_blocks: int) -> float:
     """Correlation J0(2 pi f_d T i) between estimates i blocks apart.
 
@@ -161,9 +166,7 @@ class SystemConfig:
         if self.M < 1:
             raise ValueError("M must be >= 1")
         for name in ("power", "rate", "alpha", "beta"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+            _check_positive(name, getattr(self, name))
         if self.alpha > 2.0:
             # the relay decode probability 1 - (alpha/2)(1 - sqrt(beta P /
             # (beta P + 2 lam))) of the closed forms is negative beyond it
@@ -173,6 +176,18 @@ class SystemConfig:
         for name, links in (("source_links", self.source_links), ("relay_links", self.relay_links)):
             if len(links) != self.M:
                 raise ValueError(f"{name} must have exactly M={self.M} entries")
+        # a plain attribute, not a field: ==, hash and replace see only the
+        # fields, replace reruns this check, and with_power copies its result,
+        # which does not depend on the power.  Tuple == compares items by
+        # identity before ==, and stops at the first unequal pair.
+        src, rel = tuple(self.source_links), tuple(self.relay_links)
+        object.__setattr__(self, "_symmetric", src == (src[0],) * self.M and rel == (rel[0],) * self.M)
+        self._check_power_range()
+
+    def _check_power_range(self) -> None:
+        """The checks that depend on the power, given a valid power and
+        valid other fields: a finite R_o and beta P, and link constants in
+        floating-point range."""
         try:
             r_o = self.r_o
         except OverflowError:
@@ -186,15 +201,15 @@ class SystemConfig:
             raise ValueError(
                 f"beta * power = {self.beta} * {self.power:.6g} is not finite and > 0"
             )
-        # one check per distinct link object: symmetric configs repeat one
-        # object, and keying by id skips hashing the dataclass fields
-        for fp in {id(fp): fp for fp in self.source_links + self.relay_links}.values():
+        # one check per distinct link: equal links have equal constants, so a
+        # symmetric config checks its first source and relay link, and the
+        # others are keyed by id, which skips hashing the dataclass fields
+        if self._symmetric:
+            links = (self.source_links[0], self.relay_links[0])
+        else:
+            links = self.source_links + self.relay_links
+        for fp in {id(fp): fp for fp in links}.values():
             _link_constants(fp, self.power, self.lambda_convention)
-        # a plain attribute, not a field: ==, hash and replace see only the
-        # fields, and replace reruns this check.  Tuple == compares items by
-        # identity before ==, and stops at the first unequal pair.
-        src, rel = tuple(self.source_links), tuple(self.relay_links)
-        object.__setattr__(self, "_symmetric", src == (src[0],) * self.M and rel == (rel[0],) * self.M)
 
     @classmethod
     def symmetric(
@@ -230,13 +245,32 @@ class SystemConfig:
         return (2.0 ** (2.0 * self.rate) - 1.0) / self.power
 
     def with_power(self, power: float) -> "SystemConfig":
-        return replace(self, power=power)
+        """This config at another power.  It equals
+        `dataclasses.replace(self, power=power)` in ==, hash and
+        is_symmetric(), and raises the same ValueErrors, but it copies the
+        other fields as they are and reruns only the checks that depend on
+        the power."""
+        _check_positive("power", power)
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, power=power)
+        new._check_power_range()
+        return new
 
     def source_params(self) -> list[LinkParams]:
         return self._derive(self.source_links)
 
     def relay_params(self) -> list[LinkParams]:
         return self._derive(self.relay_links)
+
+    def symmetric_params(self) -> tuple[LinkParams, LinkParams]:
+        """The (source, relay) LinkParams of relay 0, which on a symmetric
+        config are those of every relay.  Both hops holding one FadingParams
+        object, as `symmetric` builds them, take one derivation."""
+        src, rel = self.source_links[0], self.relay_links[0]
+        source = derive_link_params(src, self.power, self.lambda_convention)
+        if rel is src:
+            return source, source
+        return source, derive_link_params(rel, self.power, self.lambda_convention)
 
     def _derive(self, links: tuple[FadingParams, ...]) -> list[LinkParams]:
         """derive_link_params of every link, in order, called once per

@@ -4,8 +4,8 @@ Everything downstream (closed-form outage / SER / capacity expressions and
 their oracles) is assembled from the functions in this module.  All routines
 are pure functions of their arguments and safe for concurrent use.  Tables
 that depend on no argument but their length (ln n!, lgamma on the
-half-integer grid, the Q-approximation coefficients) are computed once per
-process, on first use, and handed out read-only.
+half-integer grid, the Q-approximation coefficients, the Gauss-Legendre rule)
+are computed once per process, on first use, and handed out read-only.
 """
 
 from __future__ import annotations
@@ -565,6 +565,16 @@ _LEGGAUSS_NODES = 96
 _RECURRENCE_B_MAX = 15.0
 
 
+@functools.cache
+def _leggauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The _LEGGAUSS_NODES-node Gauss-Legendre nodes and weights on [-1, 1],
+    read-only, computed once per process on first use (importing
+    numpy.polynomial is left until then)."""
+    u, w = np.polynomial.legendre.leggauss(_LEGGAUSS_NODES)
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
+
+
 def log_gamma_mean_table(k_max: int, b: float) -> np.ndarray:
     """L[k] = E[ln(1 + X/b)] for X ~ Gamma(k+1, 1), k = 0..k_max.
 
@@ -574,9 +584,10 @@ def log_gamma_mean_table(k_max: int, b: float) -> np.ndarray:
     j > b.  For b <= 15 the recurrence runs from V_0 = e^b E1(b) and loses up
     to about 4 digits near j ~ b (1.4e-12 relative at b = 14.9, k = 13).
     For b > 15 the increments j <= min(k_max, ceil(b)) are integrated
-    directly, with 96-node Gauss-Legendre rules on each Gamma(j+1) density's
-    mass window, and the recurrence carries on from j = ceil(b) + 1.  The
-    cost is about 96 min(k_max, ceil(b)) + k_max operations.
+    directly, with the one 96-node Gauss-Legendre rule (`_leggauss_rule`)
+    mapped onto each Gamma(j+1) density's mass window, and the recurrence
+    carries on from j = ceil(b) + 1.  The cost is about
+    96 min(k_max, ceil(b)) + k_max operations.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -589,7 +600,7 @@ def log_gamma_mean_table(k_max: int, b: float) -> np.ndarray:
         start = 1
     else:
         start = min(k_max, math.ceil(b)) + 1
-        u, w = np.polynomial.legendre.leggauss(_LEGGAUSS_NODES)
+        u, w = _leggauss_rule()
         lnfact = _ln_factorial_array(start - 1)
         for j in range(start):
             m = j + 1.0

@@ -633,3 +633,85 @@ def test_rho_f_zero_evaluates_without_warnings(metric, path):
         warnings.simplefilter("error")
         value = getattr(an, f"{metric}_{path}")(cfg, CTRL).value
     assert math.isfinite(value)
+
+
+# ---------------------------------------------------------------------------
+# grouped symmetric driver
+# ---------------------------------------------------------------------------
+
+def _per_size_reference(cfg, metric) -> an.MetricResult:
+    """The symmetric sum as a loop over the decoding-set sizes l: one
+    combine step per size with the multiplicities (-1)^s C(l-1, s) built
+    from math.comb, and the source and relay links derived separately."""
+    M = cfg.M
+    p, fail = metric.decode(cfg.source_params()[0])
+    rel = cfg.relay_params()[0]
+    rows, terms = an._rows(metric, rel, metric.table(rel), np.arange(M, dtype=float) * rel.lam)
+    signs = np.where(np.arange(M) % 2 == 0, 1.0, -1.0)
+    diag = an._Diag()
+    total = metric.empty * fail**M
+    for l in range(1, M + 1):
+        mult = np.array([math.comb(l - 1, s) for s in range(l)], dtype=float)
+        per_m = an._combine(metric, signs[:l] * mult, rows[:l], terms, diag)
+        total += math.comb(M, l) * p**l * fail ** (M - l) * l * per_m
+    return diag.result(total)
+
+
+def _outcome(call):
+    """(result or SeriesError text, whether a RuntimeWarning was raised)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = call()
+        except SeriesError as e:
+            got = str(e)
+    return got, any(issubclass(w.category, RuntimeWarning) for w in caught)
+
+
+_PER_SIZE_GRID = list(itertools.product(
+    range(1, 15), ("derived", "paper"), (0.0, 0.5, 0.9, 0.99, 1.0), (1.0, 0.97), (1.0, 10.0, 1e3)
+))
+
+
+@pytest.mark.parametrize("metric", ["outage", "aser", "capacity"])
+def test_symmetric_driver_equals_the_per_size_loop_bit_for_bit(metric):
+    # one stacked product over all sizes l reproduces the per-size combine
+    # steps: the same values, conditions, term counts, errors and warnings
+    make = {"outage": an._outage, "aser": an._aser, "capacity": an._capacity}[metric]
+    for M, convention, rho_f, rho_e, power in _PER_SIZE_GRID:
+        cfg = sym_config(M=M, power=power, rho_e=rho_e, rho_f=rho_f, lambda_convention=convention)
+        got = _outcome(lambda: an._total_symmetric(cfg, make(cfg, CTRL)))
+        want = _outcome(lambda: _per_size_reference(cfg, make(cfg, CTRL)))
+        assert got == want, (M, convention, rho_f, rho_e, power)
+        if isinstance(got[0], an.MetricResult):
+            assert type(got[0].value) is float
+
+
+def test_symmetric_driver_warns_on_cancellation():
+    # M = 6 outage at rho_f = 1 and P = 1e3 cancels to condition 7.5e14 and
+    # keeps a positive total
+    cfg = sym_config(M=6, power=1e3, rho_f=1.0)
+    with pytest.warns(RuntimeWarning, match="cancellation condition"):
+        res = an.outage_total_symmetric(cfg, CTRL)
+    assert res.value > 0.0 and res.condition_estimate > an.CONDITION_FLAG
+
+
+@pytest.mark.parametrize("total", [an.outage_total, an.aser_total, an.capacity_lb_avg],
+                         ids=["outage", "aser", "capacity"])
+@pytest.mark.parametrize("shared", [True, False], ids=["one-object", "two-objects"])
+def test_symmetric_metric_derives_each_link_object_once(total, shared, monkeypatch):
+    # both hops holding one FadingParams object take one derivation; two
+    # objects, equal or not, take one each
+    src = ch.FadingParams(1.0, 0.97, 0.9)
+    rel = src if shared else ch.FadingParams(1.0, 0.97, 0.9)
+    cfg = ch.SystemConfig(M=4, power=10.0, source_links=(src,) * 4, relay_links=(rel,) * 4)
+    calls = []
+    original = ch.derive_link_params
+
+    def counting(fp, power, convention="derived"):
+        calls.append(fp)
+        return original(fp, power, convention)
+
+    monkeypatch.setattr(ch, "derive_link_params", counting)
+    total(cfg, CTRL)
+    assert [id(fp) for fp in calls] == ([id(src)] if shared else [id(src), id(rel)])

@@ -1,6 +1,7 @@
 """Outage closed forms: examples, oracles, symmetry, degenerate branches."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -408,11 +409,11 @@ def test_outage_series_error_respects_k_max():
 def test_general_path_refuses_rows_above_the_memory_cap(total, monkeypatch):
     # the finite form holds one float64 per subset row, 2^(M-1) rows for
     # each of the M candidates, and no series terms; the cap admits exactly
-    # that much
+    # ROWS_PEAK_FACTOR times that much, the bound on the path's peak
     cfg = mixed_asym_config(5, power=20.0)
     res = total(cfg)
     assert res.series_terms_used == 1
-    need = 5 * (1 << 4) * 8
+    need = an.ROWS_PEAK_FACTOR * 5 * (1 << 4) * 8
     monkeypatch.setattr(an, "ROWS_MAX_BYTES", need)
     assert total(cfg) == res
     monkeypatch.setattr(an, "ROWS_MAX_BYTES", need - 1)
@@ -421,6 +422,28 @@ def test_general_path_refuses_rows_above_the_memory_cap(total, monkeypatch):
     # the symmetric path holds M rows, not 2^(M-1), and has no such cap
     monkeypatch.setattr(an, "ROWS_MAX_BYTES", 0)
     assert total(sym_config(M=5, power=20.0)).value > 0.0
+
+
+def test_general_path_peak_stays_under_the_memory_cap(monkeypatch):
+    # with a cap that admits M = 11 and no more, every metric's M = 11 call
+    # peaks under it, and M = 12 is refused before its rows are allocated
+    cap = an.ROWS_PEAK_FACTOR * 11 * (1 << 10) * 8
+    monkeypatch.setattr(an, "ROWS_MAX_BYTES", cap)
+    for total in (an.outage_total, an.aser_total, an.capacity_lb_avg):
+        admitted, refused = mixed_asym_config(11, power=100.0), mixed_asym_config(12, power=100.0)
+        total(admitted)  # warm-up: first-use tables are not the call's own
+        tracemalloc.start()
+        try:
+            total(admitted)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            with pytest.raises(SeriesError, match="general path at M = 12"):
+                total(refused)
+            _, refused_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= cap, (total.__name__, peak)
+        assert refused_peak < 12 * (1 << 11) * 8 // 4, (total.__name__, refused_peak)
 
 
 @pytest.mark.parametrize("rho", [0.99, 0.9999, 0.99999])

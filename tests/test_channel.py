@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,52 @@ def test_symmetry_flag_stays_out_of_equality_hash_and_replace():
     assert sym.with_power(10.0) == sym and hash(sym.with_power(10.0)) == hash(sym)
     # links given as lists are compared by value too
     assert ch.SystemConfig(M=2, power=10.0, source_links=[fp, twin], relay_links=[fp, fp]).is_symmetric()
+
+
+def _with_power_bases() -> list:
+    fp = ch.FadingParams(1.0, 0.97, 0.9)
+    twin = ch.FadingParams(1.0, 0.97, 0.9)
+    other = ch.FadingParams(1.2, 0.9, 1.0)
+    return [
+        ch.SystemConfig.symmetric(M=3, power=10.0, rho_e=0.9, rho_f=0.9),
+        ch.SystemConfig(M=2, power=10.0, source_links=(fp, twin), relay_links=(twin, fp)),
+        ch.SystemConfig(M=3, power=10.0, source_links=(fp, other, fp), relay_links=(other, fp, twin),
+                        lambda_convention="paper"),
+        ch.SystemConfig.symmetric(M=3, power=10.0, rho_e=0.5, rho_f=0.9, sigma2_h=10.0, beta=1e-3),
+    ]
+
+
+@pytest.mark.parametrize("power", [1e-3, 1.0, 10.0, 123.456, 1e6])
+def test_with_power_equals_replace(power):
+    for cfg in _with_power_bases():
+        got, want = cfg.with_power(power), dataclasses.replace(cfg, power=power)
+        assert got == want and hash(got) == hash(want)
+        assert got.is_symmetric() == want.is_symmetric() == cfg.is_symmetric()
+        assert got.power == power and cfg.power == 10.0
+        assert got.relay_params() == want.relay_params()
+
+
+@pytest.mark.parametrize("power, reason", [
+    (0.0, "power must be finite and > 0"),
+    (-1.0, "power must be finite and > 0"),
+    (math.nan, "power must be finite and > 0"),
+    (math.inf, "power must be finite and > 0"),
+    (1e-320, "no finite outage threshold"),
+    (1e308, "beta \\* power"),
+])
+def test_with_power_raises_what_replace_raises(power, reason):
+    # the last base keeps beta P finite at 1e308, where its link rate
+    # overflows instead
+    for cfg in _with_power_bases():
+        with pytest.raises(ValueError) as want:
+            dataclasses.replace(cfg, power=power)
+        with pytest.raises(ValueError) as got:
+            cfg.with_power(power)
+        assert str(got.value) == str(want.value)
+        if cfg.beta == 2.0:
+            assert re.search(reason, str(got.value))
+        elif power == 1e308:
+            assert "out of floating-point range" in str(got.value)
 
 
 # ---------------------------------------------------------------------------

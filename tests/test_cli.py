@@ -210,6 +210,21 @@ def test_cli_sweep_z_score_flags_a_value_no_trial_can_see(tmp_path):
     assert float(row[3]) > 0.0 and row[4:7] == ["0.0", "0.0", "inf"]
 
 
+@pytest.mark.parametrize("snr, rho_e, sigma2_h, beta, message", [
+    (-3200.0, 1.0, 1.0, 2.0, "rate 1.0 at power 9.99989e-321 has no finite outage threshold "
+                             "(2^(2R) - 1) / P"),
+    (3080.0, 1.0, 1.0, 2.0, "beta * power = 2.0 * 1e+308 is not finite and > 0"),
+    (3080.0, 0.5, 10.0, 1e-3, "link FadingParams(sigma2_h=10.0, rho_e=0.5, rho_f=0.9) at power "
+                              "1e+308 has constants out of floating-point range: lam = inf, "
+                              "c = inf, theta = 0"),
+])
+def test_sweep_spec_power_range_errors(snr, rho_e, sigma2_h, beta, message):
+    cfg = SystemConfig.symmetric(M=3, power=1.0, rho_e=rho_e, rho_f=0.9, sigma2_h=sigma2_h, beta=beta)
+    with pytest.raises(ConfigError) as err:
+        SweepSpec(metric="outage", snr_db=(10.0, snr), mode="analytic", trials=0, seed=0, config=cfg)
+    assert str(err.value) == f"snr_db: at {snr!r} dB: {message}"
+
+
 def test_library_default_series_policy_is_the_cli_policy():
     # rho_f = 0.99 needs 1539 series terms; the library default, the
     # diversity sweep and the CLI sweep evaluate it alike

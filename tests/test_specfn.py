@@ -609,6 +609,32 @@ def test_log_gamma_mean_small_b_bit_identical_to_loop(b):
         np.testing.assert_array_equal(specfn.log_gamma_mean_table(size - 1, np.float64(b)), got)
 
 
+def test_log_gamma_mean_large_b_solves_its_rule_once(monkeypatch):
+    # b > 15 integrates the first increments by one 96-node Gauss-Legendre
+    # rule, solved on first use and then shared read-only
+    import numpy.polynomial.legendre as leg
+
+    original = leg.leggauss
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    specfn._leggauss_rule.cache_clear()
+    monkeypatch.setattr(leg, "leggauss", counting)
+    first = specfn.log_gamma_mean_table(40, 20.0)
+    second = specfn.log_gamma_mean_table(60, 33.5)
+    assert calls == [96]
+    u, w = specfn._leggauss_rule()
+    assert not u.flags.writeable and not w.flags.writeable
+    # a freshly solved rule gives the same tables bit for bit
+    specfn._leggauss_rule.cache_clear()
+    np.testing.assert_array_equal(specfn.log_gamma_mean_table(40, 20.0), first)
+    np.testing.assert_array_equal(specfn.log_gamma_mean_table(60, 33.5), second)
+    assert calls == [96, 96]
+
+
 # ---------------------------------------------------------------------------
 # series control
 # ---------------------------------------------------------------------------
