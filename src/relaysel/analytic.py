@@ -220,19 +220,22 @@ def _r_max(link: LinkParams) -> float:
     return half_c / (link.lam + half_c)
 
 
-def _series_rows(link: LinkParams, lam_extra: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """sum_k kernel[k] lam (c/2)^k / a_j^(k+1) for every rate sum
-    a_j = lam + c/2 + lam_extra[j]: one uncombined row per subset."""
+def _series_rows(
+    link: LinkParams, lam_extra: np.ndarray, kernel: np.ndarray, k_lo: int = 0
+) -> np.ndarray:
+    """sum_k kernel[k - k_lo] lam (c/2)^k / a_j^(k+1) over k = k_lo..k_lo +
+    len(kernel) - 1 for every rate sum a_j = lam + c/2 + lam_extra[j]: one
+    uncombined row per subset."""
     half_c = 0.5 * link.c
     base = link.lam + half_c + lam_extra
     t0 = link.lam / base
     ratio = half_c / base
-    K = len(kernel) - 1
     # ratio = 0 (rho_f = 0) gives log -inf: 0^k is 0 for k > 0, and the
     # -inf * 0 at k = 0 is replaced by 0^0 = 1
     with np.errstate(divide="ignore", invalid="ignore"):
-        powers = np.exp(np.outer(np.log(ratio), np.arange(K + 1)))
-    powers[ratio == 0.0, 0] = 1.0
+        powers = np.exp(np.outer(np.log(ratio), np.arange(k_lo, k_lo + len(kernel))))
+    if k_lo == 0:
+        powers[ratio == 0.0, 0] = 1.0
     return t0 * (powers @ kernel)
 
 
@@ -725,10 +728,9 @@ def aser_conditional_pdf(
         return cdf_max_others(x, D, m, rel) * link.lam * math.exp(-link.lam * x)
     q = link.q
     # the gamma(k+1) density at x is q times the Poisson(q x) pmf at k; the
-    # pmf window is zero below k_lo
+    # pmf window starts at k_lo
     k_lo, w = specfn.poisson_weight_window(q * x, ctrl.abs_tol, ctrl.k_max)
-    kernel = np.concatenate((np.zeros(k_lo), w))
-    return q * float(coeffs @ _series_rows(link, lam_extra, kernel))
+    return q * float(coeffs @ _series_rows(link, lam_extra, w, k_lo))
 
 
 def selected_snr_pdf(

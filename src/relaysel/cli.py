@@ -292,13 +292,37 @@ def _row_seed(seed: int, index: int) -> int:
     return (seed * 1_000_003 + index) % (1 << 63)
 
 
-def _z_score(value: float, est: montecarlo.McEstimate) -> float:
+# metrics whose Monte-Carlo estimate counts a 0/1 outcome per trial
+_COUNTED = frozenset({"outage"})
+
+
+def _z_score(value: float, est: montecarlo.McEstimate, counted: bool = False) -> float:
     """|value - MC mean| in standard errors.  A zero standard error gives 0
-    only when the two agree exactly, and inf otherwise."""
+    only when the two agree exactly, and inf otherwise.
+
+    A counted estimate (0/1 per trial) with mean 0 or 1 saw the same outcome
+    in all n trials.  With counted=True it is scored by that outcome's exact
+    probability P under value = p, (1 - p)^n or p^n, given as the two-sided
+    normal z with the same tail: 0 at P = 1, inf where P underflows or p is
+    not a probability.
+    """
     diff = abs(value - est.mean)
     if est.std_error > 0:
         return diff / est.std_error
-    return 0.0 if diff == 0.0 else math.inf
+    if not (counted and est.mean in (0.0, 1.0) and 0.0 <= value <= 1.0):
+        return 0.0 if diff == 0.0 else math.inf
+    if est.mean == 0.0:
+        log_p = math.log1p(-value) if value < 1.0 else -math.inf
+    else:
+        log_p = math.log(value) if value > 0.0 else -math.inf
+    half = 0.5 * math.exp(est.trials * log_p)
+    if half == 0.0:
+        return math.inf
+    if half >= 0.5:
+        return 0.0
+    from statistics import NormalDist  # not at module level: ~3 ms of every cold start
+
+    return -NormalDist().inv_cdf(half)
 
 
 def run_sweep(spec: SweepSpec) -> list[MetricPoint]:
@@ -322,7 +346,7 @@ def run_sweep(spec: SweepSpec) -> list[MetricPoint]:
             est = _SIMULATE[spec.metric](cfg, spec.trials, _row_seed(spec.seed, i))
             mean, stderr = est.mean, est.std_error
             if value is not None:
-                z = _z_score(value, est)
+                z = _z_score(value, est, spec.metric in _COUNTED)
         rows.append(
             MetricPoint(
                 snr_db=snr, metric=spec.metric, mode=spec.mode, value=value,
@@ -553,7 +577,7 @@ def validate(config: SystemConfig, trials: int, seed: int) -> tuple[bool, list[s
             value = _ANALYTIC[name](config).value
             # the first metric runs one pass for all three; the others read it
             est = sim(config, trials, seed, shared=True)
-            z = _z_score(value, est)
+            z = _z_score(value, est, name in _COUNTED)
             check(f"analytic-vs-mc[{name}]", z < z_tol, f"z = {z:.2f} (tol {z_tol})")
     finally:
         montecarlo.clear_shared_pass()

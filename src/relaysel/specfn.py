@@ -4,8 +4,8 @@ Everything downstream (closed-form outage / SER / capacity expressions and
 their oracles) is assembled from the functions in this module.  All routines
 are pure functions of their arguments and safe for concurrent use.  Tables
 that depend on no argument but their length (ln n!, lgamma on the
-half-integer grid, the Q-approximation coefficients, the Gauss-Legendre rule)
-are computed once per process, on first use, and handed out read-only.
+half-integer grid, the Q-approximation coefficients) are computed once per
+process, on first use, and handed out read-only.
 """
 
 from __future__ import annotations
@@ -178,26 +178,26 @@ def _poisson_span(mean: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def poisson_weight_window(lam: float, tol: float, k_cap: int) -> tuple[int, np.ndarray]:
     """Poisson(lam) pmf restricted to k where the weight exceeds tol.
 
-    Returns (k_lo, weights).  Weights are computed in log space so the window
-    is usable far beyond the underflow point of exp(-lam).  Raises
-    SeriesError if the required window would extend past k_cap.
+    Returns (k_lo, weights).  Weights are computed in `marcum_q1`'s
+    saddle-point form (`_poisson_base` minus the deviance), so the window is
+    usable far beyond the underflow point of exp(-lam) and keeps its relative
+    digits at large k.  Raises SeriesError if the required window would
+    extend past k_cap.
     """
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
     if lam == 0.0:
         return 0, np.array([1.0])
-    (k_lo,), (k_hi,) = _poisson_span(np.array([lam]))
+    k_lo, k_hi = (int(end[0]) for end in _poisson_span(np.array([lam])))
     if k_hi > k_cap:
         raise SeriesError(
             f"Poisson window for mean {lam:.3g} needs k up to {k_hi}, cap is {k_cap}"
         )
-    k = np.arange(k_lo, k_hi + 1, dtype=float)
-    logw = k * math.log(lam) - lam - _ln_factorial_array(int(k_hi))[k_lo:]
-    w = np.exp(logw)
+    w = np.exp(_poisson_base(k_lo, k_hi) - _poisson_deviance(np.arange(k_lo, k_hi + 1), lam))
     keep = w >= tol * w.max()
     first = int(np.argmax(keep))
     last = len(keep) - 1 - int(np.argmax(keep[::-1]))
-    return int(k_lo) + first, w[first : last + 1]
+    return k_lo + first, w[first : last + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +418,17 @@ def _poisson_base(k_lo: int, k_hi: int) -> np.ndarray:
 
 
 def _poisson_deviance(k: np.ndarray, mean) -> np.ndarray:
-    """D = k ln(k / mean) - (k - mean) for integer k >= 0 (mean at k = 0)."""
+    """D = k ln(k / mean) - (k - mean) for integer k >= 0 (mean at k = 0).
+
+    The ratio is taken as 1 + (k - mean) / mean, and k - mean is exact for
+    mean/2 <= k <= 2 mean, so D carries about eps |k - mean| of rounding,
+    where k / mean - 1 would carry eps k."""
     kf = k.astype(float)
-    d = kf / mean - 1.0
+    diff = kf - mean
+    d = diff / mean
     np.log1p(d, out=d, where=k > 0)  # d stays -1 at k = 0, where k * d = 0
     d *= kf
-    kf -= mean
-    d -= kf
+    d -= diff
     return d
 
 
@@ -559,61 +563,95 @@ def mean_q_gamma_table(shape_max: int, c: float) -> np.ndarray:
 # log-average over gamma densities (capacity kernel)
 # ---------------------------------------------------------------------------
 
-_LEGGAUSS_NODES = 96
 # above this b the seed V_0 = e^b E1(b) carries too little accuracy through
-# the growing steps j < b, and the increments there are integrated instead
+# the growing steps j < b, and every increment comes from the continued fraction
 _RECURRENCE_B_MAX = 15.0
+# at b <= _RECURRENCE_B_MAX the recurrence fills the increments j below this
+# and the continued fraction the rest: from order n = _RECURRENCE_HEAD + 1 on
+# it needs at most 9 levels at any b, where at small b and n it needs thousands
+_RECURRENCE_HEAD = 256
 
 
-@functools.cache
-def _leggauss_rule() -> tuple[np.ndarray, np.ndarray]:
-    """The _LEGGAUSS_NODES-node Gauss-Legendre nodes and weights on [-1, 1],
-    read-only, computed once per process on first use (importing
-    numpy.polynomial is left until then)."""
-    u, w = np.polynomial.legendre.leggauss(_LEGGAUSS_NODES)
-    u.flags.writeable = w.flags.writeable = False
-    return u, w
+def expn_scaled(n, b: float) -> np.ndarray:
+    """e^b E_n(b) = E[1 / (b + X)] for X ~ Gamma(n, 1), where
+    E_n(b) = int_1^inf e^(-b t) t^(-n) dt, over an ascending array of
+    integer orders n >= 1 at one b > 0.
+
+    Evaluates the continued fraction (Abramowitz & Stegun 5.1.22)
+    1 / (b + n - 1 n / (b + n + 2 - 2 (n + 1) / (b + n + 4 - ...))) bottom-up
+    from depth 5 + ceil(80 / (b + n)^0.55), so an element's value depends
+    only on its own (n, b), never on the other orders in the array.  The
+    depth falls as n grows, so the elements still open at a level are a
+    prefix of the array.  It suffices for b > 15 at every order and for
+    n > 256 at every b (within 1.2 eps of 40-digit values; two levels fewer
+    lose 10 eps); orders n <= 256 at b <= 15, where the fraction needs up to
+    thousands of levels, raise ValueError.
+    """
+    b = float(b)
+    n = np.asarray(n, dtype=float)
+    if not b > 0.0:
+        raise ValueError("expn_scaled requires b > 0")
+    if n.ndim != 1:
+        raise ValueError("orders must be a 1-D array")
+    if not n.size:
+        return np.empty(0)
+    if n[0] < 1.0 or (n[1:] < n[:-1]).any():
+        raise ValueError("orders must be ascending and >= 1")
+    if b <= _RECURRENCE_B_MAX and n[0] <= _RECURRENCE_HEAD:
+        raise ValueError(
+            f"orders n <= {_RECURRENCE_HEAD} need b > {_RECURRENCE_B_MAX:g}, got b = {b:g}"
+        )
+    s = b + n
+    # level i > 6 is open while s < (80 / (i - 6))^(1 / 0.55); s ascends, so
+    # the open elements are the first reach[i]
+    top = 5 + math.ceil(80.0 / s[0] ** 0.55)
+    reach = np.full(top + 1, len(s))
+    reach[7:] = np.searchsorted(s, (80.0 / np.arange(1.0, top - 5)) ** (1.0 / 0.55))
+    f = np.empty_like(s)
+    t = np.empty_like(s)
+    prev = 0
+    for i in range(top, -1, -1):
+        # level i of the elements open below it: b + n + 2i - (i + 1)(n + i) / f
+        g, h = f[:prev], t[:prev]
+        np.add(n[:prev], i, out=h)
+        h *= i + 1.0
+        h /= g
+        np.subtract(s[:prev], h, out=g)
+        g += 2.0 * i
+        # the elements of depth i start here, their tail dropped
+        np.add(s[prev : reach[i]], 2.0 * i, out=f[prev : reach[i]])
+        prev = reach[i]
+    return np.divide(1.0, f, out=f)
 
 
 def log_gamma_mean_table(k_max: int, b: float) -> np.ndarray:
     """L[k] = E[ln(1 + X/b)] for X ~ Gamma(k+1, 1), k = 0..k_max.
 
-    L[k] = sum_{j<=k} V_j, where the increments V_j = (1/b) E[1/(1 + X_j/b)]
-    obey the forward recurrence V_j = (1 - b V_{j-1}) / j.  A step multiplies
-    the error it inherits by b/j, so it amplifies while j < b and damps once
-    j > b.  For b <= 15 the recurrence runs from V_0 = e^b E1(b) and loses up
-    to about 4 digits near j ~ b (1.4e-12 relative at b = 14.9, k = 13).
-    For b > 15 the increments j <= min(k_max, ceil(b)) are integrated
-    directly, with the one 96-node Gauss-Legendre rule (`_leggauss_rule`)
-    mapped onto each Gamma(j+1) density's mass window, and the recurrence
-    carries on from j = ceil(b) + 1.  The cost is about
-    96 min(k_max, ceil(b)) + k_max operations.
+    L[k] = sum_{j<=k} V_j, with increments V_j = (1/b) E[1/(1 + X_j/b)]
+    = e^b E_{j+1}(b).  For b > 15 every increment is `expn_scaled`'s
+    continued fraction.  For b <= 15 the increments j < 256 follow the
+    forward recurrence V_j = (1 - b V_{j-1}) / j from V_0 = e^b E1(b), and
+    the rest come from the fraction.  A recurrence step multiplies the error
+    it inherits by b/j, so the recurrence loses up to about 4 digits near
+    j ~ b (1.4e-12 relative at b = 14.9, k = 13); it stays because the
+    figures' stored digits were made with it.  Each increment depends only
+    on (j, b), so a table is the prefix of every longer table at the same
+    b.  The cost is at most 256 Python steps plus a few array operations
+    per level of the fraction (at most 23 levels at b > 15, 9 past j = 256).
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     if b <= 0.0:
         raise ValueError("b must be positive")
     b = float(b)  # keeps the recurrence on Python floats, not numpy scalars
+    if b > _RECURRENCE_B_MAX:
+        return np.cumsum(expn_scaled(np.arange(1, k_max + 2), b))
+    head = min(k_max + 1, _RECURRENCE_HEAD)
     v = np.empty(k_max + 1)
-    if b <= _RECURRENCE_B_MAX:
-        v[0] = math.exp(b) * exp1(b)
-        start = 1
-    else:
-        start = min(k_max, math.ceil(b)) + 1
-        u, w = _leggauss_rule()
-        lnfact = _ln_factorial_array(start - 1)
-        for j in range(start):
-            m = j + 1.0
-            s = math.sqrt(m)
-            # Gauss-Legendre nodes are interior, so log(x) stays finite at lo = 0
-            lo = max(0.0, m - 10.0 * s - 5.0)
-            hi = m + 12.0 * s + 25.0
-            half = 0.5 * (hi - lo)
-            x = lo + half * (u + 1.0)
-            dens = np.exp(j * np.log(x) - x - lnfact[j])
-            v[j] = half * float(w @ (dens / (1.0 + x / b))) / b
-    prev = float(v[start - 1])
-    for j in range(start, k_max + 1):
+    prev = v[0] = math.exp(b) * exp1(b)
+    for j in range(1, head):
         prev = (1.0 - b * prev) / j
         v[j] = prev
+    if head <= k_max:
+        v[head:] = expn_scaled(np.arange(head + 1, k_max + 2), b)
     return np.cumsum(v)

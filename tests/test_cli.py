@@ -195,10 +195,10 @@ def test_z_score_of_a_zero_standard_error():
     assert cli._z_score(0.5, montecarlo.McEstimate(0.25, 0.125, 20_000, 1)) == 2.0
 
 
-def test_cli_sweep_z_score_flags_a_value_no_trial_can_see(tmp_path):
+def test_cli_sweep_z_score_of_an_outage_no_trial_can_see(tmp_path):
     # the series gives 1.42e-16 for an outage of 1.64e-18; no trial of
-    # 20000 is in outage, so the MC standard error is 0 and the row's
-    # z-score must not read as agreement
+    # 20000 is in outage, an outcome of probability 1 - 2.8e-12 under either
+    # value, so the row's z-score is that of a two-sided tail of ~1
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"M": 8, "rho_f": 1.0}))
     cp = run_cli(
@@ -207,7 +207,39 @@ def test_cli_sweep_z_score_flags_a_value_no_trial_can_see(tmp_path):
     )
     assert cp.returncode == 0, cp.stderr
     row = cp.stdout.splitlines()[1].split(",")
-    assert float(row[3]) > 0.0 and row[4:7] == ["0.0", "0.0", "inf"]
+    assert float(row[3]) > 0.0 and row[4:6] == ["0.0", "0.0"]
+    assert 0.0 <= float(row[6]) < 1e-10
+
+
+def test_z_score_of_an_outage_count_with_no_events():
+    # 0 events in 20000 trials has probability (1 - p)^20000: 0.990 at the
+    # analytic p = 4.96e-7, e^-20 at a wrong p = 1e-3
+    est = montecarlo.McEstimate(0.0, 0.0, 20_000, 1)
+    assert cli._z_score(4.96e-7, est, counted=True) == pytest.approx(0.0124, abs=1e-4)
+    assert cli._z_score(1e-3, est, counted=True) == pytest.approx(5.99, abs=0.01)
+    assert cli._z_score(0.0, est, counted=True) == 0.0
+    assert cli._z_score(1.0, est, counted=True) == math.inf
+    assert cli._z_score(0.5, est, counted=True) == math.inf  # 2^-20000 underflows
+    # all trials in outage: p^n
+    full = montecarlo.McEstimate(1.0, 0.0, 20_000, 1)
+    assert cli._z_score(1.0 - 4.96e-7, full, counted=True) == pytest.approx(0.0124, abs=1e-4)
+    assert cli._z_score(1.0 - 1e-3, full, counted=True) == pytest.approx(5.99, abs=0.01)
+    # a value that is no probability, and an estimate that is not counted
+    assert cli._z_score(-1e-9, est, counted=True) == math.inf
+    assert cli._z_score(4.96e-7, est) == math.inf
+
+
+def test_validate_scores_a_rare_outage_by_its_probability(monkeypatch):
+    # the analytic outage is 4.96e-7 and no trial of 20000 is in outage
+    cfg = load_config({"M": 3, "rho_f": 0.999, "power_db": 30})
+    ok, report = validate(cfg, 20_000, 1)
+    assert "PASS  analytic-vs-mc[outage]: z = 0.01 (tol 4.0)" in report, report
+    # a wrong outage of 1e-3 leaves no events a chance of e^-20
+    wrong = analytic.MetricResult(1e-3, 0, 1.0)
+    monkeypatch.setitem(cli._ANALYTIC, "outage", lambda _cfg: wrong)
+    ok, report = validate(cfg, 20_000, 1)
+    assert not ok
+    assert "FAIL  analytic-vs-mc[outage]: z = 5.99 (tol 4.0)" in report, report
 
 
 @pytest.mark.parametrize("snr, rho_e, sigma2_h, beta, message", [

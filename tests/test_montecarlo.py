@@ -213,9 +213,9 @@ def test_import_cli_loads_no_scipy():
 
 
 def test_import_cli_loads_no_numpy_polynomial():
-    # importing numpy.polynomial, or solving for quadrature nodes at import,
-    # adds to the cold start of every CLI call; the Gauss-Legendre nodes of
-    # log_gamma_mean_table's b > 15 branch are computed when it runs
+    # importing numpy.polynomial adds to the cold start of every CLI call,
+    # and no kernel needs it: log_gamma_mean_table's b > 15 branch is a
+    # continued fraction, not a Gauss-Legendre rule
     code = (
         "import sys, relaysel.cli; "
         "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"

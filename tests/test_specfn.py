@@ -544,23 +544,138 @@ LOG_GAMMA_MEAN_40 = [
 
 @pytest.mark.parametrize("b, k_max, want", LOG_GAMMA_MEAN_40, ids=["16", "50.03", "400"])
 def test_log_gamma_mean_large_b_against_mpmath(b, k_max, want):
-    # k < ceil(b) are integrated, k > ceil(b) come from the recurrence
+    # every increment is the continued fraction, including j < b, where the
+    # recurrence would amplify the error of its seed
     table = specfn.log_gamma_mean_table(k_max, b)
     assert len(table) == k_max + 1
     for k, value in want.items():
-        assert table[k] == pytest.approx(float(value), rel=1e-13, abs=0.0), k
+        assert table[k] == pytest.approx(float(value), rel=2e-14, abs=0.0), k
 
 
 @pytest.mark.parametrize("b, k_max, want", LOG_GAMMA_MEAN_40, ids=["16", "50.03", "400"])
 def test_log_gamma_mean_large_b_short_tables(b, k_max, want):
-    # k_max < ceil(b) is all quadrature and k_max = ceil(b) ends on it; either
-    # is the prefix of the long table, whose entries do not depend on k_max
+    # tables that end before, at and after ceil(b) are each the prefix of
+    # the long table, whose entries do not depend on k_max
     full = specfn.log_gamma_mean_table(k_max, b)
     cb = math.ceil(b)
     for short in (0, 5, cb - 1, cb, cb + 1):
         table = specfn.log_gamma_mean_table(short, b)
         np.testing.assert_array_equal(table, full[: short + 1])
-        assert table[-1] == pytest.approx(float(want[short]), rel=1e-13, abs=0.0)
+        assert table[-1] == pytest.approx(float(want[short]), rel=2e-14, abs=0.0)
+
+
+# e^b E_n(b) from mpmath 1.3.0: a 45-digit quadrature of
+# int_0^inf e^(-b u) (1 + u)^(-n) du, rounded to 30 digits.  A 400-level
+# continued fraction agrees to 2e-46, and 120-digit mpmath.expint to 1e-28
+# except at (257, 400), where expint returns -8e26.  The orders are those
+# the fraction serves: every n for b > 15, and n > 256 for b <= 15, where
+# the table's recurrence covers the rest.  The b are the exact binary
+# values; 15.000000000000002 is the double just above 15.
+EXPN_SCALED_30 = [
+    (257, 1e-06, "0.00390624998468137260932916519158"),
+    (258, 1e-06, "0.00389105056845817126583123567096"),
+    (1000, 1e-06, "0.00100100099999799398697596300843"),
+    (65537, 1e-06, "0.0000152587890622671658035817935216"),
+    (257, 0.5, "0.00389860573392552522130003547676"),
+    (258, 0.5, "0.0038834657475993666824488326158"),
+    (1000, 0.5, "0.00100049974887356329038350922356"),
+    (65537, 0.5, "0.0000152586726462900014222142978435"),
+    (257, 14.9, "0.00369064724643554689997672643131"),
+    (258, 14.9, "0.00367707920633505972715628591661"),
+    (1000, 14.9, "0.000986276252158455245003617390862"),
+    (65537, 14.9, "0.0000152553206215680865341695601639"),
+    (257, 15.0, "0.00368928090229316211663930948226"),
+    (258, 15.0, "0.00367572290453541855350354224812"),
+    (1000, 15.0, "0.000986178893077821488080819570337"),
+    (65537, 15.0, "0.000015255297348767910470552692872"),
+    (1, 15.000000000000002, "0.0627202791074092348062416154548"),
+    (2, 15.000000000000002, "0.0591958133888613664927790066387"),
+    (16, 15.000000000000002, "0.0327871599628833399342192372887"),
+    (64, 15.000000000000002, "0.0127887345709749269623881180412"),
+    (257, 15.000000000000002, "0.00368928090229316209237717897872"),
+    (1000, 15.000000000000002, "0.000986178893077821486351545768967"),
+    (65537, 15.000000000000002, "0.000015255297348767910470139285525"),
+    (1, 15.5, "0.0608074334760914584479960555392"),
+    (2, 15.5, "0.0574847811205823940560611391419"),
+    (16, 15.5, "0.0322500730125449466842035262599"),
+    (64, 15.5, "0.0127066469500635353793043847723"),
+    (257, 15.5, "0.00368246438180742020264917268934"),
+    (1000, 15.5, "0.000985692386133211619880309062611"),
+    (65537, 15.5, "0.0000152551809858321549781857887715"),
+    (1, 16.0, "0.0590081036085564361865093419738"),
+    (2, 16.0, "0.0558703422630970210158505284185"),
+    (16, 16.0, "0.0317305554750222208713632498087"),
+    (64, 16.0, "0.0126256170338905619068364953041"),
+    (257, 16.0, "0.00367567309152515485493725949959"),
+    (1000, 16.0, "0.000985206359430328138046492530917"),
+    (65537, 16.0, "0.0000152550646246715777390024698239"),
+    (1, 50.0250125062538, "0.0196054875890931696759606598981"),
+    (2, 50.0250125062538, "0.0192352381644104896657376682171"),
+    (16, 50.0250125062538, "0.0152003184704393040659895553129"),
+    (64, 50.0250125062538, "0.00881305405307206277074510625449"),
+    (257, 50.0250125062538, "0.00326595836468442350158876672596"),
+    (1000, 50.0250125062538, "0.000953222747196060430033116440696"),
+    (65537, 50.0250125062538, "0.0000152471504132098796673563293165"),
+    (1, 400.0, "0.00249378101793988503812742013324"),
+    (2, 400.0, "0.00248759282404598474903194670296"),
+    (16, 400.0, "0.00240406740276233295272207805041"),
+    (64, 400.0, "0.00215581089177901433185901359457"),
+    (257, 400.0, "0.0015229751032472100754618646548"),
+    (1000, 400.0, "0.00071465018284184665157755948642"),
+    (65537, 400.0, "0.0000151662203954276363864996454557"),
+    (1, 10000.0, "0.0000999900019994002398800719496403"),
+    (2, 10000.0, "0.0000999800059976011992805035971625"),
+    (16, 10000.0, "0.0000998402715113283834184323045321"),
+    (64, 10000.0, "0.0000993641327267128758256414581111"),
+    (257, 10000.0, "0.0000974946321894338990574488072546"),
+    (1000, 10000.0, "0.0000909098421059434870166982192292"),
+    (65537, 10000.0, "0.0000132386974071803993968451938354"),
+]
+
+
+def test_expn_scaled_against_mpmath():
+    for b in sorted({b for _, b, _ in EXPN_SCALED_30}):
+        rows = [(n, v) for n, x, v in EXPN_SCALED_30 if x == b]
+        got = specfn.expn_scaled(np.array([n for n, _ in rows]), b)
+        want = np.array([float(v) for _, v in rows])
+        assert np.all(np.abs(got - want) <= 4e-16 * want), b
+
+
+@pytest.mark.parametrize("b, n_lo", [
+    (1e-6, 257), (0.5, 257), (14.9, 257), (15.0, 257), (15.000000000000002, 1), (15.5, 1),
+    (50.0250125062538, 1), (400.0, 1), (1e4, 1),
+])
+def test_expn_scaled_obeys_the_order_recurrence(b, n_lo):
+    # n E_{n+1}(b) + b E_n(b) = e^-b, times e^b, at every consecutive pair
+    # of orders up to 65537; both terms are positive, so the identity
+    # checks each value
+    n = np.arange(n_lo, 65538)
+    v = specfn.expn_scaled(n, b)
+    np.testing.assert_allclose(n[:-1] * v[1:] + b * v[:-1], 1.0, rtol=8e-16, atol=0.0)
+
+
+def test_expn_scaled_array_equals_elementwise_calls():
+    # each element's fraction starts at its own depth, so no element's value
+    # depends on the other orders in the array
+    for b, n in ((0.3, np.array([257, 300, 4000, 65537])), (20.0, np.array([1, 2, 3, 90, 65537]))):
+        got = specfn.expn_scaled(n, b)
+        for i, order in enumerate(n):
+            assert got[i] == specfn.expn_scaled(np.array([order]), b)[0]
+    assert specfn.expn_scaled(np.array([], dtype=int), 3.0).shape == (0,)
+
+
+@pytest.mark.parametrize("n, b", [
+    (np.array([256, 257]), 15.0),   # the recurrence's orders at b <= 15
+    (np.array([1]), 0.5),
+    (np.array([300, 299]), 20.0),   # not ascending
+    (np.array([0, 1]), 20.0),       # order 0
+    (np.array([[1, 2]]), 20.0),     # not 1-D
+    (np.array([300]), 0.0),
+    (np.array([300]), -1.0),
+])
+def test_expn_scaled_rejects_arguments_outside_its_domain(n, b):
+    with pytest.raises(ValueError):
+        specfn.expn_scaled(n, b)
 
 
 def _mean_q_gamma_loop(shape_max, c):
@@ -609,30 +724,21 @@ def test_log_gamma_mean_small_b_bit_identical_to_loop(b):
         np.testing.assert_array_equal(specfn.log_gamma_mean_table(size - 1, np.float64(b)), got)
 
 
-def test_log_gamma_mean_large_b_solves_its_rule_once(monkeypatch):
-    # b > 15 integrates the first increments by one 96-node Gauss-Legendre
-    # rule, solved on first use and then shared read-only
-    import numpy.polynomial.legendre as leg
+def test_log_gamma_mean_large_b_is_the_fraction():
+    # b > 15 sums the continued fraction's increments from j = 0; no
+    # quadrature rule is left to solve
+    for b, k_max in ((15.000000000000002, 300), (20.0, 40), (50.0250125062538, 17945)):
+        want = np.cumsum(specfn.expn_scaled(np.arange(1, k_max + 2), b))
+        np.testing.assert_array_equal(specfn.log_gamma_mean_table(k_max, b), want)
 
-    original = leg.leggauss
-    calls = []
 
-    def counting(n):
-        calls.append(n)
-        return original(n)
-
-    specfn._leggauss_rule.cache_clear()
-    monkeypatch.setattr(leg, "leggauss", counting)
-    first = specfn.log_gamma_mean_table(40, 20.0)
-    second = specfn.log_gamma_mean_table(60, 33.5)
-    assert calls == [96]
-    u, w = specfn._leggauss_rule()
-    assert not u.flags.writeable and not w.flags.writeable
-    # a freshly solved rule gives the same tables bit for bit
-    specfn._leggauss_rule.cache_clear()
-    np.testing.assert_array_equal(specfn.log_gamma_mean_table(40, 20.0), first)
-    np.testing.assert_array_equal(specfn.log_gamma_mean_table(60, 33.5), second)
-    assert calls == [96, 96]
+@pytest.mark.parametrize("b", SMALL_ARGS + (15.000000000000002, 15.5, 50.0250125062538, 400.0))
+def test_log_gamma_mean_prefix_does_not_depend_on_k_max(b):
+    # for b <= 15 the recurrence hands over to the fraction at j = 256; a
+    # table that ends on either side of it is the prefix of a longer one
+    full = specfn.log_gamma_mean_table(18000, b)
+    for k_max in (255, 256, 257):
+        np.testing.assert_array_equal(specfn.log_gamma_mean_table(k_max, b), full[: k_max + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -651,3 +757,23 @@ def test_series_control_validation():
 def test_poisson_window_raises_past_cap():
     with pytest.raises(specfn.SeriesError):
         specfn.poisson_weight_window(5000.0, 1e-12, k_cap=512)
+
+
+# Pr[Poisson(200000.5) = k] from mpmath 1.3.0 at 40 digits, rounded to 25:
+# the window's two ends, the mode and two points between
+POISSON_PMF_25 = {
+    196685: "8.965046336595196664455854e-16",
+    198765: "0.00001954283762620408698810729",
+    200000: "0.0008920611288464882644173524",
+    201234: "0.0000199745622413391626568017",
+    203333: "9.027122620679629945249604e-16",
+}
+
+
+def test_poisson_window_keeps_its_relative_digits_at_large_k():
+    # k ln(lam) - lam - ln k! loses eps ln k! (6e-10 relative here); the
+    # saddle-point form keeps about eps |k - lam|
+    k_lo, w = specfn.poisson_weight_window(200000.5, 1e-12, 1 << 20)
+    assert (k_lo, k_lo + len(w) - 1) == (196685, 203333)
+    for k, want in POISSON_PMF_25.items():
+        assert w[k - k_lo] == pytest.approx(float(want), rel=1e-12, abs=0.0), k
