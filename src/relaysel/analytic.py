@@ -39,12 +39,13 @@ at the rate sums) on both.
 
 Each metric is one `_Metric` record: its decode probability, its value when
 no relay decodes, its kernel table, its rho_f = 1 kernel and its final
-scaling.  A candidate sum is one row kernel (`_rows` for the series,
-`_finite_rows` for the finite form) and one combine step (`_combine`, which
-also takes the condition; the symmetric driver does all sizes' combine
-steps in one product); `_candidate` chains the series ones, and two
-drivers (`_total_general`, `_total_symmetric`) sum over decoding sets and
-raise `SeriesError` on a negative total.  The public `*_general` /
+scaling.  A candidate sum is one row kernel and one signed subset sum.  The
+symmetric driver (`_total_symmetric`) alone takes the series rows
+(`_rows`); everything else takes the finite rows (`_finite_rows`): the
+general driver (`_total_general`, whose combine step `_combine` also takes
+the condition) and the per-candidate `outage_conditional` and
+`aser_conditional_pdf` (`_candidate_term`).  Both drivers sum over decoding
+sets and raise `SeriesError` on a negative total.  The public `*_general` /
 `*_symmetric` functions and their dispatchers only pick a record and a
 driver.
 """
@@ -220,12 +221,10 @@ def _r_max(link: LinkParams) -> float:
     return half_c / (link.lam + half_c)
 
 
-def _series_rows(
-    link: LinkParams, lam_extra: np.ndarray, kernel: np.ndarray, k_lo: int = 0
-) -> np.ndarray:
-    """sum_k kernel[k - k_lo] lam (c/2)^k / a_j^(k+1) over k = k_lo..k_lo +
-    len(kernel) - 1 for every rate sum a_j = lam + c/2 + lam_extra[j]: one
-    uncombined row per subset."""
+def _series_rows(link: LinkParams, lam_extra: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """sum_k kernel[k] lam (c/2)^k / a_j^(k+1) over k < len(kernel) for
+    every rate sum a_j = lam + c/2 + lam_extra[j]: one uncombined row per
+    subset."""
     half_c = 0.5 * link.c
     base = link.lam + half_c + lam_extra
     t0 = link.lam / base
@@ -233,9 +232,8 @@ def _series_rows(
     # ratio = 0 (rho_f = 0) gives log -inf: 0^k is 0 for k > 0, and the
     # -inf * 0 at k = 0 is replaced by 0^0 = 1
     with np.errstate(divide="ignore", invalid="ignore"):
-        powers = np.exp(np.outer(np.log(ratio), np.arange(k_lo, k_lo + len(kernel))))
-    if k_lo == 0:
-        powers[ratio == 0.0, 0] = 1.0
+        powers = np.exp(np.outer(np.log(ratio), np.arange(len(kernel))))
+    powers[ratio == 0.0, 0] = 1.0
     return t0 * (powers @ kernel)
 
 
@@ -321,20 +319,6 @@ def _combine(
     return value
 
 
-def _candidate(
-    metric: _Metric,
-    link: LinkParams,
-    table: np.ndarray | None,
-    coeffs: np.ndarray,
-    lam_extra: np.ndarray,
-    diag: _Diag,
-) -> float:
-    """E[f(current SNR of m); m has the largest old SNR] over the subsets
-    that coeffs and lam_extra describe; f is the metric's kernel."""
-    rows, terms = _rows(metric, link, table, lam_extra)
-    return _combine(metric, coeffs, rows, terms, diag)
-
-
 def _finite_rows(metric: _Metric, links: list[LinkParams], lam_extra: np.ndarray) -> np.ndarray:
     """Uncombined subset rows in finite form, row i for candidate links[i]
     at the rate sums a = lam_i + lam_extra[i].  The Poisson mixture of
@@ -355,6 +339,22 @@ def _finite_rows(metric: _Metric, links: list[LinkParams], lam_extra: np.ndarray
     if metric.stale is not None and stale.any():
         kernel[stale] = metric.stale(r[stale])
     return lam / a * kernel
+
+
+def _check_candidate(config: SystemConfig, D: DecodingSet, m: int) -> None:
+    _check_subset(config, D)
+    if m not in D:
+        raise ValueError("candidate m must belong to the decoding set")
+
+
+def _candidate_term(metric: _Metric, D: DecodingSet, m: int, config: SystemConfig) -> float:
+    """E[f(current SNR of m); m has the largest old SNR in D], f the
+    metric's kernel: the signed sum over the subsets of D \\ {m} of
+    candidate m's finite rows (`_finite_rows`), in the metric's units."""
+    _check_candidate(config, D, m)
+    rel = config.relay_params()
+    coeffs, lam_extra = _subset_expansion([rel[i].lam for i in D if i != m])
+    return metric.finish(float(coeffs @ _finite_rows(metric, [rel[m]], lam_extra[None, :])[0]))
 
 
 def _total_general(
@@ -476,15 +476,9 @@ def outage_conditional(
 ) -> float:
     """Joint probability, conditioned on D, that relay m is selected and its
     current SNR is below R_o.  Summing over m in D gives the decoding-set
-    outage probability."""
-    _check_subset(config, D)
-    if m not in D:
-        raise ValueError("candidate m must belong to the decoding set")
-    rel = config.relay_params()
-    link = rel[m]
-    coeffs, lam_extra = _subset_expansion([rel[i].lam for i in D if i != m])
-    metric = _outage(config, ctrl)
-    return _candidate(metric, link, metric.table(link), coeffs, lam_extra, _Diag())
+    outage probability.  It is evaluated in finite form, which needs no
+    series policy: ctrl has no effect."""
+    return _candidate_term(_outage(config, ctrl), D, m, config)
 
 
 # Gauss-Kronrod G7-K15 on [-1, 1] as QUADPACK's qk15 lists it: the Kronrod
@@ -555,13 +549,13 @@ def outage_conditional_quadrature(D: DecodingSet, m: int, config: SystemConfig) 
     an adaptive Gauss-Kronrod panel rule (`_panel_quadrature`).  The inner
     CDF F(R_o | g) = 1 - Q1(sqrt(c g), sqrt(2 q R_o)) is `specfn.marcum_q1`'s
     complement sum, one array call per round.  The panels start at the break
-    points 0, R_o, R_o / rho_f^2 (where F falls from 1 to 0, steeply as
-    rho_f -> 1), 1 / lam and 10 / lam; rho_f = 1 integrates
+    points 0, R_o, 1 / lam, 10 / lam, and R_o / rho_f^2 + k w for
+    k in {0, +-1, +-3, +-8} where positive, which bracket the step in which F
+    falls from 1 to 0 (w = 2 sqrt(theta R_o) / rho_f^2, narrow as
+    rho_f -> 1); rho_f = 1 integrates
     F_max_others(g) lam e^(-lam g) over [0, R_o] by the same rule.  Raises
     SeriesError if the rule does not converge."""
-    _check_subset(config, D)
-    if m not in D:
-        raise ValueError("candidate m must belong to the decoding set")
+    _check_candidate(config, D, m)
     rel = config.relay_params()
     link = rel[m]
     r_o = config.r_o
@@ -582,7 +576,12 @@ def outage_conditional_quadrature(D: DecodingSet, m: int, config: SystemConfig) 
     upper = 60.0 / lam
     breaks = {0.0, r_o, 1.0 / lam, 10.0 / lam, upper}
     if link.rho_f > 0.0:
-        breaks.add(r_o / link.rho_f**2)
+        # F steps within a few w of R_o / rho_f^2, w the current SNR's
+        # standard deviation there in units of g.  A panel wider than the
+        # step can hold it between its nodes and close on a reading of 0
+        step = r_o / link.rho_f**2
+        w = 2.0 * math.sqrt(link.theta * r_o) / link.rho_f**2
+        breaks.update(b for k in (0, -8, -3, -1, 1, 3, 8) if (b := step + k * w) > 0.0)
     return _panel_quadrature(integrand, sorted(b for b in breaks if b <= upper))
 
 
@@ -703,41 +702,31 @@ def aser_total(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) -> M
 # selected-SNR density
 # ---------------------------------------------------------------------------
 
-def aser_conditional_pdf(
-    x: float,
-    D: DecodingSet,
-    m: int,
-    config: SystemConfig,
-    ctrl: SeriesControl = SeriesControl(),
-) -> float:
+def aser_conditional_pdf(x: float, D: DecodingSet, m: int, config: SystemConfig) -> float:
     """Joint density, conditioned on D, of {current SNR of m = x, m selected}.
 
     Integrates over x to the probability that m is selected; summing over
     m in D (selected_snr_pdf) yields a proper density integrating to one.
-    Equals the derivative of outage_conditional in its threshold argument.
+    It is the derivative of outage_conditional in its threshold: at
+    rho_f < 1 the finite form with each row's kernel 1 - e^(-r x) replaced
+    by r e^(-r x).  At rho_f = 1 it is the product
+    cdf_max_others(x) lam e^(-lam x), where the signed subset sum would
+    cancel as x -> 0.
     """
-    _check_subset(config, D)
-    if m not in D:
-        raise ValueError("candidate m must belong to the decoding set")
+    _check_candidate(config, D, m)
     if x < 0.0:
         raise ValueError("x must be nonnegative")
     rel = config.relay_params()
-    link = rel[m]
-    coeffs, lam_extra = _subset_expansion([rel[i].lam for i in D if i != m])
-    if link.degenerate:
-        return cdf_max_others(x, D, m, rel) * link.lam * math.exp(-link.lam * x)
-    q = link.q
-    # the gamma(k+1) density at x is q times the Poisson(q x) pmf at k; the
-    # pmf window starts at k_lo
-    k_lo, w = specfn.poisson_weight_window(q * x, ctrl.abs_tol, ctrl.k_max)
-    return q * float(coeffs @ _series_rows(link, lam_extra, w, k_lo))
+    if rel[m].degenerate:
+        lam = rel[m].lam
+        return cdf_max_others(x, D, m, rel) * lam * math.exp(-lam * x)
+    metric = _outage(config, SeriesControl())._replace(degenerate=lambda r: r * np.exp(-r * x))
+    return _candidate_term(metric, D, m, config)
 
 
-def selected_snr_pdf(
-    x: float, D: DecodingSet, config: SystemConfig, ctrl: SeriesControl = SeriesControl()
-) -> float:
+def selected_snr_pdf(x: float, D: DecodingSet, config: SystemConfig) -> float:
     """Density of the selected relay's current SNR given decoding set D."""
-    return sum(aser_conditional_pdf(x, D, m, config, ctrl) for m in D)
+    return sum(aser_conditional_pdf(x, D, m, config) for m in D)
 
 
 # ---------------------------------------------------------------------------

@@ -518,9 +518,10 @@ def reproduce_figure(fig_id: int, output_path: str) -> list[MetricPoint]:
 def validate(config: SystemConfig, trials: int, seed: int) -> tuple[bool, list[str]]:
     """Run the cross-oracle suite; returns (all_passed, report lines).
 
-    Checks: decoding-set partition of unity, series vs quadrature for every
-    distinct selection candidate, symmetric vs general formula agreement, the
-    rho_f = 1 degenerate branch, and analytic vs Monte Carlo z-scores.
+    Checks: decoding-set partition of unity, closed form vs quadrature for
+    every distinct selection candidate, symmetric vs general formula
+    agreement, the rho_f = 1 degenerate branch, and analytic vs Monte Carlo
+    z-scores.
     """
     if trials < 1:
         raise ConfigError("trials: must be >= 1")
@@ -542,10 +543,10 @@ def validate(config: SystemConfig, trials: int, seed: int) -> tuple[bool, list[s
     candidates = full.members[:1] if config.is_symmetric() else full.members
     worst = 0.0
     for m in candidates:
-        series = analytic.outage_conditional(full, m, config)
+        closed = analytic.outage_conditional(full, m, config)
         quad = analytic.outage_conditional_quadrature(full, m, config)
-        worst = max(worst, abs(series - quad) / max(abs(quad), 1e-300))
-    check("series-vs-quadrature", worst < 1e-8, f"max rel diff = {worst:.3g} (tol 1e-8)")
+        worst = max(worst, abs(closed - quad) / max(abs(quad), 1e-300))
+    check("closed-form-vs-quadrature", worst < 1e-8, f"max rel diff = {worst:.3g} (tol 1e-8)")
 
     if config.is_symmetric():
         pairs = {

@@ -17,6 +17,13 @@ from .analytic import aser_total
 from .channel import SystemConfig
 from .specfn import SeriesControl
 
+# asymptotic_checks' slope tolerances: fitted slope vs the expected order
+# with feedback delay (1) and with full diversity (M), and the ceiling on
+# the terminal local slope under an estimation-error floor (0)
+TOL_DELAY = 0.15
+TOL_FULL = 0.3
+FLOOR_CEILING = 0.2
+
 
 @dataclass(frozen=True)
 class SweepCurve:
@@ -93,16 +100,13 @@ def _expected_scenario(config: SystemConfig) -> tuple[str, float]:
 def asymptotic_checks(
     configs: Sequence[SystemConfig],
     ctrl: SeriesControl = SeriesControl(),
-    tol_delay: float = 0.15,
-    tol_full: float = 0.3,
-    ceiling: float = 0.2,
 ) -> dict:
     """Classify a power-only family of configs and test its terminal slope.
 
     Expected orders: M for perfect CSI and fresh feedback, 1 with feedback
     delay only, 0 with estimation errors.  The estimation-error case checks
-    the terminal local slope against `ceiling`; the others fit the slope
-    over the last 10 dB of the grid.
+    the terminal local slope against FLOOR_CEILING; the others fit the slope
+    over the last 10 dB of the grid and allow TOL_FULL or TOL_DELAY.
     """
     if len(configs) < 4:
         raise ValueError("need at least four powers to assess a slope")
@@ -120,11 +124,11 @@ def asymptotic_checks(
     scenario, expected = _expected_scenario(base)
     if scenario == "estimation-error-floor":
         observed = effective_diversity(curve)[-1][1]
-        passed = observed < ceiling
-        detail = f"terminal slope {observed:.3f} < {ceiling}"
+        passed = observed < FLOOR_CEILING
+        detail = f"terminal slope {observed:.3f} < {FLOOR_CEILING}"
     else:
         observed = fit_slope(curve, snr_db[-1] - 10.0, snr_db[-1])
-        tol = tol_full if scenario == "full-diversity" else tol_delay
+        tol = TOL_FULL if scenario == "full-diversity" else TOL_DELAY
         passed = abs(observed - expected) <= tol
         detail = f"fitted slope {observed:.3f} vs {expected} +- {tol}"
     return {

@@ -58,12 +58,16 @@ def test_relay_error_prob_decreases_with_power():
 # selected-SNR density
 # ---------------------------------------------------------------------------
 
-def test_pdf_normalizes_to_one():
-    cfg = sym_config(M=3, power=10.0, rho_e=0.97, rho_f=0.85)
+# as rho_f -> 1, q x outgrows any k-series cap (q x = 1.4e5 at rho_f = 0.99999
+# and x = 2 here); the finite form sums no series
+PDF_RHO_FS = [0.85, 0.999, 0.99999]
+
+
+@pytest.mark.parametrize("rho_f", PDF_RHO_FS)
+def test_pdf_normalizes_to_one(rho_f):
+    cfg = sym_config(M=3, power=10.0, rho_e=0.97, rho_f=rho_f)
     D = an.DecodingSet((0, 1, 2))
-    total, _ = integrate.quad(
-        lambda x: an.selected_snr_pdf(x, D, cfg, CTRL), 0.0, 80.0, limit=300
-    )
+    total, _ = integrate.quad(lambda x: an.selected_snr_pdf(x, D, cfg), 0.0, 80.0, limit=300)
     assert total == pytest.approx(1.0, abs=1e-6)
 
 
@@ -71,7 +75,7 @@ def test_pdf_per_candidate_integrates_to_selection_probability():
     cfg = sym_config(M=3, power=10.0, rho_f=0.85)
     D = an.DecodingSet((0, 1, 2))
     per, _ = integrate.quad(
-        lambda x: an.aser_conditional_pdf(x, D, 0, cfg, CTRL), 0.0, 80.0, limit=300
+        lambda x: an.aser_conditional_pdf(x, D, 0, cfg), 0.0, 80.0, limit=300
     )
     assert per == pytest.approx(1.0 / 3.0, abs=1e-6)
 
@@ -81,9 +85,20 @@ def test_pdf_degenerate_single_member_is_exponential():
     lam = cfg.relay_params()[0].lam
     D = an.DecodingSet((0,))
     for x in (0.0, 0.4, 2.0):
-        assert an.aser_conditional_pdf(x, D, 0, cfg, CTRL) == pytest.approx(
+        assert an.aser_conditional_pdf(x, D, 0, cfg) == pytest.approx(
             lam * math.exp(-lam * x), rel=1e-12
         )
+
+
+def test_pdf_degenerate_keeps_the_product_form():
+    # at rho_f = 1 the signed subset sum of the finite rows cancels as
+    # x -> 0 (4.4e4 relative off here); the product form is exact.  The
+    # reference is 50-digit mpmath of (1 - e^(-x))^5 e^(-x), lam = 1
+    cfg = sym_config(M=6, power=10.0, rho_f=1.0)
+    assert cfg.relay_params()[0].lam == 1.0
+    D = an.DecodingSet(tuple(range(6)))
+    got = an.aser_conditional_pdf(1e-4, D, 0, cfg)
+    assert got == pytest.approx(9.9965006332545932764316e-21, rel=1e-14)
 
 
 @pytest.mark.parametrize("rho_f", [0.0, 0.85])
@@ -101,28 +116,30 @@ def test_pdf_at_zero_is_the_k_0_density(rho_f):
             (-1) ** len(S) * link.lam / (link.lam + 0.5 * link.c + sum(S))
             for r in range(len(others) + 1) for S in itertools.combinations(others, r)
         )
-        assert an.aser_conditional_pdf(0.0, D, m, cfg, CTRL) == pytest.approx(want, rel=1e-15)
+        assert an.aser_conditional_pdf(0.0, D, m, cfg) == pytest.approx(want, rel=1e-15)
 
 
-def test_pdf_matches_threshold_derivative():
-    cfg = sym_config(M=3, power=10.0, rho_e=0.97, rho_f=0.85)
+@pytest.mark.parametrize("rho_f", PDF_RHO_FS)
+def test_pdf_matches_threshold_derivative(rho_f):
+    cfg = sym_config(M=3, power=10.0, rho_e=0.97, rho_f=rho_f)
     D = an.DecodingSet((0, 1, 2))
-    x0, h = 0.5, 1e-5
+    h = 1e-5
 
     def outage_at(x):
         rate = 0.5 * math.log2(1.0 + cfg.power * x)
         cfg_x = dataclasses.replace(cfg, rate=rate)
         return an.outage_conditional(D, 0, cfg_x, CTRL)
 
-    fd = (outage_at(x0 + h) - outage_at(x0 - h)) / (2.0 * h)
-    assert an.aser_conditional_pdf(x0, D, 0, cfg, CTRL) == pytest.approx(fd, abs=1e-5)
+    for x0 in (0.5, 2.0):
+        fd = (outage_at(x0 + h) - outage_at(x0 - h)) / (2.0 * h)
+        assert an.aser_conditional_pdf(x0, D, 0, cfg) == pytest.approx(fd, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------
 # total ASER
 # ---------------------------------------------------------------------------
 
-def aser_quadrature(cfg, ctrl=CTRL) -> float:
+def aser_quadrature(cfg) -> float:
     """Oracle: decoding-set sum with alpha Q(sqrt(beta P x)) integrated
     against the selected-SNR density."""
     b = [an.relay_error_prob(lp, cfg) for lp in cfg.source_params()]
@@ -138,7 +155,7 @@ def aser_quadrature(cfg, ctrl=CTRL) -> float:
         val, _ = integrate.quad(
             lambda x: cfg.alpha
             * gaussian_q(math.sqrt(bp * x))
-            * an.selected_snr_pdf(x, D, cfg, ctrl),
+            * an.selected_snr_pdf(x, D, cfg),
             0.0, 60.0, limit=300,
         )
         total += w * val
@@ -216,14 +233,14 @@ def test_aser_values_in_unit_interval():
 # capacity lower bound
 # ---------------------------------------------------------------------------
 
-def capacity_quadrature(cfg, ctrl=CTRL) -> float:
+def capacity_quadrature(cfg) -> float:
     total = 0.0
     for D in an.all_decoding_sets(cfg.M):
         if not D.members:
             continue
         w = an.prob_decoding_set(cfg, D)
         val, _ = integrate.quad(
-            lambda x: 0.5 * math.log2(1.0 + cfg.power * x) * an.selected_snr_pdf(x, D, cfg, ctrl),
+            lambda x: 0.5 * math.log2(1.0 + cfg.power * x) * an.selected_snr_pdf(x, D, cfg),
             0.0, 150.0, limit=400,
         )
         total += w * val
@@ -406,6 +423,14 @@ def test_kernel_table_built_once_per_distinct_link(monkeypatch, metric, module, 
 # merged general-path driver
 # ---------------------------------------------------------------------------
 
+def _series_candidate(metric, rel, tables, D, m) -> float:
+    """Candidate m's term in D from the k-series rows (`an._rows`), so that
+    the finite form of the general path meets an independent formula."""
+    coeffs, lam_extra = an._subset_expansion([rel[i].lam for i in D if i != m])
+    rows, _ = an._rows(metric, rel[m], tables[m], lam_extra)
+    return metric.finish(float(coeffs @ rows))
+
+
 def _aser_reference(cfg, ctrl=CTRL) -> float:
     """ASER as the explicit sum over decoding sets D and candidates m in D."""
     rel = cfg.relay_params()
@@ -416,9 +441,7 @@ def _aser_reference(cfg, ctrl=CTRL) -> float:
     for D in an.all_decoding_sets(cfg.M):
         w = math.prod((1.0 - b[i]) if i in D else b[i] for i in range(cfg.M))
         inner = 0.5 if not D.members else 0.0
-        for m in D:
-            coeffs, lam_extra = an._subset_expansion([rel[i].lam for i in D if i != m])
-            inner += an._candidate(metric, rel[m], tables[m], coeffs, lam_extra, an._Diag())
+        inner += sum(_series_candidate(metric, rel, tables, D, m) for m in D)
         total += w * inner
     return total
 
@@ -430,10 +453,7 @@ def _capacity_reference(cfg, ctrl=CTRL) -> float:
     tables = [metric.table(lp) for lp in rel]
     total = 0.0
     for D in an.all_decoding_sets(cfg.M):
-        inner = 0.0
-        for m in D:
-            coeffs, lam_extra = an._subset_expansion([rel[i].lam for i in D if i != m])
-            inner += an._candidate(metric, rel[m], tables[m], coeffs, lam_extra, an._Diag())
+        inner = sum(_series_candidate(metric, rel, tables, D, m) for m in D)
         total += an.prob_decoding_set(cfg, D) * inner
     return total
 
@@ -512,13 +532,15 @@ def test_general_aser_and_capacity_finite_near_rho_f_one(rho, convention):
 
 
 def test_general_path_builds_no_kernel_table(monkeypatch):
-    # the general path needs no series: neither a kernel table nor its length
+    # the general path and the per-candidate functions need no series:
+    # neither a kernel table, nor its length, nor a Poisson window
     def forbid(name):
         def spy(*args, **kwargs):
-            raise AssertionError(f"general path called {name}")
+            raise AssertionError(f"finite form called {name}")
         return spy
 
-    for name in ("lower_gamma_ratio_table", "mean_q_gamma_table", "log_gamma_mean_table"):
+    for name in ("lower_gamma_ratio_table", "mean_q_gamma_table", "log_gamma_mean_table",
+                 "poisson_weight_window"):
         monkeypatch.setattr(specfn, name, forbid(name))
     for name in ("_paper_kernel_table", "_series_length", "_series_rows"):
         monkeypatch.setattr(an, name, forbid(name))
@@ -527,6 +549,11 @@ def test_general_path_builds_no_kernel_table(monkeypatch):
             c = dataclasses.replace(cfg, lambda_convention=convention)
             for general in (an.outage_total_general, an.aser_total_general, an.capacity_lb_avg_general):
                 assert general(c, CTRL).value > 0.0
+        # relay 0 of both configs has rho_f < 1
+        D = an.DecodingSet((0, 1, 2))
+        assert not cfg.relay_params()[0].degenerate
+        assert an.outage_conditional(D, 0, cfg, CTRL) > 0.0
+        assert an.aser_conditional_pdf(1.0, D, 0, cfg) > 0.0
 
 
 def test_paper_kernel_at_rates_is_the_table_first_entry():

@@ -245,6 +245,9 @@ PINNED = [
     (0.9999, 10.0, 2, "1.2528812022810799522284354368225e-2"),
     (0.9999, 1e3, 0, "5.2727355842331261513909575841185e-7"),
     (0.9999, 1e3, 4, "2.2158686255011434022764640022969e-7"),
+    # the step of F(R_o | g) is narrower here than the panel that holds it
+    (0.99999, 1e3, 0, "2.6716631641612543748248719252222e-7"),
+    (0.99999, 1e3, 4, "2.1894804841643253933605856540689e-7"),
     (1.0, 1.0, 0, "1.1513675811955475277106047223578e-1"),
     (1.0, 1.0, 5, "1.4825753078057069826334093897761e-1"),
     (1.0, 10.0, 0, "1.2869162749452785008556963020648e-2"),

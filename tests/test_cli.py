@@ -511,6 +511,20 @@ def test_cli_validate_passes_default(config_file):
     assert "PASS" in cp.stdout and "FAIL" not in cp.stdout
 
 
+@pytest.mark.parametrize("power_db", [0, 20])
+def test_cli_validate_passes_slow_fading_asymmetric_links(tmp_path, power_db):
+    # rho_f -> 1 on distinct links: a k-series for the candidate check would
+    # need 175,827 terms at 0 dB, past k_max
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps({
+        "M": 3, "rho_f": [0.99999, 0.9999, 0.99999], "sigma2_h": [0.95, 1.05, 1.0],
+        "power_db": power_db,
+    }))
+    res = CliRunner().invoke(cli.main, ["validate", "--config", str(path), "--trials", "20000"])
+    assert res.exit_code == 0, res.output
+    assert "PASS  closed-form-vs-quadrature" in res.output and "FAIL" not in res.output
+
+
 @pytest.mark.parametrize("option, value", [("--trials", "0"), ("--seed", "-1")])
 def test_cli_validate_rejects_bad_trials_and_seed(config_file, option, value):
     cp = run_cli("validate", "--config", config_file, option, value)
@@ -553,13 +567,13 @@ def test_validate_degenerate_check_is_relative():
 
 
 def test_validate_series_vs_quadrature_is_relative():
-    # the candidate terms are near 7e-14, so the series' 1.5e-3 relative
+    # the candidate terms are near 7e-14, so the closed form's 1.5e-3 relative
     # error is an absolute difference of only 1.1e-16
     cfg = load_config({"M": 8, "rho_f": 1.0, "power_db": 20})
     with pytest.warns(RuntimeWarning, match="cancellation"):
         ok, report = validate(cfg, 2_000, 42)
     assert not ok
-    assert any(line.startswith("FAIL  series-vs-quadrature") for line in report), report
+    assert any(line.startswith("FAIL  closed-form-vs-quadrature") for line in report), report
 
 
 @pytest.mark.parametrize("doc, calls", [
@@ -578,7 +592,7 @@ def test_validate_integrates_each_distinct_candidate_once(monkeypatch, doc, call
     monkeypatch.setattr(analytic, "outage_conditional_quadrature", counting)
     ok, report = validate(load_config(doc), 2_000, 42)
     assert seen == list(range(calls))
-    assert any(line.startswith("PASS  series-vs-quadrature") for line in report), report
+    assert any(line.startswith("PASS  closed-form-vs-quadrature") for line in report), report
 
 
 def test_validate_loads_no_scipy_integrate():
