@@ -548,13 +548,14 @@ def outage_conditional_quadrature(D: DecodingSet, m: int, config: SystemConfig) 
     int F(R_o | g) F_max_others(g) lam e^(-lam g) dg over [0, 60 / lam] by
     an adaptive Gauss-Kronrod panel rule (`_panel_quadrature`).  The inner
     CDF F(R_o | g) = 1 - Q1(sqrt(c g), sqrt(2 q R_o)) is `specfn.marcum_q1`'s
-    complement sum, one array call per round.  The panels start at the break
-    points 0, R_o, 1 / lam, 10 / lam, and R_o / rho_f^2 + k w for
-    k in {0, +-1, +-3, +-8} where positive, which bracket the step in which F
-    falls from 1 to 0 (w = 2 sqrt(theta R_o) / rho_f^2, narrow as
-    rho_f -> 1); rho_f = 1 integrates
+    complement, scipy's noncentral chi-square CDF, one array call per round.
+    The panels start at the break points 0, R_o, 1 / lam, 10 / lam, and
+    R_o / rho_f^2 + k w for k in {0, +-1, +-3, +-8} where positive, which
+    bracket the step in which F falls from 1 to 0 (w = 2 sqrt(theta R_o) /
+    rho_f^2, narrow as rho_f -> 1); rho_f = 1 integrates
     F_max_others(g) lam e^(-lam g) over [0, R_o] by the same rule.  Raises
-    SeriesError if the rule does not converge."""
+    SeriesError if the rule does not converge, or where the CDF returns NaN
+    (noncentralities of about 1e12 and above)."""
     _check_candidate(config, D, m)
     rel = config.relay_params()
     link = rel[m]

@@ -292,10 +292,6 @@ def _row_seed(seed: int, index: int) -> int:
     return (seed * 1_000_003 + index) % (1 << 63)
 
 
-# metrics whose Monte-Carlo estimate counts a 0/1 outcome per trial
-_COUNTED = frozenset({"outage"})
-
-
 def _z_score(value: float, est: montecarlo.McEstimate, counted: bool = False) -> float:
     """|value - MC mean| in standard errors.  A zero standard error gives 0
     only when the two agree exactly, and inf otherwise.
@@ -325,6 +321,17 @@ def _z_score(value: float, est: montecarlo.McEstimate, counted: bool = False) ->
     return -NormalDist().inv_cdf(half)
 
 
+def _mc_z_score(metric: str, config: SystemConfig, value: float, est: montecarlo.McEstimate) -> float:
+    """`_z_score` of an analytic value against its Monte-Carlo estimate.  An
+    outage trial counts a 0/1 outcome.  A capacity trial is 0 when no relay
+    decodes, and almost surely only then, so n capacity trials that all read
+    0 count no decoding event and are scored by its probability Pr[D = {}]^n."""
+    if metric == "capacity" and est.mean == 0.0 and est.std_error == 0.0:
+        empty = analytic.prob_decoding_set(config, analytic.DecodingSet(()))
+        return _z_score(1.0 - empty, est, counted=True)
+    return _z_score(value, est, counted=metric == "outage")
+
+
 def run_sweep(spec: SweepSpec) -> list[MetricPoint]:
     """One row per grid point; `both` mode adds MC columns and a z-score.
     Numerical failures are surfaced per row (value left empty) rather than
@@ -346,7 +353,7 @@ def run_sweep(spec: SweepSpec) -> list[MetricPoint]:
             est = _SIMULATE[spec.metric](cfg, spec.trials, _row_seed(spec.seed, i))
             mean, stderr = est.mean, est.std_error
             if value is not None:
-                z = _z_score(value, est, spec.metric in _COUNTED)
+                z = _mc_z_score(spec.metric, cfg, value, est)
         rows.append(
             MetricPoint(
                 snr_db=snr, metric=spec.metric, mode=spec.mode, value=value,
@@ -578,7 +585,7 @@ def validate(config: SystemConfig, trials: int, seed: int) -> tuple[bool, list[s
             value = _ANALYTIC[name](config).value
             # the first metric runs one pass for all three; the others read it
             est = sim(config, trials, seed, shared=True)
-            z = _z_score(value, est, name in _COUNTED)
+            z = _mc_z_score(name, config, value, est)
             check(f"analytic-vs-mc[{name}]", z < z_tol, f"z = {z:.2f} (tol {z_tol})")
     finally:
         montecarlo.clear_shared_pass()

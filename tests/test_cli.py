@@ -242,6 +242,27 @@ def test_validate_scores_a_rare_outage_by_its_probability(monkeypatch):
     assert "FAIL  analytic-vs-mc[outage]: z = 5.99 (tol 4.0)" in report, report
 
 
+# at -10 dB R_o = 30, so each relay decodes with probability ~e^-30: the
+# analytic capacity is 3.4e-14, and no trial of 20000 has a relay to select
+WEAK_DECODING = {"M": 3, "rho_f": [0.9, 0.8, 0.9], "sigma2_h": [0.95, 1.05, 1.0], "power_db": -10}
+
+
+def test_validate_scores_a_capacity_with_no_decoding_trial_by_its_probability():
+    ok, report = validate(load_config(WEAK_DECODING), 20_000, 1)
+    assert "PASS  analytic-vs-mc[capacity]: z = 0.00 (tol 4.0)" in report, report
+    assert ok, report
+
+
+def test_sweep_scores_a_capacity_with_no_decoding_trial_by_its_probability():
+    spec = SweepSpec(
+        metric="capacity", snr_db=(-10.0,), mode="both", trials=20_000, seed=1,
+        config=load_config({k: v for k, v in WEAK_DECODING.items() if k != "power_db"}),
+    )
+    (row,) = run_sweep(spec)
+    assert 0.0 < row.value < 1e-12 and (row.mc_mean, row.mc_stderr) == (0.0, 0.0)
+    assert row.z_score < 1e-3
+
+
 @pytest.mark.parametrize("snr, rho_e, sigma2_h, beta, message", [
     (-3200.0, 1.0, 1.0, 2.0, "rate 1.0 at power 9.99989e-321 has no finite outage threshold "
                              "(2^(2R) - 1) / P"),
@@ -511,14 +532,18 @@ def test_cli_validate_passes_default(config_file):
     assert "PASS" in cp.stdout and "FAIL" not in cp.stdout
 
 
-@pytest.mark.parametrize("power_db", [0, 20])
-def test_cli_validate_passes_slow_fading_asymmetric_links(tmp_path, power_db):
+@pytest.mark.parametrize("rho_f, power_db", [
+    pytest.param([0.99999, 0.9999, 0.99999], 0, id="0"),
+    pytest.param([0.99999, 0.9999, 0.99999], 20, id="20"),
+    # the outage oracle's inner CDF reaches b^2/2 = 1.6e8 here
+    pytest.param([0.99999999, 0.9999999, 0.99999999], 0, id="0-rho_f_0.99999999"),
+])
+def test_cli_validate_passes_slow_fading_asymmetric_links(tmp_path, rho_f, power_db):
     # rho_f -> 1 on distinct links: a k-series for the candidate check would
-    # need 175,827 terms at 0 dB, past k_max
+    # need 175,827 terms at 0 dB and rho_f = 0.99999, past k_max
     path = tmp_path / "slow.json"
     path.write_text(json.dumps({
-        "M": 3, "rho_f": [0.99999, 0.9999, 0.99999], "sigma2_h": [0.95, 1.05, 1.0],
-        "power_db": power_db,
+        "M": 3, "rho_f": rho_f, "sigma2_h": [0.95, 1.05, 1.0], "power_db": power_db,
     }))
     res = CliRunner().invoke(cli.main, ["validate", "--config", str(path), "--trials", "20000"])
     assert res.exit_code == 0, res.output

@@ -362,9 +362,19 @@ def test_marcum_complement_edges_and_tail():
         assert specfn.marcum_q1(a, b, complement=True) == pytest.approx(want, rel=1e-10)
 
 
+def test_marcum_nan_from_the_noncentral_chi2_cdf_is_a_series_error():
+    # chndtr returns NaN near x ~ nc at noncentralities of ~1e12 and above;
+    # one such element fails the whole call, never passes a NaN on
+    for complement in (False, True):
+        with pytest.raises(specfn.SeriesError, match="returned NaN"):
+            specfn.marcum_q1(1e6, 1e6, complement=complement)
+        with pytest.raises(specfn.SeriesError, match="returned NaN"):
+            specfn.marcum_q1(np.array([1.0, 1e6]), np.array([2.0, 1e6]), complement=complement)
+
+
 def test_marcum_large_array_memory_is_bounded():
-    # 300 nodes of ~8,600 terms each: one array of every (node, k) term
-    # would take 21 MB, and the kernel makes several
+    # 300 nodes whose Poisson mixtures span ~8,600 terms each: a kernel that
+    # held every (node, k) term at once would take 21 MB
     import tracemalloc
 
     one = specfn.marcum_q1(600.0, 598.0)
@@ -375,7 +385,7 @@ def test_marcum_large_array_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert np.all(got == one) and 0.9 < one < 1.0
-    assert peak < 8 * specfn.MARCUM_CHUNK * 8
+    assert peak < 16 << 20  # 16 MiB
 
 
 # ---------------------------------------------------------------------------
