@@ -1,6 +1,11 @@
 """Decode-and-forward relay selection under outdated CSI and estimation
 errors: exact closed-form outage / SER / capacity metrics with independent
-Monte-Carlo validation."""
+Monte-Carlo validation.
+
+Importing the package loads the closed forms (analytic, channel, diversity,
+specfn) and numpy.  The Monte-Carlo names (`McEstimate`, `simulate_*`) load
+relaysel.montecarlo, and with it its thread pool, on first access.
+"""
 
 from .analytic import (
     DecodingSet,
@@ -26,7 +31,6 @@ from .channel import (
     doppler_correlation,
 )
 from .diversity import SweepCurve, asymptotic_checks, effective_diversity, fit_slope
-from .montecarlo import McEstimate, simulate_capacity, simulate_outage, simulate_ser
 from .specfn import SeriesControl, SeriesError
 
 __version__ = "0.1.0"
@@ -63,3 +67,18 @@ __all__ = [
     "simulate_ser",
     "__version__",
 ]
+
+# resolved from relaysel.montecarlo on first access (PEP 562)
+_SIMULATOR_NAMES = frozenset({"McEstimate", "simulate_capacity", "simulate_outage", "simulate_ser"})
+
+
+def __getattr__(name: str):
+    if name in _SIMULATOR_NAMES:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SIMULATOR_NAMES)

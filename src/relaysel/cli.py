@@ -1,4 +1,13 @@
-"""Command-line harness: sweeps, figure presets, cross-validation, CSV output.
+"""Library side of the command-line harness: configuration loading, sweeps,
+figure presets, cross-oracle validation and CSV output.
+
+This module imports neither click nor the Monte-Carlo simulator, so that
+importing it (as scripts and the benchmark do) loads only the closed forms:
+the simulator is imported when a sweep or `validate` first simulates, and
+the click commands live in relaysel.commands, which only `python -m
+relaysel` and the `relaysel` console script load.  `relaysel.cli.main`
+still names the click group, resolved on first access, for the console
+script's `relaysel.cli:main` entry point.
 
 Configuration document (JSON):
 
@@ -32,26 +41,27 @@ where a column does not apply):
     snr_db, metric, mode, value, mc_mean, mc_stderr, z_score,
     series_terms, condition_estimate, label
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error,
-3 numerical failure.
+Errors are typed: ConfigError for a rejected configuration and SeriesError
+for a numerical failure, which the commands turn into exit codes 2 and 3.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-import click
-
-from . import analytic, montecarlo
+from . import analytic
 from .channel import CONVENTIONS, FadingParams, SystemConfig
 from .diversity import SweepCurve, effective_diversity
 from .specfn import SeriesError
+
+if TYPE_CHECKING:
+    from .montecarlo import McEstimate
 
 METRICS = ("outage", "aser", "capacity", "diversity")
 MODES = ("analytic", "mc", "both")
@@ -270,10 +280,20 @@ _ANALYTIC = {
     "capacity": lambda cfg: analytic.capacity_lb_avg(cfg),
 }
 
+
+def _montecarlo():
+    """relaysel.montecarlo, imported at the first simulation: the analytic
+    commands never load the simulator or its thread pool."""
+    from . import montecarlo
+
+    return montecarlo
+
+
+# looked up at each call, as _ANALYTIC is, from the simulator module
 _SIMULATE = {
-    "outage": montecarlo.simulate_outage,
-    "aser": montecarlo.simulate_ser,
-    "capacity": montecarlo.simulate_capacity,
+    "outage": lambda *args, **kwargs: _montecarlo().simulate_outage(*args, **kwargs),
+    "aser": lambda *args, **kwargs: _montecarlo().simulate_ser(*args, **kwargs),
+    "capacity": lambda *args, **kwargs: _montecarlo().simulate_capacity(*args, **kwargs),
 }
 
 
@@ -292,7 +312,7 @@ def _row_seed(seed: int, index: int) -> int:
     return (seed * 1_000_003 + index) % (1 << 63)
 
 
-def _z_score(value: float, est: montecarlo.McEstimate, counted: bool = False) -> float:
+def _z_score(value: float, est: McEstimate, counted: bool = False) -> float:
     """|value - MC mean| in standard errors.  A zero standard error gives 0
     only when the two agree exactly, and inf otherwise.
 
@@ -321,7 +341,7 @@ def _z_score(value: float, est: montecarlo.McEstimate, counted: bool = False) ->
     return -NormalDist().inv_cdf(half)
 
 
-def _mc_z_score(metric: str, config: SystemConfig, value: float, est: montecarlo.McEstimate) -> float:
+def _mc_z_score(metric: str, config: SystemConfig, value: float, est: McEstimate) -> float:
     """`_z_score` of an analytic value against its Monte-Carlo estimate.  An
     outage trial counts a 0/1 outcome.  A capacity trial is 0 when no relay
     decodes, and almost surely only then, so n capacity trials that all read
@@ -347,7 +367,7 @@ def run_sweep(spec: SweepSpec) -> list[MetricPoint]:
                 res = _ANALYTIC[spec.metric](cfg)
                 value, terms, cond = res.value, res.series_terms_used, res.condition_estimate
             except SeriesError as e:
-                click.echo(f"warning: snr {snr} dB: {e}", err=True)
+                print(f"warning: snr {snr} dB: {e}", file=sys.stderr, flush=True)
         mean = stderr = z = None
         if spec.mode in ("mc", "both"):
             est = _SIMULATE[spec.metric](cfg, spec.trials, _row_seed(spec.seed, i))
@@ -588,13 +608,13 @@ def validate(config: SystemConfig, trials: int, seed: int) -> tuple[bool, list[s
             z = _mc_z_score(name, config, value, est)
             check(f"analytic-vs-mc[{name}]", z < z_tol, f"z = {z:.2f} (tol {z_tol})")
     finally:
-        montecarlo.clear_shared_pass()
+        _montecarlo().clear_shared_pass()
 
     return ok, report
 
 
 # ---------------------------------------------------------------------------
-# click wiring
+# the --snr-db grid text
 # ---------------------------------------------------------------------------
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -622,111 +642,16 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     )
 
 
-def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+def __getattr__(name: str):
+    # the click group, for the `relaysel.cli:main` entry point (PEP 562)
+    if name == "main":
+        from .commands import main
 
-
-@contextlib.contextmanager
-def _exit_codes():
-    """Configuration errors exit with code 2, numerical failures with 3."""
-    try:
-        yield
-    except ConfigError as e:
-        _fail(2, str(e))
-    except SeriesError as e:
-        _fail(3, str(e))
-
-
-@click.group()
-def main():
-    """Exact performance analysis of decode-and-forward relay selection with
-    outdated CSI and channel estimation errors, cross-checked by simulation."""
-
-
-@main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(), help="JSON config file")
-@click.option("--metric", type=click.Choice(METRICS), required=True)
-@click.option("--snr-db", "snr_db", default="0:30:2", show_default=True, help="START:STOP:STEP grid in dB")
-@click.option("--mode", type=click.Choice(MODES), default="analytic", show_default=True)
-@click.option("--trials", default=100_000, show_default=True)
-@click.option("--seed", default=42, show_default=True)
-@click.option("--out", "out_path", default="-", show_default=True, help="output CSV path, - for stdout")
-@click.option("--lambda-convention", type=click.Choice(CONVENTIONS), default=None,
-              help="override the config's convention")
-@click.option("--in", "in_path", default=None, type=click.Path(),
-              help="prior aser sweep CSV to differentiate (metric=diversity only)")
-def sweep(config_path, metric, snr_db, mode, trials, seed, out_path, lambda_convention, in_path):
-    """Evaluate one metric over an SNR grid; optionally cross-check with MC."""
-    with _exit_codes():
-        if in_path is not None:
-            if metric != "diversity":
-                raise ConfigError("--in only applies to the diversity metric")
-            rows = diversity_rows_from_csv(in_path)
-        else:
-            config = load_config_file(config_path)
-            if lambda_convention:
-                try:
-                    config = replace(config, lambda_convention=lambda_convention)
-                except ValueError as e:
-                    raise ConfigError(f"lambda-convention: {e}") from e
-            spec = SweepSpec(metric=metric, snr_db=_parse_grid(snr_db), mode=mode,
-                             trials=trials, seed=seed, config=config)
-            rows = run_sweep(spec)
-        write_csv(rows, out_path)
-
-
-@main.command()
-@click.option("--figure", type=int, required=True, help="figure id, 1..9")
-@click.option("--out", "out_path", default="-", show_default=True)
-def reproduce(figure, out_path):
-    """Emit the CSV for one of the nine reference figures ("paper" convention)."""
-    with _exit_codes():
-        reproduce_figure(figure, out_path)
-
-
-@main.command("validate")
-@click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--trials", default=200_000, show_default=True)
-@click.option("--seed", default=42, show_default=True)
-def validate_cmd(config_path, trials, seed):
-    """Cross-validate every oracle pair on the given configuration."""
-    with _exit_codes():
-        config = load_config_file(config_path)
-        ok, report = validate(config, trials, seed)
-    for line in report:
-        click.echo(line)
-    if not ok:
-        sys.exit(1)
-
-
-@main.command()
-@click.option("--config", "config_path", required=True, type=click.Path())
-def info(config_path):
-    """Print the derived per-link constants for a configuration."""
-    with _exit_codes():
-        config = load_config_file(config_path)
-
-    def link_doc(fp, lp):
-        return {
-            "lam": lp.lam, "c": lp.c, "theta": lp.theta,
-            "sigma2_hat": fp.sigma2_hat, "sigma2_u": fp.sigma2_u,
-            "sigma2_e": fp.sigma2_e, "rho_e": fp.rho_e, "rho_f": lp.rho_f,
-        }
-    out = {
-        "M": config.M,
-        "power": config.power,
-        "snr_db": 10.0 * math.log10(config.power),
-        "rate": config.rate,
-        "r_o": config.r_o,
-        "alpha": config.alpha,
-        "beta": config.beta,
-        "lambda_convention": config.lambda_convention,
-        "source_links": list(map(link_doc, config.source_links, config.source_params())),
-        "relay_links": list(map(link_doc, config.relay_links, config.relay_params())),
-    }
-    click.echo(json.dumps(out, indent=2))
+        return main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":
+    from .commands import main
+
     main()

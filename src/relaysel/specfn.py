@@ -333,14 +333,18 @@ def exp1_scaled(b) -> np.ndarray:
     x = b[~small]
     if x.size:
         depth = np.ceil(100.0 / x**0.8).astype(np.int64) + 4
-        # every element starts at the deepest level; below an element's own
-        # depth its value restarts there, so the deeper levels do not count
-        f = x + (2.0 * depth.max() + 1.0)
-        for j in range(int(depth.max()) - 1, -1, -1):
-            f = x + (2.0 * j + 1.0) - (j + 1.0) ** 2 / f
-            start = depth == j
-            f[start] = x[start] + (2.0 * j + 1.0)
-        out[~small] = 1.0 / f
+        # deepest first, so the elements still open at level j, those of
+        # depth > j, are a prefix; each starts at its own depth
+        order = np.argsort(-depth, kind="stable")
+        x, depth = x[order], depth[order]
+        open_at = np.searchsorted(-depth, -np.arange(int(depth[0])), side="left")
+        f = x + (2.0 * depth + 1.0)
+        for j in range(int(depth[0]) - 1, -1, -1):
+            n = open_at[j]
+            f[:n] = x[:n] + (2.0 * j + 1.0) - (j + 1.0) ** 2 / f[:n]
+        inv = np.empty_like(f)
+        inv[order] = 1.0 / f
+        out[~small] = inv
     return out
 
 

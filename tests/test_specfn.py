@@ -229,6 +229,35 @@ def test_exp1_scaled_array_equals_elementwise_calls():
     assert np.array_equal(got.ravel(), [specfn.exp1_scaled(np.array([x]))[0] for x in b.ravel()])
 
 
+def _exp1_scaled_fraction_every_level(x: np.ndarray) -> np.ndarray:
+    """The b >= 1 branch as a loop that runs every level on every element
+    and restarts each one at its own depth."""
+    depth = np.ceil(100.0 / x**0.8).astype(np.int64) + 4
+    f = x + (2.0 * depth.max() + 1.0)
+    for j in range(int(depth.max()) - 1, -1, -1):
+        f = x + (2.0 * j + 1.0) - (j + 1.0) ** 2 / f
+        start = depth == j
+        f[start] = x[start] + (2.0 * j + 1.0)
+    return 1.0 / f
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: rng.uniform(1.0, 30.0, 1024),
+    lambda rng: rng.uniform(1.0, 2.0, 3),
+    # just above 1, where the depth (104) is largest
+    lambda rng: 1.0 + rng.uniform(0.0, 1e-9, 17),
+    # many elements of one depth, in shuffled order
+    lambda rng: rng.permutation(np.repeat(rng.uniform(1.0, 1e3, 5), 7)),
+    lambda rng: np.exp(rng.uniform(0.0, np.log(1e6), 257)),
+    lambda rng: np.array([rng.uniform(1.0, 1e6)]),
+], ids=["1024-on-1-30", "3-on-1-2", "just-above-1", "equal-depths", "log-1-1e6", "one"])
+def test_exp1_scaled_fraction_equals_the_every_level_loop(draw):
+    # the fraction runs each level only on the elements still open there
+    b = draw(np.random.default_rng(20240817))
+    assert (b >= 1.0).all()
+    assert np.array_equal(specfn.exp1_scaled(b), _exp1_scaled_fraction_every_level(b))
+
+
 def test_exp1_scaled_rejects_nonpositive():
     for b in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
