@@ -14,10 +14,14 @@ chi-square with 2 degrees of freedom and noncentrality c*g; the constants
 (lam, c, theta) below feed every closed form in `analytic`.
 
 The sampler draws SNRs, not complex gains: each old SNR is one
-Exponential(lam) draw (`sample_gamma_batch`), and the current SNR is drawn
-in place from its law given the old one (`draw_current_into`), which the
-simulator does only for the relay it selects.  Both fill caller-owned
-buffers, so the simulator allocates nothing per chunk.
+Exponential(lam) draw (`sample_gamma_batch`).  The current SNR given the
+old one is a draw and a kernel: `draw_current_noise` draws the two standard
+normals of a trial, and `current_snr_into` turns an old SNR and that noise
+into the current SNR in place.  The simulator draws the noise once per
+trial and runs the kernel only for the relay it selects, so the branches
+that select different relays on one trial share the draw.  Every function
+here fills caller-owned buffers, so the simulator allocates nothing per
+chunk.
 """
 
 from __future__ import annotations
@@ -288,23 +292,34 @@ class SystemConfig:
         return self._symmetric
 
 
+def per_link(values) -> float | np.ndarray:
+    """Per-link constants as one float when every link shares it, as on
+    identical links, else as an (M,) array; `sample_gamma_batch` and the
+    simulator take either, and a float skips the per-link arithmetic."""
+    values = [float(v) for v in values]
+    if values.count(values[0]) == len(values):
+        return values[0]
+    return np.array(values)
+
+
 def sample_gamma_batch(
     config: SystemConfig,
     rng: np.random.Generator,
     n: int,
     *,
-    rates: tuple[np.ndarray, np.ndarray] | None = None,
+    rates: tuple[np.ndarray | float, np.ndarray | float] | None = None,
     out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
     """Draw n trials of the old SNRs: (n, M) arrays gamma_sm_o (source to
     relay) and gamma_md_o (relay to destination), each Exponential(lam) per
-    link.  `rates` = (source lam, relay lam) skips re-deriving the links.
-    `out` = (gamma_sm_o, gamma_md_o) are C-contiguous float64 (n, M) arrays
-    that receive the draws in place of fresh ones; the values are the same."""
+    link.  `rates` = (source lam, relay lam), each as `per_link` gives it,
+    skips re-deriving the links.  `out` = (gamma_sm_o, gamma_md_o) are
+    C-contiguous float64 (n, M) arrays that receive the draws in place of
+    fresh ones; the values are the same."""
     if rates is None:
         rates = (
-            np.array([lp.lam for lp in config.source_params()]),
-            np.array([lp.lam for lp in config.relay_params()]),
+            per_link(lp.lam for lp in config.source_params()),
+            per_link(lp.lam for lp in config.relay_params()),
         )
     shape = (n, config.M)
     if out is None:
@@ -317,6 +332,9 @@ def sample_gamma_batch(
             raise ValueError(f"out: expected two C-contiguous float64 arrays of shape {shape}")
     for buf, lam in zip(out, rates):
         rng.standard_exponential(out=buf)
+        if np.ndim(lam) == 0:
+            buf /= lam
+            continue
         # column by column: a broadcast divide by the (M,) rates runs an
         # inner loop only M long, and is slower for the same bits
         for j, rate in enumerate(lam):
@@ -324,33 +342,38 @@ def sample_gamma_batch(
     return {"gamma_sm_o": out[0], "gamma_md_o": out[1]}
 
 
-def draw_current_into(
-    rng: np.random.Generator,
+def draw_current_noise(rng: np.random.Generator, x: np.ndarray, y: np.ndarray) -> None:
+    """Fill x, then y, with standard normals: the noise of one current SNR
+    per entry, which `current_snr_into` turns into that SNR."""
+    rng.standard_normal(out=x)
+    rng.standard_normal(out=y)
+
+
+def current_snr_into(
     g: np.ndarray,
     rho_f: np.ndarray | float,
     theta: np.ndarray | float,
     x: np.ndarray,
     y: np.ndarray,
+    scratch: np.ndarray,
 ) -> np.ndarray:
     """Overwrite g with the current SNRs of links with rho_f < 1 given
-    their old SNRs g.
+    their old SNRs g and the noise x, y ~ N(0, 1).
 
     With the old estimate rotated onto the real axis, the current one is
-    rho_f sqrt(g) + sqrt(theta) (x + i y) on the SNR scale, x, y ~ N(0, 1),
-    so the current SNR is (rho_f sqrt(g) + sqrt(theta) x)^2 + theta y^2:
-    theta times a noncentral chi-square with 2 degrees of freedom and
-    noncentrality c g.  x and y are C-contiguous float64 scratch arrays of
-    g's shape; rho_f and theta broadcast against g and are only read.
-    Draws x, then y, from rng."""
-    rng.standard_normal(out=x)
-    np.sqrt(theta, out=y)
-    x *= y
+    rho_f sqrt(g) + sqrt(theta) (x + i y) on the SNR scale, so the current
+    SNR is (rho_f sqrt(g) + sqrt(theta) x)^2 + theta y^2: theta times a
+    noncentral chi-square with 2 degrees of freedom and noncentrality c g.
+    rho_f and theta broadcast against g; they, x and y are only read.
+    scratch is a float64 array of g's shape, apart from x and y, that is
+    overwritten."""
+    np.sqrt(theta, out=scratch)
+    scratch *= x
     np.sqrt(g, out=g)
     g *= rho_f
-    g += x
+    g += scratch
     g *= g
-    rng.standard_normal(out=y)
-    y *= y
-    y *= theta
-    g += y
+    np.multiply(y, y, out=scratch)
+    scratch *= theta
+    g += scratch
     return g

@@ -2,21 +2,31 @@
 
 Each trial draws the old estimated SNRs of every link as exponentials,
 forms the decoding set, selects the relay with the best *old* relay-to-
-destination SNR, and only then draws that relay's *current* SNR given its
-old one, on which the metric is scored; no other current SNR is drawn.
-Trials are processed in fixed-size chunks, each chunk seeded from
-SeedSequence(seed, chunk_index) and run end to end.  One pass
-(`simulate`) serves every requested metric: a chunk draws the old SNRs
-once, then runs two branches on that draw.  The threshold branch decodes on
-the old source SNR against R_o, selects, and scores outage and capacity;
-the SER branch restarts from the generator state right after the draw,
-decodes on its own uniforms, selects, and scores the ASER.  Each metric so
-sees the random stream of a pass for it alone, and its estimate is the same
-to the bit.  The chunks are dealt round-robin to one task per worker on a
-thread pool as wide as the available CPUs; each task allocates one
-workspace and runs every chunk it is dealt in place in it, so the per-chunk
-path allocates no array of chunk size.  The SER decode evaluates erfc only
-for the entries that the Chernoff bound Q(x) <= exp(-x^2/2)/2 cannot
+destination SNR, and scores the metric on that relay's *current* SNR given
+its old one; no other current SNR is formed.  Trials are processed in
+fixed-size chunks, each chunk seeded from SeedSequence(seed, chunk_index)
+and run end to end.  One pass (`simulate`) serves every requested metric,
+and a chunk's random stream runs in this order:
+
+1. the old SNRs of every link (`sample_gamma_batch`);
+2. the current-SNR noise, two standard normals per trial, drawn only when
+   some relay link has rho_f < 1 (`draw_current_noise`);
+3. the branches.  The threshold branch decodes on the old source SNR
+   against R_o, selects, and scores outage and capacity; it draws nothing.
+   The SER branch draws its uniforms, decodes on them, selects, and scores
+   the ASER (the Bernoulli estimator then draws one more uniform a trial).
+
+Both branches form their selected relay's current SNR from the one noise
+draw of the trial (`current_snr_into`), so they may select different
+relays and still agree in law with a draw per branch.  The stream of a
+metric does not depend on which other metrics a pass serves, so each
+estimate equals that of a pass for it alone to the bit.  The chunks are
+dealt round-robin to one task per worker on a thread pool as wide as the
+available CPUs; each task runs every chunk it is dealt in place in one
+workspace, so the per-chunk path allocates no array of chunk size.  The
+workspaces outlive the call in a small pool, so their pages are faulted in
+once per process rather than once per call.  The SER decode evaluates erfc
+only for the entries that the Chernoff bound Q(x) <= exp(-x^2/2)/2 cannot
 decide, and compares those exactly, so its mask is the exact mask.  The
 calling thread adds the per-chunk partial sums in chunk order, so results
 are bit-for-bit reproducible for a given (config, seed, trials) whatever
@@ -35,7 +45,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .channel import SystemConfig, draw_current_into, sample_gamma_batch
+from .channel import (
+    SystemConfig,
+    current_snr_into,
+    draw_current_noise,
+    per_link,
+    sample_gamma_batch,
+)
 
 CHUNK_SIZE = 1 << 15
 METRICS = ("outage", "aser", "capacity")
@@ -67,25 +83,67 @@ class McEstimate:
     seed: int
 
 
+# the arenas of a workspace, one per dtype: per-link (CHUNK_SIZE, M) views
+# first, then per-trial (CHUNK_SIZE,) views
+_LAYOUT = (
+    # old SNRs, SER uniforms, and a scratch for the SER bound and error
+    # probabilities, the selection mask and the current-SNR kernel; per
+    # trial: the selected SNR, its live subset, the gathered link constants,
+    # the current-SNR noise and its live subset
+    (np.float64, ("sm", "md", "u", "scratch"),
+     ("g", "g_live", "rho", "theta", "x", "y", "x_live", "y_live")),
+    (np.bool_, ("decoded", "undecided", "flag"), ("none", "live")),
+    (np.intp, (), ("m_star", "pick")),
+)
+
+
 class _Workspace:
     """The buffers of one worker task, reused by every chunk it runs; a
-    chunk of n trials works on the leading [:n] views.  Pages are touched
-    only by the steps that use them, so a metric that needs no uniforms
-    costs no memory for them."""
+    chunk of n trials works on the leading [:n] views.  The views are
+    carved from flat arenas sized for the largest M the workspace has
+    served, so a call at a smaller M reuses pages that a larger one
+    faulted in.  Pages are touched only by the steps that use them, so a
+    metric that needs no uniforms costs no memory for them."""
 
     def __init__(self, M: int):
-        links = (CHUNK_SIZE, M)
-        # old SNRs, SER uniforms, and a scratch for the SER bound and error
-        # probabilities and for the selection mask
-        self.sm, self.md, self.u, self.scratch = (np.empty(links) for _ in range(4))
-        self.decoded, self.undecided, self.flag = (np.empty(links, bool) for _ in range(3))
-        self.m_star, self.pick = np.empty(CHUNK_SIZE, np.intp), np.empty(CHUNK_SIZE, np.intp)
-        # per trial: the selected SNR, its live subset, the selected link
-        # constants and two normal scratch vectors that the score reuses
-        self.g, self.g_live, self.rho, self.theta, self.x, self.y = (
-            np.empty(CHUNK_SIZE) for _ in range(6)
-        )
-        self.none, self.live = np.empty(CHUNK_SIZE, bool), np.empty(CHUNK_SIZE, bool)
+        self.capacity = 0
+        self.fit(M)
+
+    def fit(self, M: int) -> "_Workspace":
+        """Carve the views for M relays, first growing the arenas if M is
+        larger than any seen."""
+        n = CHUNK_SIZE
+        if M > self.capacity:
+            self._arenas = [np.empty(n * (len(m) * M + len(v)), t) for t, m, v in _LAYOUT]
+            self.capacity = M
+        for arena, (_, links, trials) in zip(self._arenas, _LAYOUT):
+            cut = n * M * len(links)
+            for name, view in zip(links, arena[:cut].reshape(-1, n, M)):
+                setattr(self, name, view)
+            for name, view in zip(trials, arena[cut : cut + n * len(trials)].reshape(-1, n)):
+                setattr(self, name, view)
+        return self
+
+
+# workspaces kept between calls, at most _WORKERS of them; a call takes what
+# it needs and puts them back when it returns
+_POOL: list[_Workspace] = []
+_POOL_LOCK = threading.Lock()
+
+
+def _take_workspaces(count: int, M: int) -> list[_Workspace]:
+    """count workspaces fitted to M, from the pool first.  Called by the
+    calling thread, so its heap serves any new or grown arena."""
+    with _POOL_LOCK:
+        spaces = [_POOL.pop() for _ in range(min(count, len(_POOL)))]
+    spaces += [_Workspace(M) for _ in range(count - len(spaces))]
+    return [ws.fit(M) for ws in spaces]
+
+
+def _give_back(spaces: list[_Workspace]) -> None:
+    with _POOL_LOCK:
+        _POOL.extend(spaces)
+        del _POOL[_WORKERS:]
 
 
 def _chunk_rng(seed: int, chunk_idx: int) -> np.random.Generator:
@@ -143,17 +201,20 @@ def _decode_screened(ws: _Workspace, n: int, alpha: float, bp: float) -> np.ndar
 
 
 def _select(
-    rng: np.random.Generator,
     decoded: np.ndarray,
-    rho_f: np.ndarray,
-    theta: np.ndarray,
+    rho_f: np.ndarray | float,
+    theta: np.ndarray | float,
     ws: _Workspace,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best old relay-destination SNR (ws.md[:n], left as it is) among
-    decoded relays, then the current SNR of that relay alone.  Ties
+    decoded relays, then the current SNR of that relay alone, from the
+    trial's noise in ws.x[:n] and ws.y[:n] (only read; unused when every
+    relay link has rho_f = 1).  rho_f and theta are the relay links'
+    constants: floats when every link shares both, else (M,) arrays.  Ties
     (probability zero for continuous draws) break toward the lowest index.
     Returns (none, current): the trials in which no relay decoded, and the
-    current SNR, drawn from old SNR 0 and relay 0's link in those trials."""
+    current SNR, formed from old SNR 0 and relay 0's link in those
+    trials."""
     n, M = decoded.shape
     # (decoded - 1/2) inf is +inf where a relay decoded and -inf elsewhere,
     # so the minimum with it masks out the relays that did not decode
@@ -175,7 +236,12 @@ def _select(
     none = np.equal(g, -np.inf, out=ws.none[:n])
     np.copyto(g, 0.0, where=none)
 
-    # relays with rho_f = 1 keep the old SNR and draw nothing
+    # relays with rho_f = 1 keep the old SNR
+    x, y, scratch = ws.x[:n], ws.y[:n], ws.scratch.reshape(-1)
+    if np.ndim(rho_f) == 0:  # identical relay links: no gather
+        if rho_f < 1.0:
+            current_snr_into(g, rho_f, theta, x, y, scratch[:n])
+        return none, g
     live_links = rho_f < 1.0
     if not live_links.any():
         return none, g
@@ -185,14 +251,16 @@ def _select(
         idx = np.flatnonzero(np.take(live_links, m_star, out=ws.live[:n], mode="clip"))
         pick = np.take(m_star, idx, out=ws.pick[: idx.size], mode="clip")
         g_live = np.take(g, idx, out=ws.g_live[: idx.size], mode="clip")
+        x = np.take(x, idx, out=ws.x_live[: idx.size], mode="clip")
+        y = np.take(y, idx, out=ws.y_live[: idx.size], mode="clip")
     k = len(pick)
-    draw_current_into(
-        rng,
+    current_snr_into(
         g_live,
         np.take(rho_f, pick, out=ws.rho[:k], mode="clip"),
         np.take(theta, pick, out=ws.theta[:k], mode="clip"),
-        ws.x[:k],
-        ws.y[:k],
+        x,
+        y,
+        scratch[:k],
     )
     if idx is not None:
         np.put(g, idx, g_live, mode="clip")
@@ -227,15 +295,18 @@ def simulate(
     """Mean and standard error of each requested metric over `trials` trials,
     as an immutable mapping from metric name to McEstimate.
 
-    Every chunk draws the old SNRs once.  The threshold branch (outage,
-    capacity) decodes on the old source SNR against R_o and selects; outage
-    is scored, then capacity, which overwrites the current SNRs.  The SER
-    branch (aser) restarts from the generator state right after the draw,
-    draws its uniforms, decodes on them and selects anew, so each metric
-    sees the random stream that a call for it alone would see, and its
-    estimate is the same to the bit.  Only the branches that a requested
-    metric needs run.  Link constants are derived once per call, not once
-    per chunk.  Worker w runs chunks w, w + workers, ... in one workspace.
+    Every chunk draws the old SNRs once and then, if some relay link has
+    rho_f < 1, the current-SNR noise of every trial once.  The threshold
+    branch (outage, capacity) decodes on the old source SNR against R_o and
+    selects, drawing nothing; outage is scored, then capacity, which
+    overwrites the current SNRs.  The SER branch (aser) then draws its
+    uniforms, decodes on them and selects anew.  Both form the current SNR
+    from the one noise draw, so each metric sees the random stream that a
+    call for it alone would see, and its estimate is the same to the bit.
+    Only the branches that a requested metric needs run.  Link constants
+    are derived once per call, not once per chunk, and are scalars when
+    every link shares them.  Worker w runs chunks w, w + workers, ... in
+    one workspace from the pool.
 
     aser with estimator="conditional" accumulates the conditional error
     probability of each trial (1/2 with an empty decoding set,
@@ -259,19 +330,26 @@ def simulate(
     r_o, power = config.r_o, config.power
     alpha, bp = config.alpha, config.beta * config.power
     source, relay = config.source_params(), config.relay_params()
-    rates = (np.array([lp.lam for lp in source]), np.array([lp.lam for lp in relay]))
-    rho_f = np.array([lp.rho_f for lp in relay])
-    theta = np.array([lp.theta for lp in relay])
+    rates = (per_link(lp.lam for lp in source), per_link(lp.lam for lp in relay))
+    # floats only when every relay link shares both, so _select gathers both
+    # or neither
+    if len({(lp.rho_f, lp.theta) for lp in relay}) == 1:
+        rho_f, theta = float(relay[0].rho_f), float(relay[0].theta)
+    else:
+        rho_f = np.array([lp.rho_f for lp in relay])
+        theta = np.array([lp.theta for lp in relay])
+    stale = any(lp.rho_f < 1.0 for lp in relay)
 
     def run_chunk(idx: int, n: int, ws: _Workspace) -> dict[str, tuple[float, float]]:
         rng = _chunk_rng(seed, idx)
         with _DRAW_LOCK:
             sample_gamma_batch(config, rng, n, rates=rates, out=(ws.sm[:n], ws.md[:n]))
+        if stale:
+            draw_current_noise(rng, ws.x[:n], ws.y[:n])
         sums = {}
         if threshold:
-            drawn = rng.bit_generator.state if ser else None
             decoded = np.greater_equal(ws.sm[:n], r_o, out=ws.decoded[:n])
-            none, current = _select(rng, decoded, rho_f, theta, ws)
+            none, current = _select(decoded, rho_f, theta, ws)
             if outage:
                 lost = np.less(current, r_o, out=ws.flag.reshape(-1)[:n])
                 lost |= none
@@ -283,16 +361,14 @@ def simulate(
                 current *= 0.5
                 np.copyto(current, 0.0, where=none)
                 sums["capacity"] = _sums(current)
-            if ser:
-                rng.bit_generator.state = drawn
         if ser:
             rng.random(out=ws.u[:n])
             decoded = _decode_screened(ws, n, alpha, bp)
-            none, current = _select(rng, decoded, rho_f, theta, ws)
+            none, current = _select(decoded, rho_f, theta, ws)
             cond_err = _error_prob_into(current, alpha, bp)
             np.copyto(cond_err, 0.5, where=none)
             if estimator == "bernoulli":
-                u = rng.random(out=ws.y[:n])
+                u = rng.random(out=ws.scratch.reshape(-1)[:n])
                 sums["aser"] = _count(np.less(u, cond_err, out=ws.flag.reshape(-1)[:n]))
             else:
                 sums["aser"] = _sums(cond_err)
@@ -303,11 +379,12 @@ def simulate(
 
     chunks = list(_chunks(trials))
     workers = min(_WORKERS, len(chunks))
-    # allocated here rather than in the workers, so that the calling
-    # thread's heap serves them on every call instead of a heap per thread
-    spaces = [_Workspace(config.M) for _ in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        per_task = list(pool.map(run_task, [chunks[w::workers] for w in range(workers)], spaces))
+    spaces = _take_workspaces(workers, config.M)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            per_task = list(pool.map(run_task, [chunks[w::workers] for w in range(workers)], spaces))
+    finally:
+        _give_back(spaces)
     per_chunk = [per_task[i % workers][i // workers] for i in range(len(chunks))]
     estimates = {}
     for metric in metrics:

@@ -273,7 +273,9 @@ def test_with_power_raises_what_replace_raises(power, reason):
 def _current(rng, g, rho_f, theta):
     """Current SNRs drawn from a copy of the old SNRs g."""
     g = np.array(g, dtype=float)
-    return ch.draw_current_into(rng, g, rho_f, theta, np.empty_like(g), np.empty_like(g))
+    x, y = np.empty_like(g), np.empty_like(g)
+    ch.draw_current_noise(rng, x, y)
+    return ch.current_snr_into(g, rho_f, theta, x, y, np.empty_like(g))
 
 
 def _old_and_current(cfg, rng, n):
@@ -396,6 +398,33 @@ def test_batch_sampling_into_given_buffers():
     assert got["gamma_sm_o"] is sm and got["gamma_md_o"] is md
     for key in want:
         assert want[key].tobytes() == got[key].tobytes()
+
+
+def test_shared_rate_gives_the_per_link_bits():
+    # identical links divide by one scalar rate; the per-link column divide
+    # by the same rate rounds every entry the same way
+    cfg = ch.SystemConfig.symmetric(M=4, power=5.0, rho_e=0.9, rho_f=0.9)
+    lam = cfg.relay_params()[0].lam
+    assert ch.per_link(lp.lam for lp in cfg.relay_params()) == lam
+    n = 3000
+    scalar = ch.sample_gamma_batch(cfg, np.random.default_rng(126), n, rates=(lam, lam))
+    arrays = ch.sample_gamma_batch(cfg, np.random.default_rng(126), n, rates=(np.full(4, lam),) * 2)
+    for key in scalar:
+        assert scalar[key].tobytes() == arrays[key].tobytes()
+    assert ch.per_link([1.0, 2.0, 1.0]).tolist() == [1.0, 2.0, 1.0]
+
+
+def test_current_kernel_reads_its_noise_only():
+    rng = np.random.default_rng(127)
+    g = rng.standard_exponential(500)
+    x, y = np.empty(500), np.empty(500)
+    ch.draw_current_noise(rng, x, y)
+    noise = x.copy(), y.copy()
+    theta = np.full(500, 0.3)
+    cur = ch.current_snr_into(g.copy(), 0.8, theta, x, y, np.empty(500))
+    np.testing.assert_array_equal(cur, (0.8 * np.sqrt(g) + np.sqrt(0.3) * x) ** 2 + 0.3 * y**2)
+    assert x.tobytes() == noise[0].tobytes() and y.tobytes() == noise[1].tobytes()
+    assert theta.tobytes() == np.full(500, 0.3).tobytes()
 
 
 @pytest.mark.parametrize("bad", [
