@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
@@ -221,6 +222,10 @@ def _r_max(link: LinkParams) -> float:
     return half_c / (link.lam + half_c)
 
 
+# the series index k = 0, 1, ... as floats, one shared read-only prefix
+_SERIES_INDEX = specfn._Grid(float)
+
+
 def _series_rows(link: LinkParams, lam_extra: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """sum_k kernel[k] lam (c/2)^k / a_j^(k+1) over k < len(kernel) for
     every rate sum a_j = lam + c/2 + lam_extra[j]: one uncombined row per
@@ -229,11 +234,15 @@ def _series_rows(link: LinkParams, lam_extra: np.ndarray, kernel: np.ndarray) ->
     base = link.lam + half_c + lam_extra
     t0 = link.lam / base
     ratio = half_c / base
-    # ratio = 0 (rho_f = 0) gives log -inf: 0^k is 0 for k > 0, and the
-    # -inf * 0 at k = 0 is replaced by 0^0 = 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        powers = np.exp(np.outer(np.log(ratio), np.arange(len(kernel))))
-    powers[ratio == 0.0, 0] = 1.0
+    k = _SERIES_INDEX.upto(len(kernel))[: len(kernel)]
+    if ratio.all():
+        powers = np.exp(np.log(ratio)[:, None] * k)
+    else:
+        # a zero ratio (rho_f = 0, or one that underflowed) gives log -inf:
+        # 0^k is 0 for k > 0, and the -inf * 0 at k = 0 is replaced by 0^0 = 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            powers = np.exp(np.log(ratio)[:, None] * k)
+        powers[ratio == 0.0, 0] = 1.0
     return t0 * (powers @ kernel)
 
 
@@ -609,33 +618,80 @@ def outage_total(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) ->
 N_A = 20
 
 
+class _ExponentGrid:
+    """The parts of the "paper" kernel exponent that depend on the indices
+    k = 0, 1, ... and n = 1, 2, ... alone, read-only and shared by the whole
+    process: lgam[k, n - 1] = lgamma(k + (n + 1)/2) - ln k!, taken as the
+    difference of the half-integer lgamma grid's entries 2k + n - 1 and 2k;
+    k1[k] = k + 1; nh[n - 1] = (n - 1)/2; kn[k, n - 1] = k + (n + 1)/2.
+
+    Like `specfn._Grid` it only grows: a side that is too short at least
+    doubles, and a new set of arrays replaces the old under a lock, so arrays
+    a caller holds never change.  No entry depends on the grid's size, so
+    `upto(K, n_a)` slices the rows k <= K and the columns n <= n_a off
+    whatever grid is there."""
+
+    def __init__(self):
+        self._parts = (np.empty((0, 0)), np.empty((0, 1)), np.empty(0), np.empty((0, 0)))
+        self._lock = threading.Lock()
+
+    def upto(self, K: int, n_a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(lgam, k1, nh, kn) for k = 0..K and n = 1..n_a."""
+        parts = self._parts
+        rows, cols = parts[0].shape
+        if rows <= K or cols < n_a:
+            with self._lock:
+                parts = self._parts
+                rows, cols = parts[0].shape
+                if rows <= K or cols < n_a:
+                    if rows <= K:
+                        rows = max(K + 1, 2 * rows)
+                    if cols < n_a:
+                        cols = max(n_a, 2 * cols)
+                    parts = self._build(rows, cols)
+                    self._parts = parts
+        lgam, k1, nh, kn = parts
+        return lgam[: K + 1, :n_a], k1[: K + 1], nh[:n_a], kn[: K + 1, :n_a]
+
+    @staticmethod
+    def _build(rows: int, cols: int) -> tuple[np.ndarray, ...]:
+        # Gamma(k + (n+1)/2) and k! = Gamma(k + 1) both take arguments on the
+        # half-integer grid 1, 1.5, ..., at index 2k + n - 1 and 2k
+        lgam_half = specfn.ln_gamma_half_grid(2 * rows + cols - 3)
+        two_k = 2 * np.arange(rows)[:, None]
+        k = np.arange(rows, dtype=float)[:, None]
+        n = np.arange(1, cols + 1, dtype=float)
+        parts = (
+            lgam_half[two_k + np.arange(cols)] - lgam_half[two_k],
+            k + 1.0,
+            (n - 1.0) / 2.0,
+            k + (n + 1.0) / 2.0,
+        )
+        for part in parts:
+            part.flags.writeable = False
+        return parts
+
+
+_PAPER_EXPONENTS = _ExponentGrid()
+
+
 def _paper_kernel_table(K: int, q: float, bp: float, n_a: int) -> np.ndarray:
     """The ASER kernel of the "paper" convention, built on the Q-function
     approximation: kernel[k] = q^(k+1)/k! *
     sum_n a_n (beta P)^((n-1)/2) Gamma(k+(n+1)/2) / (q + beta P)^(k+(n+1)/2)."""
-    # Gamma(k+(n+1)/2) and k! = Gamma(k+1) both take arguments on the
-    # half-integer grid 1, 1.5, ..., K + (n_a+1)/2, at index 2k + n - 1 and
-    # 2k of the process-wide lgamma table on that grid.
     a = specfn.qapprox_coefficients(n_a)
-    n = np.arange(1, n_a + 1, dtype=float)
-    two_k = 2 * np.arange(K + 1)[:, None]
-    k = np.arange(K + 1, dtype=float)[:, None]
-    log_bp = math.log(bp)
-    log_q = math.log(q)
-    log_denom = math.log(q + bp)
-    lgam_half = specfn.ln_gamma_half_grid(2 * K + n_a - 1)
-    exps = (
-        lgam_half[two_k + np.arange(n_a)]
-        - lgam_half[two_k]
-        + (k + 1.0) * log_q
-        + (n - 1.0) / 2.0 * log_bp
-        - (k + (n + 1.0) / 2.0) * log_denom
-    )
+    lgam, k1, nh, kn = _PAPER_EXPONENTS.upto(K, n_a)
+    # the power-dependent terms are added in the order of the per-k formula
+    # lgam + (k+1) ln q + (n-1)/2 ln(beta P) - (k+(n+1)/2) ln(q + beta P)
+    exps = lgam + k1 * math.log(q)
+    exps += nh * math.log(bp)
+    exps -= kn * math.log(q + bp)
+    np.exp(exps, out=exps)
     # a stack of (1 x n_a) @ (n_a x 1) products: numpy takes one BLAS dot per
     # row, exactly as `a @ row` does, so the table matches a per-k evaluation
     # bit for bit.  A single `terms @ a` mat-vec sums in another order and
     # moves the figure-8 diversity rows by 2.5e-11 relative.
-    return (np.exp(exps)[:, None, :] @ a[:, None]).ravel()
+    return (exps[:, None, :] @ a[:, None]).ravel()
 
 
 def _paper_kernel_at_rates(r: np.ndarray, bp: float, n_a: int) -> np.ndarray:

@@ -446,9 +446,13 @@ def mean_q_gamma_table(shape_max: int, c: float) -> np.ndarray:
     t_j = C(2j, j) z^j follow t_j = t_{j-1} * 4z (1 - 1/(2j)), so one
     cumulative product and one cumulative sum give the whole table; numpy's
     accumulate runs in index order, so each entry is rounded exactly as a
-    scalar loop would round it.  The subtraction 1 - mu * sum cancels as the
-    sum approaches 1/mu, which costs digits at large c and shape; results are
-    clamped at 0.  This is the exact counterpart of averaging a Gaussian tail
+    scalar loop would round it.  Each t_j is at most (4z)^j, and a term
+    below 2^-54 leaves a running sum >= 1 unchanged, so the product stops
+    after ceil(-54 ln 2 / ln 4z) + 2 terms and the rest of the table repeats
+    the last sum: the table is the one the full product gives, without its
+    run through subnormal terms.  The subtraction 1 - mu * sum cancels as
+    the sum approaches 1/mu, which costs digits at large c and shape;
+    results are clamped at 0.  This is the exact counterpart of averaging a Gaussian tail
     over a gamma-distributed SNR.
     """
     if shape_max < 1:
@@ -459,10 +463,19 @@ def mean_q_gamma_table(shape_max: int, c: float) -> np.ndarray:
         return np.full(shape_max, 0.5)
     mu = math.sqrt(c / (1.0 + c))
     z4 = 1.0 - mu * mu  # = 4z
-    t = np.empty(shape_max)  # t[j] = C(2j, j) z^j
+    if z4 == 0.0:
+        n = 1
+    elif z4 < 1.0:
+        n = min(shape_max, math.ceil(-54.0 * math.log(2.0) / math.log(z4)) + 2)
+    else:  # mu^2 rounds away at tiny c: the terms never drop below 2^-54
+        n = shape_max
+    t = np.empty(n)  # t[j] = C(2j, j) z^j
     t[0] = 1.0
-    t[1:] = np.cumprod(z4 * (1.0 - 0.5 / np.arange(1.0, shape_max)))
-    return np.maximum(0.5 * (1.0 - mu * np.cumsum(t)), 0.0)
+    t[1:] = np.cumprod(z4 * (1.0 - 0.5 / np.arange(1.0, n)))
+    s = np.empty(shape_max)
+    np.cumsum(t, out=s[:n])
+    s[n:] = s[n - 1]
+    return np.maximum(0.5 * (1.0 - mu * s), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -357,13 +357,70 @@ def _paper_kernel_table_per_call_grid(K, q, bp, n_a):
 
 @pytest.mark.parametrize("order", [(400, 50, 1), (1, 50, 400)], ids=["large-first", "small-first"])
 def test_paper_kernel_table_matches_per_call_grid(monkeypatch, order):
-    # a fresh process-wide grid, so the first K of `order` is what grows it
+    # fresh process-wide grids, so the first K of `order` is what grows them
     monkeypatch.setattr(specfn, "_LGAMMA_HALF", specfn._Grid(specfn._LGAMMA_HALF._entry))
+    monkeypatch.setattr(an, "_PAPER_EXPONENTS", an._ExponentGrid())
     cfg = sym_config(M=2, power=31.6, rho_e=0.97, rho_f=0.95, lambda_convention="paper")
     q, bp = cfg.relay_params()[0].q, cfg.beta * cfg.power
     for K in order:
         got = an._paper_kernel_table(K, q, bp, an.N_A)
         assert np.array_equal(got, _paper_kernel_table_per_call_grid(K, q, bp, an.N_A))
+
+
+@pytest.mark.parametrize("n_a", [1, 20])
+@pytest.mark.parametrize("order", [(0, 1, 29, 138, 400), (400, 138, 29, 1, 0)],
+                         ids=["small-first", "large-first"])
+def test_paper_kernel_table_slices_the_shared_exponent_grid(monkeypatch, order, n_a):
+    # each K is a slice of whatever grid the earlier K left; the rows of a
+    # smaller K must be a prefix of a larger K's and a column must not depend
+    # on n_a, so every table equals the per-call formula bit for bit
+    monkeypatch.setattr(an, "_PAPER_EXPONENTS", an._ExponentGrid())
+    cfg = sym_config(M=2, power=31.6, rho_e=0.97, rho_f=0.95, lambda_convention="paper")
+    q, bp = cfg.relay_params()[0].q, cfg.beta * cfg.power
+    for K in order:
+        for width in (n_a, an.N_A):  # the other width grows the columns in between
+            got = an._paper_kernel_table(K, q, bp, width)
+            assert got.shape == (K + 1,)
+            assert np.array_equal(got, _paper_kernel_table_per_call_grid(K, q, bp, width))
+
+
+def test_series_grids_are_read_only():
+    parts = an._PAPER_EXPONENTS.upto(30, an.N_A) + (an._SERIES_INDEX.upto(30),)
+    for part in parts:
+        with pytest.raises(ValueError):
+            part[0] = 1.0
+        with pytest.raises(ValueError):
+            part += 1.0
+    # a table built from them is the caller's own
+    table = an._paper_kernel_table(30, 0.5, 20.0, an.N_A)
+    table[0] = 1.0
+    assert np.array_equal(an._PAPER_EXPONENTS.upto(30, an.N_A)[0], parts[0])
+
+
+def _series_rows_outer(link, lam_extra, kernel):
+    """`_series_rows` as an np.outer product, every ratio under errstate."""
+    half_c = 0.5 * link.c
+    base = link.lam + half_c + lam_extra
+    ratio = half_c / base
+    with np.errstate(divide="ignore", invalid="ignore"):
+        powers = np.exp(np.outer(np.log(ratio), np.arange(len(kernel))))
+    powers[ratio == 0.0, 0] = 1.0
+    return link.lam / base * (powers @ kernel)
+
+
+@pytest.mark.parametrize("rho_f", [0.0, 1e-162, 1e-160, 0.5, 0.999])
+def test_series_rows_at_extreme_rho_f_match_the_outer_product(rho_f):
+    # rho_f = 0 gives a zero ratio, 1e-162 one that underflows to zero and
+    # 1e-160 a subnormal one; none may raise a RuntimeWarning
+    link = ch.derive_link_params(ch.FadingParams(1.0, 1.0, rho_f), 10.0)
+    lam_extra = np.arange(4, dtype=float) * link.lam
+    ratio = 0.5 * link.c / (link.lam + 0.5 * link.c + lam_extra)
+    assert (ratio == 0.0).all() if rho_f < 1e-161 else (ratio > 0.0).all()
+    for kernel in (np.array([0.25]), specfn.mean_q_gamma_table(60, 3.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = an._series_rows(link, lam_extra, kernel)
+        assert np.array_equal(got, _series_rows_outer(link, lam_extra, kernel))
 
 
 def _asymmetric_m3():

@@ -748,9 +748,11 @@ TABLE_SIZES = (1, 2, 7, 100, 18000)
 SMALL_ARGS = (0.005, 0.1, 1.0, 3.7, 9.0, 14.9, 15.0)
 
 
-@pytest.mark.parametrize("c", (0.0,) + SMALL_ARGS + (2e3, 5e6))
+# 0.1999 at 16,572 terms is a rho_f = 0.999 ASER table, whose product reaches
+# subnormal terms; 1e-20 and 1e17 round 4z to exactly 1 and 0
+@pytest.mark.parametrize("c", (0.0,) + SMALL_ARGS + (0.1999, 2e3, 5e6, 1e-20, 1e-12, 1e12, 1e17))
 def test_mean_q_gamma_table_bit_identical_to_loop(c):
-    for size in TABLE_SIZES:
+    for size in TABLE_SIZES + (16572,):
         np.testing.assert_array_equal(specfn.mean_q_gamma_table(size, c), _mean_q_gamma_loop(size, c))
 
 
