@@ -42,9 +42,9 @@ no relay decodes, its kernel table, its rho_f = 1 kernel and its final
 scaling.  A candidate sum is one row kernel and one signed subset sum.  The
 symmetric driver (`_total_symmetric`) alone takes the series rows
 (`_rows`); everything else takes the finite rows (`_finite_rows`): the
-general driver (`_total_general`, whose combine step `_combine` also takes
-the condition) and the per-candidate `outage_conditional` and
-`aser_conditional_pdf` (`_candidate_term`).  Both drivers sum over decoding
+general driver (`_total_general`, which combines every candidate and its
+condition in one stacked product) and the per-candidate `outage_conditional`
+and `aser_conditional_pdf` (`_candidate_term`).  Both drivers sum over decoding
 sets and raise `SeriesError` on a negative total.  The public `*_general` /
 `*_symmetric` functions and their dispatchers only pick a record and a
 driver.
@@ -69,11 +69,11 @@ from .specfn import SeriesControl, SeriesError
 LN2 = math.log(2.0)
 CONDITION_FLAG = 1e12
 # cap on the general path's peak allocation.  Besides its M x 2^(M-1)
-# float64 subset rows it holds the masks, the gathered rate sums, a, r and the
-# kernel's temporaries: tracemalloc puts its peak at 6-16 times the rows over
-# M = 6..16 (the most for capacity, and at small M, where fixed costs count),
-# so the cap is applied to ROWS_PEAK_FACTOR times the rows.  The largest real
-# sweeps (M = 10) need 40 kB of rows
+# float64 subset rows it holds the gathered rate sums, a, r, the kernel's
+# temporaries and the combine's operands: tracemalloc puts its peak at 6-15
+# times the rows over M = 6..16 (the most for capacity, and at small M, where
+# fixed costs count), so the cap is applied to ROWS_PEAK_FACTOR times the
+# rows.  The largest real sweeps (M = 10) need 40 kB of rows
 ROWS_MAX_BYTES = 1 << 28
 ROWS_PEAK_FACTOR = 16
 
@@ -318,16 +318,6 @@ def _rows(
     return _series_rows(link, lam_extra, table), len(table)
 
 
-def _combine(
-    metric: _Metric, coeffs: np.ndarray, rows: np.ndarray, terms: int, diag: _Diag
-) -> float:
-    """The signed subset sum coeffs @ rows in the metric's units; its
-    magnitude sum |coeffs| @ |rows| feeds the cancellation condition."""
-    value = metric.finish(float(coeffs @ rows))
-    diag.update(terms, value, metric.finish(float(np.abs(coeffs) @ np.abs(rows))))
-    return value
-
-
 def _finite_rows(metric: _Metric, links: list[LinkParams], lam_extra: np.ndarray) -> np.ndarray:
     """Uncombined subset rows in finite form, row i for candidate links[i]
     at the rate sums a = lam_i + lam_extra[i].  The Poisson mixture of
@@ -337,15 +327,17 @@ def _finite_rows(metric: _Metric, links: list[LinkParams], lam_extra: np.ndarray
     lam / a times the metric's kernel at r, one call for all rows."""
     lam = np.array([lp.lam for lp in links])[:, None]
     a = lam + lam_extra
-    stale = np.array([not lp.degenerate for lp in links])
+    live = [lp for lp in links if not lp.degenerate]
+    if not live:
+        return lam / a * metric.degenerate(a)
+    # all rows stale: a full slice takes views, not boolean gathers
+    stale = slice(None) if len(live) == len(links) else np.array([not lp.degenerate for lp in links])
+    q = np.array([lp.q for lp in live])[:, None]
+    half_c = 0.5 * np.array([lp.c for lp in live])[:, None]
     r = a.copy()
-    if stale.any():
-        live = [lp for lp in links if not lp.degenerate]
-        q = np.array([lp.q for lp in live])[:, None]
-        half_c = 0.5 * np.array([lp.c for lp in live])[:, None]
-        r[stale] = q * a[stale] / (a[stale] + half_c)
+    r[stale] = q * a[stale] / (a[stale] + half_c)
     kernel = metric.degenerate(r)
-    if metric.stale is not None and stale.any():
+    if metric.stale is not None:
         kernel[stale] = metric.stale(r[stale])
     return lam / a * kernel
 
@@ -375,7 +367,9 @@ def _total_general(
     masks with bit m clear, whose coefficients and rate sums are those of
     the expansion without relay m, bit for bit.  The M x 2^(M-1) rows are
     evaluated in finite form (`_finite_rows`), so every row reports one
-    series term.  empty_term defaults to empty * prod_i fail_i."""
+    series term.  One stacked product gives every candidate's signed and
+    magnitude sums, one BLAS dot each on the contiguous operands of a per-m
+    `coeffs[masks[m]] @ rows[m]`.  empty_term defaults to empty * prod_i fail_i."""
     rel = config.relay_params()
     M = len(rel)
     need = ROWS_PEAK_FACTOR * M * (1 << (M - 1)) * 8
@@ -387,16 +381,30 @@ def _total_general(
         )
     p, fail = zip(*map(metric.decode, config.source_params()))
     coeffs, lam_extra = _subset_expansion([lp.lam for lp in rel], p)
-    # masks[m, j]: the j-th mask with bit m clear, j's bits split around bit m
-    j = np.arange(1 << (M - 1))
-    bit = np.arange(M)[:, None]
-    masks = (j >> bit << (bit + 1)) | (j & ((1 << bit) - 1))
+    masks = _general_masks(M)
     rows = _finite_rows(metric, rel, lam_extra[masks])
+    ops = np.empty((2, 2, M, 1 << (M - 1)))  # (coefficients, rows) x (signed, magnitude)
+    ops[0, 0], ops[1, 0] = coeffs[masks], rows
+    np.abs(ops[:, 0], out=ops[:, 1])
+    values, mags = (ops[0, :, :, None, :] @ ops[1, :, :, :, None])[:, :, 0, 0].tolist()
     diag = _Diag()
     total = metric.empty * math.prod(fail) if empty_term is None else empty_term
     for m in range(M):
-        total += p[m] * _combine(metric, coeffs[masks[m]], rows[m], 1, diag)
+        value = metric.finish(values[m])
+        diag.update(1, value, metric.finish(mags[m]))
+        total += p[m] * value
     return diag.result(total)
+
+
+@functools.lru_cache(maxsize=32)
+def _general_masks(M: int) -> np.ndarray:
+    """Read-only, once per M: masks[m, j] is the j-th subset mask with bit
+    m clear, j's bits split around bit m."""
+    j = np.arange(1 << (M - 1))
+    bit = np.arange(M)[:, None]
+    masks = (j >> bit << (bit + 1)) | (j & ((1 << bit) - 1))
+    masks.flags.writeable = False
+    return masks
 
 
 @functools.lru_cache(maxsize=32)

@@ -11,7 +11,10 @@ The model couples three effects per link:
 
 Conditioned on the old SNR g, the current SNR is theta times a noncentral
 chi-square with 2 degrees of freedom and noncentrality c*g; the constants
-(lam, c, theta) below feed every closed form in `analytic`.
+(lam, c, theta) below feed every closed form in `analytic`.  A FadingParams
+keeps the parts of them that do not depend on the power (sigma2_u, each
+convention's rate scale, 1 - rho_f^2 and 2 rho_f^2), so deriving a link at
+one power takes a few flops.
 
 The sampler draws SNRs, not complex gains: each old SNR is one
 Exponential(lam) draw (`sample_gamma_batch`).  The current SNR given the
@@ -51,6 +54,11 @@ class FadingParams:
             raise ValueError(f"rho_e must be in (0, 1], got {self.rho_e}")
         if not 0.0 <= self.rho_f <= 1.0:
             raise ValueError(f"rho_f must be in [0, 1], got {self.rho_f}")
+        # (sigma2_u, rate scale per convention, 1 - rho_f^2, 2 rho_f^2): not a
+        # field, as SystemConfig._symmetric is not, so ==, hash and repr skip it
+        scales = {"paper": self.rho_e, "derived": self.rho_e**2 * self.sigma2_hat}
+        parts = (self.sigma2_u, scales, 1.0 - self.rho_f**2, 2.0 * self.rho_f**2)
+        object.__setattr__(self, "_constants", parts)
 
     @property
     def sigma2_hat(self) -> float:
@@ -106,7 +114,10 @@ def derive_link_params(fp: FadingParams, power: float, convention: str = "derive
     two coincide when rho_e * sigma2_hat = 1 (in particular for perfect CSI
     with unit estimate variance).
     """
-    return LinkParams(*_link_constants(fp, power, convention), rho_f=fp.rho_f)
+    lam, c, theta = _link_constants(fp, power, convention)
+    link = object.__new__(LinkParams)  # as with_power: no frozen __init__ setattrs
+    link.__dict__.update(lam=lam, c=c, theta=theta, rho_f=fp.rho_f)
+    return link
 
 
 def _link_constants(fp: FadingParams, power: float, convention: str) -> tuple[float, float, float]:
@@ -117,14 +128,15 @@ def _link_constants(fp: FadingParams, power: float, convention: str) -> tuple[fl
         raise ValueError("power must be > 0")
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown lambda convention {convention!r}")
-    scale = fp.rho_e if convention == "paper" else fp.rho_e**2 * fp.sigma2_hat
-    lam = (1.0 + power * fp.sigma2_u) / scale if scale > 0.0 else math.inf
+    sigma2_u, scales, one_minus, two_rho2 = fp._constants
+    scale = scales[convention]
+    lam = (1.0 + power * sigma2_u) / scale if scale > 0.0 else math.inf
     if fp.rho_f == 1.0:
         c, theta = math.inf, 0.0
     else:
-        one_minus = 1.0 - fp.rho_f**2
-        c = 2.0 * fp.rho_f**2 * lam / one_minus
-        theta = one_minus / (2.0 * lam)
+        c = two_rho2 * lam / one_minus
+        # lam = 0 (an overflowed scale) fails the range check, not the division
+        theta = one_minus / (2.0 * lam) if lam > 0.0 else math.inf
     if not (0.0 < lam < math.inf) or (fp.rho_f < 1.0 and not (c < math.inf and theta > 0.0)):
         raise ValueError(
             f"link {fp} at power {power:.6g} has constants out of floating-point "

@@ -269,6 +269,8 @@ class SweepSpec:
             raise ConfigError("snr_db: a diversity sweep needs at least two increasing points")
         if self.mode in ("mc", "both") and self.trials < 1:
             raise ConfigError("trials: must be >= 1 when Monte Carlo runs")
+        if self.mode in ("mc", "both") and self.seed < 0:
+            raise ConfigError("seed: must be >= 0 when Monte Carlo runs")
 
 
 # lambdas, so that each call looks the function up on the module: a tracer

@@ -542,37 +542,115 @@ def test_general_equals_decoding_set_sum(general, reference, M, power):
 @pytest.mark.parametrize("M", [2, 5])
 def test_general_path_evaluates_one_candidate_per_relay(monkeypatch, general, record, M):
     # one finite-form kernel call holds every candidate's rows: row m is
-    # relay m at the subset rate sums of the other relays, and one combine
-    # step per relay takes the coefficients of those subsets; both are the
-    # per-candidate expansion without relay m, bit for bit
-    row_calls, combined = [], []
-    finite_rows, combine = an._finite_rows, an._combine
+    # relay m at the subset rate sums of the other relays, and coefficient
+    # row m of the stacked combine gathers the coefficients of those subsets
+    # from one expansion of all M relays; both are the per-candidate
+    # expansion without relay m, bit for bit
+    row_calls, expansions, masks = [], [], []
+    finite_rows, expansion, general_masks = an._finite_rows, an._subset_expansion, an._general_masks
 
     def counting_rows(metric, links, lam_extra):
         row_calls.append((links, lam_extra))
         return finite_rows(metric, links, lam_extra)
 
-    def counting_combine(metric, coeffs, rows, terms, diag):
-        combined.append((coeffs, terms))
-        return combine(metric, coeffs, rows, terms, diag)
+    def recording_expansion(*args):
+        expansions.append(expansion(*args))
+        return expansions[-1]
+
+    def recording_masks(M):
+        masks.append(general_masks(M))
+        return masks[-1]
 
     monkeypatch.setattr(an, "_finite_rows", counting_rows)
-    monkeypatch.setattr(an, "_combine", counting_combine)
+    monkeypatch.setattr(an, "_subset_expansion", recording_expansion)
+    monkeypatch.setattr(an, "_general_masks", recording_masks)
     cfg = mixed_asym_config(M)
     general(cfg, CTRL)
     rel = cfg.relay_params()
     p = [record(cfg, CTRL).decode(lp)[0] for lp in cfg.source_params()]
-    assert len(row_calls) == 1
+    assert len(row_calls) == len(expansions) == len(masks) == 1
     links, lam_extra = row_calls[0]
+    (all_coeffs, all_extra), mask = expansions[0], masks[0]
     assert links == rel
-    assert lam_extra.shape == (M, 1 << (M - 1))
-    assert len(combined) == M
+    assert lam_extra.shape == mask.shape == (M, 1 << (M - 1))
+    assert not mask.flags.writeable
     for m in range(M):
         others = [i for i in range(M) if i != m]
-        coeffs, extra = an._subset_expansion([rel[i].lam for i in others], [p[i] for i in others])
+        coeffs, extra = expansion([rel[i].lam for i in others], [p[i] for i in others])
         assert np.array_equal(lam_extra[m], extra)
-        assert np.array_equal(combined[m][0], coeffs)
-        assert combined[m][1] == 1
+        assert np.array_equal(all_extra[mask[m]], extra)
+        assert np.array_equal(all_coeffs[mask[m]], coeffs)
+
+
+def _finite_rows_reference(metric, links, lam_extra):
+    """`_finite_rows` with boolean gathers of the stale rows in every case."""
+    lam = np.array([lp.lam for lp in links])[:, None]
+    a = lam + lam_extra
+    stale = np.array([not lp.degenerate for lp in links])
+    r = a.copy()
+    if stale.any():
+        live = [lp for lp in links if not lp.degenerate]
+        q = np.array([lp.q for lp in live])[:, None]
+        half_c = 0.5 * np.array([lp.c for lp in live])[:, None]
+        r[stale] = q * a[stale] / (a[stale] + half_c)
+    kernel = metric.degenerate(r)
+    if metric.stale is not None and stale.any():
+        kernel[stale] = metric.stale(r[stale])
+    return lam / a * kernel
+
+
+def _per_candidate_reference(cfg, metric) -> an.MetricResult:
+    """The general sum as a loop over the candidates m: one combine step per
+    candidate, its coefficients and rows gathered by m's masks."""
+    rel = cfg.relay_params()
+    M = len(rel)
+    p, fail = zip(*map(metric.decode, cfg.source_params()))
+    coeffs, lam_extra = an._subset_expansion([lp.lam for lp in rel], p)
+    j = np.arange(1 << (M - 1))
+    bit = np.arange(M)[:, None]
+    masks = (j >> bit << (bit + 1)) | (j & ((1 << bit) - 1))
+    rows = _finite_rows_reference(metric, rel, lam_extra[masks])
+    diag = an._Diag()
+    total = metric.empty * math.prod(fail)
+    for m in range(M):
+        total += p[m] * _combine(metric, coeffs[masks[m]], rows[m], 1, diag)
+    return diag.result(total)
+
+
+def _per_candidate_configs():
+    """M = 1..14 in both conventions at P = 1, 10, 1e3: identical links at
+    every (rho_f, rho_e) pair, and mixed_asym_config, whose odd relays have
+    rho_f = 1 beside stale ones."""
+    for M, convention, power in itertools.product(range(1, 15), ("derived", "paper"), (1.0, 10.0, 1e3)):
+        for rho_f, rho_e in itertools.product((0.0, 0.5, 0.9, 0.99, 1.0), (1.0, 0.97)):
+            yield sym_config(M=M, power=power, rho_e=rho_e, rho_f=rho_f, lambda_convention=convention)
+        yield dataclasses.replace(mixed_asym_config(M, power), lambda_convention=convention)
+
+
+def _bits(call):
+    """(value, terms and condition with the floats as hex, or the
+    SeriesError text; the texts of the RuntimeWarnings raised)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            res = call()
+            assert type(res.value) is float
+            got = (res.value.hex(), res.series_terms_used, res.condition_estimate.hex())
+        except SeriesError as e:
+            got = str(e)
+    return got, [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("metric", ["outage", "aser", "capacity"])
+def test_general_driver_equals_the_per_candidate_loop_bit_for_bit(metric):
+    # one stacked product over all candidates m reproduces the per-candidate
+    # combine steps: the same values, conditions, term counts, errors and
+    # warnings
+    make = {"outage": an._outage, "aser": an._aser, "capacity": an._capacity}[metric]
+    for cfg in _per_candidate_configs():
+        got = _bits(lambda: an._total_general(cfg, make(cfg, CTRL)))
+        want = _bits(lambda: _per_candidate_reference(cfg, make(cfg, CTRL)))
+        assert got == want, cfg
 
 
 @pytest.mark.parametrize("convention", ["derived", "paper"])
@@ -723,6 +801,14 @@ def test_rho_f_zero_evaluates_without_warnings(metric, path):
 # grouped symmetric driver
 # ---------------------------------------------------------------------------
 
+def _combine(metric, coeffs, rows, terms, diag) -> float:
+    """One signed subset sum coeffs @ rows in the metric's units, its
+    magnitude sum |coeffs| @ |rows| noted in diag."""
+    value = metric.finish(float(coeffs @ rows))
+    diag.update(terms, value, metric.finish(float(np.abs(coeffs) @ np.abs(rows))))
+    return value
+
+
 def _per_size_reference(cfg, metric) -> an.MetricResult:
     """The symmetric sum as a loop over the decoding-set sizes l: one
     combine step per size with the multiplicities (-1)^s C(l-1, s) built
@@ -736,7 +822,7 @@ def _per_size_reference(cfg, metric) -> an.MetricResult:
     total = metric.empty * fail**M
     for l in range(1, M + 1):
         mult = np.array([math.comb(l - 1, s) for s in range(l)], dtype=float)
-        per_m = an._combine(metric, signs[:l] * mult, rows[:l], terms, diag)
+        per_m = _combine(metric, signs[:l] * mult, rows[:l], terms, diag)
         total += math.comb(M, l) * p**l * fail ** (M - l) * l * per_m
     return diag.result(total)
 

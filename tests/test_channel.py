@@ -1,7 +1,10 @@
 """Parameter derivation and the joint (old, current) sampling model."""
 
+import copy
 import dataclasses
+import itertools
 import math
+import pickle
 import re
 
 import numpy as np
@@ -89,6 +92,102 @@ def test_scale_consistency(sigma2_h, rho_e, rho_f, power):
     # determinism
     lp1 = ch.derive_link_params(fp1, power)
     assert ch.derive_link_params(fp1, power) == lp1
+
+
+def _link_constants_reference(fp, power, convention):
+    """(lam, c, theta) by the per-call formula, from the fields alone.  A
+    zero lam (sigma2_hat overflows) gives theta = inf, which is out of range."""
+    if power <= 0.0:
+        raise ValueError("power must be > 0")
+    if convention not in ch.CONVENTIONS:
+        raise ValueError(f"unknown lambda convention {convention!r}")
+    scale = fp.rho_e if convention == "paper" else fp.rho_e**2 * fp.sigma2_hat
+    lam = (1.0 + power * fp.sigma2_u) / scale if scale > 0.0 else math.inf
+    if fp.rho_f == 1.0:
+        c, theta = math.inf, 0.0
+    else:
+        one_minus = 1.0 - fp.rho_f**2
+        c = 2.0 * fp.rho_f**2 * lam / one_minus
+        theta = one_minus / (2.0 * lam) if lam > 0.0 else math.inf
+    if not (0.0 < lam < math.inf) or (fp.rho_f < 1.0 and not (c < math.inf and theta > 0.0)):
+        raise ValueError(
+            f"link {fp} at power {power:.6g} has constants out of floating-point "
+            f"range: lam = {lam:.6g}, c = {c:.6g}, theta = {theta:.6g}"
+        )
+    return lam, c, theta
+
+
+def _hex_or_error(call):
+    try:
+        return tuple(float(v).hex() for v in call())
+    except ValueError as e:
+        return str(e)
+
+
+# rho_e**2 underflows to 0 below about 1.5e-162, and sigma2_h / rho_e
+# overflows at the largest sigma2_h
+_DERIVATION_GRID = list(itertools.product(
+    (0.0, 1e-160, 0.5, 0.999999, 1.0),
+    (1.0, 0.97, 1e-150, 1e-161, 1.5e-162, 1e-162, 1e-170, 5e-324),
+    (1e-300, 1.0, 1e300),
+    (-1.0, 0.0, 1e-300, 1e-150, 1e-10, 1.0, 10.0, 1e10, 1e150, 1e300),
+    ("derived", "paper", "nominal"),
+))
+
+
+def test_link_constants_match_the_per_call_formula_bit_for_bit():
+    # the power-independent parts kept on FadingParams give the per-call
+    # formula's constants and errors, whole or in range
+    errors = []
+    for rho_f, rho_e, sigma2_h, power, convention in _DERIVATION_GRID:
+        fp = ch.FadingParams(sigma2_h=sigma2_h, rho_e=rho_e, rho_f=rho_f)
+        want = _hex_or_error(lambda: _link_constants_reference(fp, power, convention))
+        got = _hex_or_error(lambda: ch._link_constants(fp, power, convention))
+        assert got == want, (fp, power, convention)
+        link = _hex_or_error(lambda: dataclasses.astuple(ch.derive_link_params(fp, power, convention)))
+        assert link == (want if isinstance(want, str) else want + (float(rho_f).hex(),)), (fp, power)
+        if isinstance(want, str):
+            errors.append(want)
+    # every branch is taken: values in range, the three errors, and a zero lam
+    assert len(errors) < len(_DERIVATION_GRID)
+    for text in ("power must be > 0", "unknown lambda convention", "out of floating-point range",
+                 "lam = 0, c = 0, theta = inf"):
+        assert any(text in e for e in errors), text
+
+
+def test_fading_params_parts_survive_replace_copy_and_pickle():
+    # the precomputed parts are not a field: they stay out of ==, hash and
+    # repr, and every way of making a FadingParams carries a fresh one's
+    fp = ch.FadingParams(sigma2_h=0.8, rho_e=0.97, rho_f=0.9)
+    assert [f.name for f in dataclasses.fields(fp)] == ["sigma2_h", "rho_e", "rho_f"]
+    assert "_constants" not in repr(fp)
+    made = [
+        (dataclasses.replace(fp, rho_f=0.5), ch.FadingParams(0.8, 0.97, 0.5)),
+        (dataclasses.replace(fp, sigma2_h=2.0, rho_e=0.5), ch.FadingParams(2.0, 0.5, 0.9)),
+        (copy.deepcopy(fp), fp),
+        (copy.copy(fp), fp),
+        (pickle.loads(pickle.dumps(fp)), fp),
+    ]
+    for got, fresh in made:
+        assert got == fresh and hash(got) == hash(fresh) and repr(got) == repr(fresh)
+        assert got._constants == ch.FadingParams(fresh.sigma2_h, fresh.rho_e, fresh.rho_f)._constants
+        for convention in ch.CONVENTIONS:
+            assert ch.derive_link_params(got, 10.0, convention) == ch.derive_link_params(
+                fresh, 10.0, convention)
+
+
+@pytest.mark.parametrize("rho_f", [0.0, 0.9, 1.0])
+def test_derived_link_params_behave_like_constructed_ones(rho_f):
+    # derive_link_params sets the fields without the frozen __init__
+    lp = ch.derive_link_params(ch.FadingParams(0.8, 0.97, rho_f), 10.0)
+    built = ch.LinkParams(lp.lam, lp.c, lp.theta, lp.rho_f)
+    assert type(lp) is ch.LinkParams
+    assert lp == built and hash(lp) == hash(built) and repr(lp) == repr(built)
+    assert list(vars(lp).items()) == list(vars(built).items())
+    assert (lp.degenerate, lp.q) == (built.degenerate, built.q)
+    assert copy.deepcopy(lp) == pickle.loads(pickle.dumps(lp)) == built
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lp.lam = 1.0
 
 
 # ---------------------------------------------------------------------------

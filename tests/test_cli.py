@@ -134,9 +134,13 @@ def test_load_config_rejects_malformed_values(doc, field):
     ({"M": 2, "rho_e": 1e-320}, ["sweep", "--metric", "outage"], "floating-point range"),
     ({"M": 1, "power_db": 100, "rho_e": 1e-10, "sigma2_h": 1e290},
      ["sweep", "--metric", "outage", "--lambda-convention", "paper"], "lambda-convention"),
+    # sigma2_hat = sigma2_h / rho_e overflows, so the derived lam is 0
+    ({"M": 2, "rho_f": 0.5, "rho_e": 1e-150, "sigma2_h": 1e300}, ["sweep", "--metric", "outage"],
+     "lam = 0, c = 0, theta = inf"),
 ], ids=[
     "alpha-3", "rate-600-sweep", "rate-600-info", "rate-600-validate", "rate-500-low-snr",
     "beta-1e308", "beta-power-underflow", "sigma2_h-1e-320", "rho_e-1e-320", "paper-lam-overflow",
+    "derived-lam-zero",
 ])
 def test_cli_rejects_configs_it_cannot_evaluate(tmp_path, monkeypatch, doc, args, message):
     path = tmp_path / "cfg.json"
@@ -556,6 +560,21 @@ def test_cli_validate_rejects_bad_trials_and_seed(config_file, option, value):
     assert cp.returncode == 2, cp.stdout + cp.stderr
     assert cp.stderr.startswith(f"error: {option[2:]}:")
     assert "Traceback" not in cp.stderr
+
+
+@pytest.mark.parametrize("mode", ["mc", "both"])
+def test_cli_sweep_rejects_a_negative_seed_when_monte_carlo_runs(config_file, mode):
+    # the simulator rejects negative seeds, as validate does; the sweep's
+    # per-row seeds would otherwise fold them into range
+    cp = run_cli("sweep", "--config", config_file, "--metric", "outage", "--snr-db", "10",
+                 "--mode", mode, "--trials", "100", "--seed", "-5")
+    assert cp.returncode == 2, cp.stdout + cp.stderr
+    assert cp.stderr.startswith("error: seed:")
+    assert "Traceback" not in cp.stderr and cp.stdout == ""
+    # analytic rows take no seed
+    res = CliRunner().invoke(cli.main, ["sweep", "--config", config_file, "--metric", "outage",
+                                        "--snr-db", "10", "--seed", "-5"])
+    assert res.exit_code == 0, res.output
 
 
 def test_validate_detects_corrupted_lambda(monkeypatch):
