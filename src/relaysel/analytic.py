@@ -278,7 +278,13 @@ class _Diag:
                 f"total {total:.3g} is negative: the inclusion-exclusion sum lost "
                 f"its digits to cancellation (condition {self.condition:.3g})"
             )
-        return MetricResult(total, self.terms, self.condition)
+        # built as derive_link_params builds a LinkParams: a sweep makes one
+        # per row, and the frozen __init__'s setattr per field costs more
+        res = object.__new__(MetricResult)
+        res.__dict__.update(
+            value=total, series_terms_used=self.terms, condition_estimate=self.condition
+        )
+        return res
 
 
 # ---------------------------------------------------------------------------
@@ -408,18 +414,21 @@ def _general_masks(M: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _size_table(M: int) -> tuple[np.ndarray, tuple[float, ...]]:
+def _size_table(M: int) -> tuple[np.ndarray, tuple[float, ...], np.ndarray]:
     """The decoding-set sizes l = 1..M of a symmetric config, once per M.
     The read-only (2, M, 1, M) array holds in [0, l - 1, 0] the subset
     multiplicities (-1)^s C(l-1, s) for s < l, zero-padded to M, and in
-    [1, l - 1, 0] their magnitudes; the tuple holds C(M, l) as floats."""
+    [1, l - 1, 0] their magnitudes; the tuple holds C(M, l) as floats; the
+    read-only (M,) array holds the subset sizes s = 0..M-1 as floats, whose
+    products with lam are the rows' rate sums."""
     table = np.zeros((2, M, 1, M))
     for l in range(1, M + 1):
         mult = [float(math.comb(l - 1, s)) for s in range(l)]
         table[0, l - 1, 0, :l] = [-c if s % 2 else c for s, c in enumerate(mult)]
         table[1, l - 1, 0, :l] = mult
-    table.flags.writeable = False
-    return table, tuple(float(math.comb(M, l)) for l in range(1, M + 1))
+    sizes = np.arange(M, dtype=float)
+    table.flags.writeable = sizes.flags.writeable = False
+    return table, tuple(float(math.comb(M, l)) for l in range(1, M + 1)), sizes
 
 
 def _total_symmetric(config: SystemConfig, metric: _Metric) -> MetricResult:
@@ -440,8 +449,8 @@ def _total_symmetric(config: SystemConfig, metric: _Metric) -> MetricResult:
     M = config.M
     src, rel = config.symmetric_params()
     p, fail = metric.decode(src)
-    rows, terms = _rows(metric, rel, metric.table(rel), np.arange(M, dtype=float) * rel.lam)
-    table, comb = _size_table(M)
+    table, comb, sizes = _size_table(M)
+    rows, terms = _rows(metric, rel, metric.table(rel), sizes * rel.lam)
     both = np.empty((2, 1, M, 1))
     both[0, 0, :, 0] = rows
     np.abs(rows, out=both[1, 0, :, 0])

@@ -30,6 +30,7 @@ chunk.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,6 +166,15 @@ def doppler_correlation(f_d: float, block_duration: float, delay_blocks: int) ->
     return bessel_j0(2.0 * math.pi * f_d * block_duration * delay_blocks)
 
 
+class PowerRangeError(ValueError):
+    """A power-dependent check of `SystemConfig.at_powers` failed at
+    `powers[index]`; the text is that of `SystemConfig.with_power`."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Full system description: M relays, two hops per relay, one power."""
@@ -267,9 +277,39 @@ class SystemConfig:
         other fields as they are and reruns only the checks that depend on
         the power."""
         _check_positive("power", power)
+        new = self._copy_at(power)
+        new._check_power_range()
+        return new
+
+    def at_powers(self, powers: Sequence[float]) -> list["SystemConfig"]:
+        """This config at each of the powers, in order, equal to what
+        `with_power` builds, with the checks run at the smallest and the
+        largest power only.  Each check compares the result of correctly
+        rounded arithmetic that is monotone in the power, so the powers that
+        pass form one interval, and its two ends vouch for every power
+        between them.  A failing check raises `PowerRangeError` with the
+        text `with_power` raises and the index of the power; a power that is
+        not finite and > 0 fails before the ends, the smallest before the
+        largest."""
+
+        def check(i: int) -> None:
+            try:
+                self.with_power(powers[i])
+            except ValueError as e:
+                raise PowerRangeError(str(e), i) from e
+
+        for i, power in enumerate(powers):
+            if not (power > 0.0 and math.isfinite(power)):
+                check(i)
+        if powers:
+            indices = range(len(powers))
+            check(min(indices, key=powers.__getitem__))
+            check(max(indices, key=powers.__getitem__))
+        return [self._copy_at(power) for power in powers]
+
+    def _copy_at(self, power: float) -> "SystemConfig":
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__, power=power)
-        new._check_power_range()
         return new
 
     def source_params(self) -> list[LinkParams]:

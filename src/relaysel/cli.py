@@ -53,10 +53,10 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import analytic
-from .channel import CONVENTIONS, FadingParams, SystemConfig
+from .channel import CONVENTIONS, FadingParams, PowerRangeError, SystemConfig
 from .diversity import SweepCurve, effective_diversity
 from .specfn import SeriesError
 
@@ -221,8 +221,13 @@ def load_config_file(path: str) -> SystemConfig:
 # sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MetricPoint:
+class MetricPoint(NamedTuple):
+    """One CSV row, its fields the CSV_COLUMNS in order.  A named tuple, not
+    a frozen dataclass: a sweep builds one per row, and the dataclass
+    __init__ costs several times as much.  So a row is a tuple (it unpacks,
+    orders and compares equal to a plain tuple of its cells), and the
+    `dataclasses` helpers do not apply to it; `_replace` and `_asdict` do."""
+
     snr_db: float
     metric: str
     mode: str
@@ -252,15 +257,13 @@ class SweepSpec:
             raise ConfigError(f"mode: must be one of {MODES}")
         if not self.snr_db:
             raise ConfigError("snr_db: grid must be nonempty")
-        for snr in self.snr_db:
-            _linear_power(snr)
-        # SystemConfig's range checks are monotone in the power, so the
-        # grid's two ends decide them for every point
-        for snr in (min(self.snr_db), max(self.snr_db)):
-            try:
-                self.config.with_power(_linear_power(snr))
-            except ValueError as e:
-                raise ConfigError(f"snr_db: at {snr!r} dB: {e}") from e
+        try:
+            configs = self.config.at_powers([_linear_power(snr) for snr in self.snr_db])
+        except PowerRangeError as e:
+            raise ConfigError(f"snr_db: at {self.snr_db[e.index]!r} dB: {e}") from e
+        # the points' configs, for run_sweep: a plain attribute, not a field,
+        # as SystemConfig._symmetric is, so ==, hash and replace ignore it
+        object.__setattr__(self, "_configs", configs)
         # the slope needs two points, and SweepCurve a strictly increasing grid
         grid = self.snr_db
         if self.metric == "diversity" and (
@@ -361,8 +364,7 @@ def run_sweep(spec: SweepSpec) -> list[MetricPoint]:
     if spec.metric == "diversity":
         return _diversity_rows_from_config(spec)
     rows = []
-    for i, snr in enumerate(spec.snr_db):
-        cfg = spec.config.with_power(_linear_power(snr))
+    for i, (snr, cfg) in enumerate(zip(spec.snr_db, spec._configs)):
         value = terms = cond = None
         if spec.mode in ("analytic", "both"):
             try:
@@ -377,11 +379,7 @@ def run_sweep(spec: SweepSpec) -> list[MetricPoint]:
             if value is not None:
                 z = _mc_z_score(spec.metric, cfg, value, est)
         rows.append(
-            MetricPoint(
-                snr_db=snr, metric=spec.metric, mode=spec.mode, value=value,
-                mc_mean=mean, mc_stderr=stderr, z_score=z, series_terms=terms,
-                condition_estimate=cond, label=spec.label,
-            )
+            MetricPoint(snr, spec.metric, spec.mode, value, mean, stderr, z, terms, cond, spec.label)
         )
     return rows
 
@@ -399,7 +397,7 @@ def diversity_rows(points: list[tuple[float, float]], label: str = "") -> list[M
     """Differentiate an (snr_db, aser) table into diversity-order rows."""
     curve = SweepCurve(tuple(points))
     return [
-        MetricPoint(snr_db=s, metric="diversity", mode="analytic", value=d, label=label)
+        MetricPoint(s, "diversity", "analytic", d, None, None, None, None, None, label)
         for s, d in effective_diversity(curve)
     ]
 
@@ -445,16 +443,19 @@ def _cell(v) -> str:
     return repr(float(v))
 
 
+def _cells(r: MetricPoint) -> list:
+    return [
+        _cell(r.snr_db), r.metric, r.mode, _cell(r.value), _cell(r.mc_mean),
+        _cell(r.mc_stderr), _cell(r.z_score), _cell(r.series_terms),
+        _cell(r.condition_estimate), r.label,
+    ]
+
+
 def render_csv(rows: list[MetricPoint]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in rows:
-        writer.writerow([
-            _cell(r.snr_db), r.metric, r.mode, _cell(r.value), _cell(r.mc_mean),
-            _cell(r.mc_stderr), _cell(r.z_score), _cell(r.series_terms),
-            _cell(r.condition_estimate), r.label,
-        ])
+    writer.writerows(map(_cells, rows))
     return buf.getvalue()
 
 

@@ -566,11 +566,13 @@ def log_gamma_mean_table(k_max: int, b: float) -> np.ndarray:
     if b > _RECURRENCE_B_MAX:
         return np.cumsum(expn_scaled(np.arange(1, k_max + 2), b))
     head = min(k_max + 1, _RECURRENCE_HEAD)
-    v = np.empty(k_max + 1)
-    prev = v[0] = math.exp(b) * exp1(b)
+    prev = math.exp(b) * exp1(b)
+    recurrence = [prev]
     for j in range(1, head):
         prev = (1.0 - b * prev) / j
-        v[j] = prev
+        recurrence.append(prev)
+    v = np.empty(k_max + 1)
+    v[:head] = recurrence
     if head <= k_max:
         v[head:] = expn_scaled(np.arange(head + 1, k_max + 2), b)
     return np.cumsum(v)

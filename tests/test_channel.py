@@ -365,6 +365,69 @@ def test_with_power_raises_what_replace_raises(power, reason):
             assert "out of floating-point range" in str(got.value)
 
 
+def _passes(cfg: ch.SystemConfig, power: float) -> bool:
+    try:
+        cfg.with_power(power)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_power_range_checks_pass_on_an_interval(index):
+    # at_powers checks only the smallest and largest power, so the powers
+    # that pass must be one interval, also at the float neighbours of each
+    # end of it
+    cfg = _with_power_bases()[index]
+    grid = np.geomspace(5e-324, 1.7e308, 4001).tolist()
+    ok = [_passes(cfg, p) for p in grid]
+    ends = [i for i in range(1, len(ok)) if ok[i] != ok[i - 1]]
+    assert len(ends) == 2 and ok[ends[0]], ends
+    for i in ends:
+        lo, hi = grid[i - 1], grid[i]
+        while math.nextafter(lo, math.inf) < hi:  # bisect to adjacent floats
+            mid = math.sqrt(lo) * math.sqrt(hi)
+            mid = mid if lo < mid < hi else math.nextafter(lo, math.inf)
+            if _passes(cfg, mid) == ok[i - 1]:
+                lo = mid
+            else:
+                hi = mid
+        near = [lo, hi]
+        for _ in range(64):
+            near = [math.nextafter(near[0], 0.0)] + near + [math.nextafter(near[-1], math.inf)]
+        flags = [_passes(cfg, p) for p in near]
+        assert flags == [ok[i - 1]] * 65 + [ok[i]] * 65
+
+
+def test_at_powers_equals_with_power():
+    powers = [100.0, 1e-3, 10.0, 1e-3, 123.456, 1e6]
+    for cfg in _with_power_bases():
+        got = cfg.at_powers(powers)
+        assert len(got) == len(powers)
+        for point, power in zip(got, powers):
+            want = cfg.with_power(power)
+            assert point == want and hash(point) == hash(want)
+            assert point.is_symmetric() == want.is_symmetric() == cfg.is_symmetric()
+            assert point.relay_params() == want.relay_params()
+        assert cfg.at_powers([]) == [] and cfg.power == 10.0
+
+
+@pytest.mark.parametrize("powers, index", [
+    ([10.0, 1e-320, 1e308], 1),  # the smallest power fails before the largest
+    ([10.0, 1e308, 100.0], 1),
+    ([1e-320, 10.0, math.nan], 2),  # a power not finite and > 0 fails first
+    ([10.0, 0.0, 1e-320], 1),
+    ([math.inf], 0),
+])
+def test_at_powers_raises_what_with_power_raises(powers, index):
+    for cfg in _with_power_bases():
+        with pytest.raises(ValueError) as want:
+            cfg.with_power(powers[index])
+        with pytest.raises(ch.PowerRangeError) as got:
+            cfg.at_powers(powers)
+        assert got.value.index == index and str(got.value) == str(want.value)
+
+
 # ---------------------------------------------------------------------------
 # sampling model
 # ---------------------------------------------------------------------------

@@ -2,12 +2,14 @@
 
 import csv
 import dataclasses
+import inspect
 import json
 import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -282,6 +284,36 @@ def test_sweep_spec_power_range_errors(snr, rho_e, sigma2_h, beta, message):
     assert str(err.value) == f"snr_db: at {snr!r} dB: {message}"
 
 
+# a symmetric config, one whose links overflow before beta P does, and an
+# asymmetric one with a rho_f = 1 link
+_RANGE_CONFIGS = [
+    SystemConfig.symmetric(M=3, power=1.0, rho_f=0.9),
+    SystemConfig.symmetric(M=3, power=1.0, rho_e=0.5, rho_f=0.9, sigma2_h=10.0, beta=1e-3),
+    load_config({"M": 3, "rho_f": [1.0, 0.9, 0.99], "sigma2_h": [0.95, 1.05, 1.0], "rate": 3.0}),
+]
+
+
+@pytest.mark.parametrize("cfg", _RANGE_CONFIGS, ids=["symmetric", "link-overflow", "asymmetric"])
+def test_sweep_points_equal_with_power(cfg, monkeypatch):
+    # each row's config, from SystemConfig.at_powers, is the one
+    # with_power builds: equal, with the same hash and symmetry flag
+    seen = []
+
+    def record(point):
+        seen.append(point)
+        return analytic.MetricResult(0.5, 1, 1.0)
+
+    monkeypatch.setitem(cli._ANALYTIC, "outage", record)
+    grid = (-20.0, -3.5, 0.0, 7.25, 30.0, 60.0)
+    rows = run_sweep(SweepSpec(metric="outage", snr_db=grid, mode="analytic", trials=0, seed=0,
+                               config=cfg))
+    assert [r.value for r in rows] == [0.5] * len(grid)
+    for snr, point in zip(grid, seen):
+        want = cfg.with_power(10.0 ** (snr / 10.0))
+        assert point == want and hash(point) == hash(want)
+        assert point.is_symmetric() == want.is_symmetric() == cfg.is_symmetric()
+
+
 def test_library_default_series_policy_is_the_cli_policy():
     # rho_f = 0.99 needs 1539 series terms; the library default, the
     # diversity sweep and the CLI sweep evaluate it alike
@@ -307,6 +339,106 @@ def test_render_csv_schema():
     cells = lines[1].split(",")
     assert cells[0] == "10.0" and cells[3] == "0.25"
     assert cells[4] == "" and cells[9] == ""  # inapplicable columns stay empty
+
+
+# every kind of cell: None, an int series_terms, floats down to 1e-300 and
+# one that needs 17 significant digits, a negative z_score, a label the
+# writer quotes, and the three modes
+CSV_ROWS = [
+    MetricPoint(snr_db=0.0, metric="outage", mode="analytic", value=1e-300, series_terms=1537,
+                condition_estimate=1.0, label='rho_f=0.9,"stale" links'),
+    MetricPoint(snr_db=2.5, metric="aser", mode="mc", mc_mean=0.30000000000000004, mc_stderr=1.5e-05),
+    MetricPoint(snr_db=-10.0, metric="capacity", mode="both", value=2.0, mc_mean=1.9999,
+                mc_stderr=0.001, z_score=-1.25, series_terms=1, condition_estimate=3.7e12, label="a"),
+    MetricPoint(snr_db=45.0, metric="diversity", mode="analytic", value=0.9999999999999999, label="M=2"),
+]
+CSV_HEADER = "snr_db,metric,mode,value,mc_mean,mc_stderr,z_score,series_terms,condition_estimate,label\n"
+
+
+def test_render_csv_bytes():
+    # the text render_csv wrote for these rows when it formatted every cell
+    # with _cell and wrote the rows one writerow at a time
+    assert render_csv(CSV_ROWS) == (
+        CSV_HEADER
+        + '0.0,outage,analytic,1e-300,,,,1537,1.0,"rho_f=0.9,""stale"" links"\n'
+        + "2.5,aser,mc,,0.30000000000000004,1.5e-05,,,,\n"
+        + "-10.0,capacity,both,2.0,1.9999,0.001,-1.25,1,3700000000000.0,a\n"
+        + "45.0,diversity,analytic,0.9999999999999999,,,,,,M=2\n"
+    )
+    assert render_csv(iter(CSV_ROWS)) == render_csv(CSV_ROWS)
+    assert render_csv([]) == CSV_HEADER
+
+
+def test_render_csv_formats_numpy_and_bool_cells_through_cell():
+    # cells the writer would format otherwise than _cell: a numpy float
+    # (repr np.float64(...)), a float32, a numpy int (_cell writes 7.0) and
+    # a bool
+    row = MetricPoint(snr_db=np.float64(4.0), metric="outage", mode="both", value=np.float64(0.1),
+                      mc_mean=np.float32(0.1), mc_stderr=0.0, z_score=np.float64(-0.0),
+                      series_terms=np.int64(7), condition_estimate=True, label="x")
+    assert render_csv([CSV_ROWS[3], row]) == (
+        CSV_HEADER
+        + "45.0,diversity,analytic,0.9999999999999999,,,,,,M=2\n"
+        + "4.0,outage,both,0.1,0.10000000149011612,0.0,-0.0,7.0,True,x\n"
+    )
+
+
+def _signature(cls) -> list[tuple[str, object]]:
+    """(name, default) of each constructor parameter, in order."""
+    return [(p.name, p.default) for p in inspect.signature(cls).parameters.values()]
+
+
+def test_metric_result_record():
+    none = inspect.Parameter.empty
+    assert _signature(analytic.MetricResult) == [
+        ("value", none), ("series_terms_used", none), ("condition_estimate", none)
+    ]
+    res = analytic.MetricResult(1e-3, 0, 1.0)
+    same = analytic.MetricResult(value=1e-3, series_terms_used=0, condition_estimate=1.0)
+    assert res == same and hash(res) == hash(same)
+    assert res != analytic.MetricResult(1e-3, 1, 1.0)
+    assert (res.value, res.series_terms_used, res.condition_estimate) == (1e-3, 0, 1.0)
+    with pytest.raises(AttributeError):
+        res.value = 2.0
+    assert repr(res) == "MetricResult(value=0.001, series_terms_used=0, condition_estimate=1.0)"
+    # a frozen dataclass, not a tuple: the dataclass helpers apply
+    assert res != (1e-3, 0, 1.0)
+    assert dataclasses.replace(res, value=2.0) == analytic.MetricResult(2.0, 0, 1.0)
+    assert dataclasses.astuple(res) == (1e-3, 0, 1.0)
+
+
+def test_metric_point_record():
+    assert _signature(MetricPoint) == [
+        ("snr_db", inspect.Parameter.empty), ("metric", inspect.Parameter.empty),
+        ("mode", inspect.Parameter.empty), ("value", None), ("mc_mean", None),
+        ("mc_stderr", None), ("z_score", None), ("series_terms", None),
+        ("condition_estimate", None), ("label", ""),
+    ]
+    assert tuple(name for name, _ in _signature(MetricPoint)) == CSV_COLUMNS
+    row = MetricPoint(snr_db=10.0, metric="aser", mode="analytic", value=0.25, label="x")
+    positional = MetricPoint(10.0, "aser", "analytic", 0.25, None, None, None, None, None, "x")
+    assert row == positional and hash(row) == hash(positional)
+    assert row != MetricPoint(10.0, "aser", "analytic", 0.25)
+    assert (row.snr_db, row.metric, row.mode, row.value, row.mc_mean, row.label) == (
+        10.0, "aser", "analytic", 0.25, None, "x"
+    )
+    with pytest.raises(AttributeError):
+        row.value = 0.5
+    # a named tuple: it is the tuple of its cells, and the named-tuple
+    # helpers stand in for the dataclass ones
+    assert row == (10.0, "aser", "analytic", 0.25, None, None, None, None, None, "x")
+    assert tuple(row._asdict()) == CSV_COLUMNS
+    assert row._replace(label="") == MetricPoint(10.0, "aser", "analytic", 0.25)
+    assert repr(CSV_ROWS[0]) == (
+        "MetricPoint(snr_db=0.0, metric='outage', mode='analytic', value=1e-300, mc_mean=None, "
+        "mc_stderr=None, z_score=None, series_terms=1537, condition_estimate=1.0, "
+        "label='rho_f=0.9,\"stale\" links')"
+    )
+    assert repr(CSV_ROWS[1]) == (
+        "MetricPoint(snr_db=2.5, metric='aser', mode='mc', value=None, "
+        "mc_mean=0.30000000000000004, mc_stderr=1.5e-05, z_score=None, series_terms=None, "
+        "condition_estimate=None, label='')"
+    )
 
 
 def test_cli_help():

@@ -773,6 +773,31 @@ def test_log_gamma_mean_large_b_is_the_fraction():
         np.testing.assert_array_equal(specfn.log_gamma_mean_table(k_max, b), want)
 
 
+def _log_gamma_mean_scalar(k_max, b):
+    # one increment at a time on Python floats: V_0 = e^b E1(b), then
+    # V_j = (1 - b V_{j-1}) / j below _RECURRENCE_HEAD and the continued
+    # fraction of order j + 1 from there, summed as they come
+    table, total = [], 0.0
+    for j in range(k_max + 1):
+        if j == 0:
+            v = math.exp(b) * specfn.exp1(b)
+        elif j < specfn._RECURRENCE_HEAD:
+            v = (1.0 - b * v) / j
+        else:
+            v = float(specfn.expn_scaled([j + 1], b)[0])
+        total += v
+        table.append(total)
+    return np.array(table)
+
+
+@pytest.mark.parametrize("b", (0.05, 0.5, 5.0, 14.9))
+@pytest.mark.parametrize("k_max", (0, 1, 255, 256, 300))
+def test_log_gamma_mean_small_b_bit_identical_to_scalar_reference(b, k_max):
+    np.testing.assert_array_equal(
+        specfn.log_gamma_mean_table(k_max, b), _log_gamma_mean_scalar(k_max, b)
+    )
+
+
 @pytest.mark.parametrize("b", SMALL_ARGS + (15.000000000000002, 15.5, 50.0250125062538, 400.0))
 def test_log_gamma_mean_prefix_does_not_depend_on_k_max(b):
     # for b <= 15 the recurrence hands over to the fraction at j = 256; a
