@@ -70,10 +70,12 @@ LN2 = math.log(2.0)
 CONDITION_FLAG = 1e12
 # cap on the general path's peak allocation.  Besides its M x 2^(M-1)
 # float64 subset rows it holds the gathered rate sums, a, r, the kernel's
-# temporaries and the combine's operands: tracemalloc puts its peak at 6-15
-# times the rows over M = 6..16 (the most for capacity, and at small M, where
-# fixed costs count), so the cap is applied to ROWS_PEAK_FACTOR times the
-# rows.  The largest real sweeps (M = 10) need 40 kB of rows
+# temporaries and the combine's operands: tracemalloc puts its peak at
+# 6.3-15.2 times the rows over M = 6..16 (the most for capacity, and at
+# small M, where fixed costs count), and the "paper" ASER's two buffers of
+# one row's 20 terms add 40 / M rows (22 times at M = 6, 6.9 at M = 16), so
+# the cap is applied to ROWS_PEAK_FACTOR times the rows.  The largest real
+# sweeps (M = 10) need 40 kB of rows
 ROWS_MAX_BYTES = 1 << 28
 ROWS_PEAK_FACTOR = 16
 
@@ -235,13 +237,18 @@ def _series_rows(link: LinkParams, lam_extra: np.ndarray, kernel: np.ndarray) ->
     t0 = link.lam / base
     ratio = half_c / base
     k = _SERIES_INDEX.upto(len(kernel))[: len(kernel)]
+    # the exponent product is the one (rows x K) buffer, and exp writes into
+    # it: a second one of ~430 kB at rho_f = 0.999 (K ~ 18,000) made glibc
+    # hand the heap's top back and fault it in again on every call
     if ratio.all():
-        powers = np.exp(np.log(ratio)[:, None] * k)
+        powers = np.log(ratio)[:, None] * k
+        np.exp(powers, out=powers)
     else:
         # a zero ratio (rho_f = 0, or one that underflowed) gives log -inf:
         # 0^k is 0 for k > 0, and the -inf * 0 at k = 0 is replaced by 0^0 = 1
         with np.errstate(divide="ignore", invalid="ignore"):
-            powers = np.exp(np.log(ratio)[:, None] * k)
+            powers = np.log(ratio)[:, None] * k
+            np.exp(powers, out=powers)
         powers[ratio == 0.0, 0] = 1.0
     return t0 * (powers @ kernel)
 
@@ -335,17 +342,26 @@ def _finite_rows(metric: _Metric, links: list[LinkParams], lam_extra: np.ndarray
     a = lam + lam_extra
     live = [lp for lp in links if not lp.degenerate]
     if not live:
-        return lam / a * metric.degenerate(a)
-    # all rows stale: a full slice takes views, not boolean gathers
-    stale = slice(None) if len(live) == len(links) else np.array([not lp.degenerate for lp in links])
-    q = np.array([lp.q for lp in live])[:, None]
-    half_c = 0.5 * np.array([lp.c for lp in live])[:, None]
-    r = a.copy()
-    r[stale] = q * a[stale] / (a[stale] + half_c)
-    kernel = metric.degenerate(r)
-    if metric.stale is not None:
-        kernel[stale] = metric.stale(r[stale])
-    return lam / a * kernel
+        kernel = metric.degenerate(a)
+    else:
+        q = np.array([lp.q for lp in live])[:, None]
+        half_c = 0.5 * np.array([lp.c for lp in live])[:, None]
+        if len(live) == len(links):
+            # all rows stale: no boolean gathers, and only the stale kernel
+            r = q * a
+            r /= a + half_c
+            kernel = (metric.stale or metric.degenerate)(r)
+        else:
+            stale = np.array([not lp.degenerate for lp in links])
+            r = a.copy()
+            r[stale] = q * a[stale] / (a[stale] + half_c)
+            kernel = metric.degenerate(r)
+            if metric.stale is not None:
+                kernel[stale] = metric.stale(r[stale])
+    # lam / a * kernel, in a's buffer
+    np.divide(lam, a, out=a)
+    a *= kernel
+    return a
 
 
 def _check_candidate(config: SystemConfig, D: DecodingSet, m: int) -> None:
@@ -389,8 +405,12 @@ def _total_general(
     coeffs, lam_extra = _subset_expansion([lp.lam for lp in rel], p)
     masks = _general_masks(M)
     rows = _finite_rows(metric, rel, lam_extra[masks])
+    # the stack comes after the rows' temporaries are gone; the coefficients
+    # are gathered into it (take's "clip" mode writes there unbuffered, and
+    # every mask is in range)
     ops = np.empty((2, 2, M, 1 << (M - 1)))  # (coefficients, rows) x (signed, magnitude)
-    ops[0, 0], ops[1, 0] = coeffs[masks], rows
+    np.take(coeffs, masks, out=ops[0, 0], mode="clip")
+    ops[1, 0] = rows
     np.abs(ops[:, 0], out=ops[:, 1])
     values, mags = (ops[0, :, :, None, :] @ ops[1, :, :, :, None])[:, :, 0, 0].tolist()
     diag = _Diag()
@@ -712,21 +732,28 @@ def _paper_kernel_table(K: int, q: float, bp: float, n_a: int) -> np.ndarray:
 
 
 def _paper_kernel_at_rates(r: np.ndarray, bp: float, n_a: int) -> np.ndarray:
-    """The k = 0 entry of `_paper_kernel_table` at q = r, elementwise over an
-    array of rates: the "paper" kernel averaged over X ~ Exponential(r),
+    """The k = 0 entry of `_paper_kernel_table` at q = r, elementwise over a
+    2-D array of rates: the "paper" kernel averaged over X ~ Exponential(r),
     r sum_n a_n (beta P)^((n-1)/2) Gamma((n+1)/2) / (r + beta P)^((n+1)/2).
     Its n_a alternating terms are summed as the table sums them, one BLAS
-    dot per rate."""
+    dot per rate.  The terms are formed one row of rates at a time, in two
+    buffers of one row's terms: those of all rows at once are n_a times the
+    rows."""
     a = specfn.qapprox_coefficients(n_a)
     n = np.arange(1, n_a + 1, dtype=float)
-    r = r[..., None]
-    exps = (
-        specfn.ln_gamma_half_grid(n_a - 1)[:n_a]
-        + np.log(r)
-        + (n - 1.0) / 2.0 * math.log(bp)
-        - (n + 1.0) / 2.0 * np.log(r + bp)
-    )
-    return (np.exp(exps)[..., None, :] @ a[:, None])[..., 0, 0]
+    lgam = specfn.ln_gamma_half_grid(n_a - 1)[:n_a]
+    power_part = (n - 1.0) / 2.0 * math.log(bp)
+    shape = (n + 1.0) / 2.0
+    out = np.empty(r.shape)
+    exps, scaled = np.empty((2, r.shape[-1], n_a))
+    for rates, dest in zip(r, out):
+        # lgamma((n+1)/2) + ln r + (n-1)/2 ln(beta P) - (n+1)/2 ln(r + beta P)
+        np.add(lgam, np.log(rates)[:, None], out=exps)
+        exps += power_part
+        exps -= np.multiply(shape, np.log(rates + bp)[:, None], out=scaled)
+        np.exp(exps, out=exps)
+        dest[:] = (exps[:, None, :] @ a[:, None])[:, 0, 0]
+    return out
 
 
 def _aser(config: SystemConfig, ctrl: SeriesControl) -> _Metric:

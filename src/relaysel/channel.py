@@ -193,6 +193,9 @@ class SystemConfig:
             raise ValueError("M must be >= 1")
         for name in ("power", "rate", "alpha", "beta"):
             _check_positive(name, getattr(self, name))
+        # numpy scalar arithmetic warns on overflow where float arithmetic
+        # gives inf or raises, which the range checks turn into typed errors
+        object.__setattr__(self, "power", float(self.power))
         if self.alpha > 2.0:
             # the relay decode probability 1 - (alpha/2)(1 - sqrt(beta P /
             # (beta P + 2 lam))) of the closed forms is negative beyond it
@@ -277,7 +280,7 @@ class SystemConfig:
         other fields as they are and reruns only the checks that depend on
         the power."""
         _check_positive("power", power)
-        new = self._copy_at(power)
+        new = self._copy_at(float(power))  # as __post_init__ takes it
         new._check_power_range()
         return new
 
@@ -305,7 +308,7 @@ class SystemConfig:
             indices = range(len(powers))
             check(min(indices, key=powers.__getitem__))
             check(max(indices, key=powers.__getitem__))
-        return [self._copy_at(power) for power in powers]
+        return [self._copy_at(float(power)) for power in powers]
 
     def _copy_at(self, power: float) -> "SystemConfig":
         new = object.__new__(type(self))

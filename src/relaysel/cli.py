@@ -260,7 +260,7 @@ class SweepSpec:
         try:
             configs = self.config.at_powers([_linear_power(snr) for snr in self.snr_db])
         except PowerRangeError as e:
-            raise ConfigError(f"snr_db: at {self.snr_db[e.index]!r} dB: {e}") from e
+            raise ConfigError(f"snr_db: at {float(self.snr_db[e.index])!r} dB: {e}") from e
         # the points' configs, for run_sweep: a plain attribute, not a field,
         # as SystemConfig._symmetric is, so ==, hash and replace ignore it
         object.__setattr__(self, "_configs", configs)
@@ -303,7 +303,10 @@ _SIMULATE = {
 
 
 def _linear_power(snr_db: float) -> float:
-    """10^(snr_db / 10); ConfigError unless that is finite and > 0."""
+    """10^(snr_db / 10); ConfigError unless that is finite and > 0.  A numpy
+    scalar is taken as the float it holds: its power warns on overflow where
+    a float's raises OverflowError."""
+    snr_db = float(snr_db)
     try:
         power = 10.0 ** (snr_db / 10.0)
     except OverflowError:

@@ -322,30 +322,52 @@ def exp1_scaled(b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if not (b > 0.0).all():
         raise ValueError("exp1_scaled requires b > 0")
-    out = np.empty_like(b)
     small = b < 1.0
-    x = b[small]
+    if small.all():
+        # no gather and no scatter: the series' buffer is the result
+        return _exp1_scaled_series(b)
+    series = _exp1_scaled_series(b[small])
+    large = ~small
+    x = b[large]
+    depth = np.ceil(100.0 / x**0.8).astype(np.int64) + 4
+    # deepest first, so the elements still open at level j, those of
+    # depth > j, are a prefix; each starts at its own depth
+    order = np.argsort(-depth, kind="stable")
+    x = x[order]
+    depth = depth[order]
+    levels = int(depth[0])
+    open_at = np.searchsorted(-depth, -np.arange(levels), side="left")
+    f = x + (2.0 * depth + 1.0)
+    del depth  # its last use: one buffer fewer through the levels
+    quotient = np.empty_like(f)
+    for j in range(levels - 1, -1, -1):
+        n = open_at[j]
+        # (x + (2j + 1)) - (j + 1)^2 / f, the quotient taken first
+        np.divide((j + 1.0) ** 2, f[:n], out=quotient[:n])
+        np.add(x[:n], 2.0 * j + 1.0, out=f[:n])
+        f[:n] -= quotient[:n]
+    # 1 / f, put back in b's order through the quotients' buffer
+    quotient[order] = np.divide(1.0, f, out=f)
+    out = np.empty_like(b)
+    out[small] = series
+    out[large] = quotient
+    return out
+
+
+def _exp1_scaled_series(x: np.ndarray) -> np.ndarray:
+    """`exp1_scaled` at x < 1: e^x ((-gamma - ln x) + x acc), acc the E1
+    power series by Horner's rule, in acc's buffer and one log buffer, each
+    product and sum taking the same two operands in the same order."""
     acc = np.full_like(x, _E1_SERIES[-1])
     for coef in _E1_SERIES[-2::-1]:
         acc *= x
         acc += coef
-    out[small] = np.exp(x) * (-EULER_GAMMA - np.log(x) + x * acc)
-    x = b[~small]
-    if x.size:
-        depth = np.ceil(100.0 / x**0.8).astype(np.int64) + 4
-        # deepest first, so the elements still open at level j, those of
-        # depth > j, are a prefix; each starts at its own depth
-        order = np.argsort(-depth, kind="stable")
-        x, depth = x[order], depth[order]
-        open_at = np.searchsorted(-depth, -np.arange(int(depth[0])), side="left")
-        f = x + (2.0 * depth + 1.0)
-        for j in range(int(depth[0]) - 1, -1, -1):
-            n = open_at[j]
-            f[:n] = x[:n] + (2.0 * j + 1.0) - (j + 1.0) ** 2 / f[:n]
-        inv = np.empty_like(f)
-        inv[order] = 1.0 / f
-        out[~small] = inv
-    return out
+    acc *= x
+    log = np.log(x, out=np.empty_like(x))
+    np.subtract(-EULER_GAMMA, log, out=log)
+    log += acc
+    log *= np.exp(x, out=acc)
+    return log
 
 
 def exp_integral_ei(x: float) -> float:

@@ -3,6 +3,8 @@
 import dataclasses
 import itertools
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -411,12 +413,15 @@ def _series_rows_outer(link, lam_extra, kernel):
 @pytest.mark.parametrize("rho_f", [0.0, 1e-162, 1e-160, 0.5, 0.999])
 def test_series_rows_at_extreme_rho_f_match_the_outer_product(rho_f):
     # rho_f = 0 gives a zero ratio, 1e-162 one that underflows to zero and
-    # 1e-160 a subnormal one; none may raise a RuntimeWarning
+    # 1e-160 a subnormal one; none may raise a RuntimeWarning.  The longest
+    # kernel is the capacity table of rho_f = 0.999 at P = 10, 17,946 terms,
+    # whose (4 x 17,946) powers are exponentiated in place
     link = ch.derive_link_params(ch.FadingParams(1.0, 1.0, rho_f), 10.0)
     lam_extra = np.arange(4, dtype=float) * link.lam
     ratio = 0.5 * link.c / (link.lam + 0.5 * link.c + lam_extra)
     assert (ratio == 0.0).all() if rho_f < 1e-161 else (ratio > 0.0).all()
-    for kernel in (np.array([0.25]), specfn.mean_q_gamma_table(60, 3.0)):
+    for kernel in (np.array([0.25]), specfn.mean_q_gamma_table(60, 3.0),
+                   specfn.log_gamma_mean_table(17_945, 50.025)):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = an._series_rows(link, lam_extra, kernel)
@@ -885,3 +890,45 @@ def test_symmetric_metric_derives_each_link_object_once(total, shared, monkeypat
     monkeypatch.setattr(ch, "derive_link_params", counting)
     total(cfg, CTRL)
     assert [id(fp) for fp in calls] == ([id(src)] if shared else [id(src), id(rel)])
+
+
+_FAULTS_PER_CALL = """
+import resource
+from relaysel import analytic as an
+from relaysel.channel import FadingParams, SystemConfig
+
+def faults(metric, cfg):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    metric(cfg)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+slow = SystemConfig.symmetric(M=3, power=10.0, rho_f=0.999)
+rho_f = [0.89 + 0.02 * i / 11 for i in range(12)]
+sigma2_h = [0.9 + 0.2 * ((5 * i) % 12) / 11 for i in range(12)]
+wide = SystemConfig(
+    M=12, power=10.0, source_links=tuple(FadingParams(v, 1.0, 0.9) for v in sigma2_h[::-1]),
+    relay_links=tuple(FadingParams(v, 1.0, r) for v, r in zip(sigma2_h, rho_f)),
+)
+calls = [(an.aser_total, slow), (an.capacity_lb_avg, slow),
+         (an.outage_total, wide), (an.aser_total, wide), (an.capacity_lb_avg, wide)]
+for call in calls:
+    faults(*call)
+print(*(faults(*call) for call in calls))
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="ru_minflt counts this process on Linux"
+)
+def test_analytic_calls_do_not_fault_in_fresh_pages():
+    # a warm call writes its long temporaries in place, so the allocator
+    # keeps reusing the same heap: the rho_f = 0.999 symmetric series
+    # (K ~ 17,000 terms) and the general path's 12 x 2^11 subset rows fault
+    # in no fresh pages (165-180 and 350-400 pages a call when each step
+    # allocated its own array).  A fresh interpreter, so that what earlier
+    # tests left in the allocator does not hide the faults
+    cp = subprocess.run(
+        [sys.executable, "-c", _FAULTS_PER_CALL], capture_output=True, text=True, check=True
+    )
+    per_call = list(map(int, cp.stdout.split()))
+    assert len(per_call) == 5 and max(per_call) < 32, per_call

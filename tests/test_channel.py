@@ -352,13 +352,18 @@ def test_with_power_equals_replace(power):
 ])
 def test_with_power_raises_what_replace_raises(power, reason):
     # the last base keeps beta P finite at 1e308, where its link rate
-    # overflows instead
+    # overflows instead.  A numpy scalar power gets the float's error, not
+    # numpy's overflow warning, from both
     for cfg in _with_power_bases():
         with pytest.raises(ValueError) as want:
             dataclasses.replace(cfg, power=power)
         with pytest.raises(ValueError) as got:
             cfg.with_power(power)
         assert str(got.value) == str(want.value)
+        for build in (dataclasses.replace, ch.SystemConfig.with_power):
+            with pytest.raises(ValueError) as got:
+                build(cfg, power=np.float64(power))
+            assert str(got.value) == str(want.value)
         if cfg.beta == 2.0:
             assert re.search(reason, str(got.value))
         elif power == 1e308:
@@ -420,12 +425,14 @@ def test_at_powers_equals_with_power():
     ([math.inf], 0),
 ])
 def test_at_powers_raises_what_with_power_raises(powers, index):
+    # numpy scalar powers raise what the floats raise
     for cfg in _with_power_bases():
         with pytest.raises(ValueError) as want:
             cfg.with_power(powers[index])
-        with pytest.raises(ch.PowerRangeError) as got:
-            cfg.at_powers(powers)
-        assert got.value.index == index and str(got.value) == str(want.value)
+        for points in (powers, [np.float64(p) for p in powers]):
+            with pytest.raises(ch.PowerRangeError) as got:
+                cfg.at_powers(points)
+            assert got.value.index == index and str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------

@@ -278,10 +278,23 @@ def test_sweep_scores_a_capacity_with_no_decoding_trial_by_its_probability():
                               "c = inf, theta = 0"),
 ])
 def test_sweep_spec_power_range_errors(snr, rho_e, sigma2_h, beta, message):
+    # a numpy scalar point gets the float's error, not numpy's overflow warning
     cfg = SystemConfig.symmetric(M=3, power=1.0, rho_e=rho_e, rho_f=0.9, sigma2_h=sigma2_h, beta=beta)
-    with pytest.raises(ConfigError) as err:
-        SweepSpec(metric="outage", snr_db=(10.0, snr), mode="analytic", trials=0, seed=0, config=cfg)
-    assert str(err.value) == f"snr_db: at {snr!r} dB: {message}"
+    for point in (snr, np.float64(snr)):
+        with pytest.raises(ConfigError) as err:
+            SweepSpec(metric="outage", snr_db=(10.0, point), mode="analytic", trials=0, seed=0, config=cfg)
+        assert str(err.value) == f"snr_db: at {snr!r} dB: {message}"
+
+
+@pytest.mark.parametrize("snr", [4000.0, math.inf, math.nan])
+def test_sweep_spec_rejects_numpy_snr_without_finite_power(snr):
+    # the float's ConfigError text, where numpy's power of a numpy scalar
+    # warns on overflow
+    cfg = SystemConfig.symmetric(M=3, power=1.0, rho_f=0.9)
+    for point in (snr, np.float64(snr)):
+        with pytest.raises(ConfigError) as err:
+            SweepSpec(metric="outage", snr_db=(10.0, point), mode="analytic", trials=0, seed=0, config=cfg)
+        assert str(err.value) == f"snr_db: {snr!r} dB has no finite positive linear power"
 
 
 # a symmetric config, one whose links overflow before beta P does, and an

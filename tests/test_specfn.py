@@ -225,8 +225,13 @@ def test_exp1_scaled_array_equals_elementwise_calls():
     # element's value depends on the others in the array
     b = np.concatenate((np.logspace(-6, 6, 301), [1.0, 1.5, 2.0])).reshape(8, 38)
     got = specfn.exp1_scaled(b)
+    want = np.array([specfn.exp1_scaled(np.array([x]))[0] for x in b.ravel()])
     assert got.shape == b.shape
-    assert np.array_equal(got.ravel(), [specfn.exp1_scaled(np.array([x]))[0] for x in b.ravel()])
+    assert np.array_equal(got.ravel(), want)
+    # and at the general path's sizes: those values 60 times over, b < 1
+    # and b >= 1 shuffled together, 18,240 elements in one call
+    pick = np.random.default_rng(20240817).permutation(60 * b.size) % b.size
+    assert np.array_equal(specfn.exp1_scaled(b.ravel()[pick]), want[pick])
 
 
 def _exp1_scaled_fraction_every_level(x: np.ndarray) -> np.ndarray:
