@@ -8,7 +8,7 @@ Usage: python scripts/diversity_study.py
 
 import sys
 
-from relaysel.channel import SystemConfig
+from relaysel.channel import SystemConfig, db_to_linear
 from relaysel.diversity import asymptotic_checks
 
 snrs = list(range(25, 47, 3))
@@ -23,7 +23,7 @@ cases = [
 failed = False
 for name, kw in cases:
     base = SystemConfig.symmetric(power=1.0, **kw)
-    family = [base.with_power(10 ** (s / 10.0)) for s in snrs]
+    family = base.at_powers([db_to_linear(s) for s in snrs])
     rep = asymptotic_checks(family)
     status = "ok" if rep["passed"] else "MISMATCH"
     failed = failed or not rep["passed"]

@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
@@ -225,7 +224,7 @@ def _r_max(link: LinkParams) -> float:
 
 
 # the series index k = 0, 1, ... as floats, one shared read-only prefix
-_SERIES_INDEX = specfn._Grid(float)
+_SERIES_INDEX = specfn._Grid(lambda lo, hi: np.arange(lo, hi, dtype=float))
 
 
 def _series_rows(link: LinkParams, lam_extra: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -253,45 +252,33 @@ def _series_rows(link: LinkParams, lam_extra: np.ndarray, kernel: np.ndarray) ->
     return t0 * (powers @ kernel)
 
 
-class _Diag:
-    """Aggregates series diagnostics across the candidate terms."""
-
-    def __init__(self):
-        self.terms = 0
-        self.condition = 1.0
-
-    def update(self, terms: int, value: float, abs_sum: float) -> None:
-        """One signed sum: its value and the sum of its terms' magnitudes."""
-        self.note(terms, abs_sum / abs(value) if value != 0.0 else 1.0)
-
-    def note(self, terms: int, cond: float) -> None:
-        """One sum's series terms and cancellation condition, warning when
-        the condition exceeds CONDITION_FLAG."""
-        self.terms = max(self.terms, terms)
-        self.condition = max(self.condition, cond)
-        if cond > CONDITION_FLAG:
-            warnings.warn(
-                f"inclusion-exclusion cancellation condition {cond:.3g} exceeds "
-                f"{CONDITION_FLAG:.0e}; result digits are suspect",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-
-    def result(self, total: float) -> MetricResult:
-        """A driver's total with these diagnostics.  Every metric is
-        nonnegative, so a negative total lost its digits to cancellation."""
-        if total < 0.0:
-            raise SeriesError(
-                f"total {total:.3g} is negative: the inclusion-exclusion sum lost "
-                f"its digits to cancellation (condition {self.condition:.3g})"
-            )
-        # built as derive_link_params builds a LinkParams: a sweep makes one
-        # per row, and the frozen __init__'s setattr per field costs more
-        res = object.__new__(MetricResult)
-        res.__dict__.update(
-            value=total, series_terms_used=self.terms, condition_estimate=self.condition
+def _result(total: float, terms: int, values: list[float], mags: list[float]) -> MetricResult:
+    """A driver's total with its diagnostics: the series terms behind it,
+    and its condition, the largest mags[i] / |values[i]| of its signed sums
+    (values) and their sums of term magnitudes (mags), at least 1, with one
+    warning when it exceeds CONDITION_FLAG.  Every metric is nonnegative, so
+    a negative total lost its digits to cancellation: SeriesError."""
+    cond = 1.0
+    for value, mag in zip(values, mags):
+        if value != 0.0 and (ratio := mag / abs(value)) > cond:
+            cond = ratio
+    if cond > CONDITION_FLAG:
+        warnings.warn(
+            f"inclusion-exclusion cancellation condition {cond:.3g} exceeds "
+            f"{CONDITION_FLAG:.0e}; result digits are suspect",
+            RuntimeWarning,
+            stacklevel=3,
         )
-        return res
+    if total < 0.0:
+        raise SeriesError(
+            f"total {total:.3g} is negative: the inclusion-exclusion sum lost "
+            f"its digits to cancellation (condition {cond:.3g})"
+        )
+    # built as derive_link_params builds a LinkParams: a sweep makes one per
+    # row, and the frozen __init__'s setattr per field costs more
+    res = object.__new__(MetricResult)
+    res.__dict__.update(value=total, series_terms_used=terms, condition_estimate=cond)
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -412,14 +399,11 @@ def _total_general(
     np.take(coeffs, masks, out=ops[0, 0], mode="clip")
     ops[1, 0] = rows
     np.abs(ops[:, 0], out=ops[:, 1])
-    values, mags = (ops[0, :, :, None, :] @ ops[1, :, :, :, None])[:, :, 0, 0].tolist()
-    diag = _Diag()
+    values, mags = metric.finish(ops[0, :, :, None, :] @ ops[1, :, :, :, None])[:, :, 0, 0].tolist()
     total = metric.empty * math.prod(fail) if empty_term is None else empty_term
-    for m in range(M):
-        value = metric.finish(values[m])
-        diag.update(1, value, metric.finish(mags[m]))
-        total += p[m] * value
-    return diag.result(total)
+    for pm, value in zip(p, values):
+        total += pm * value
+    return _result(total, 1, values, mags)
 
 
 @functools.lru_cache(maxsize=32)
@@ -476,14 +460,9 @@ def _total_symmetric(config: SystemConfig, metric: _Metric) -> MetricResult:
     np.abs(rows, out=both[1, 0, :, 0])
     values, mags = metric.finish(table @ both)[:, :, 0, 0].tolist()
     total = metric.empty * fail**M
-    cond = 1.0
-    for l, (c, value, mag) in enumerate(zip(comb, values, mags), 1):
+    for l, (c, value) in enumerate(zip(comb, values), 1):
         total += c * p**l * fail ** (M - l) * l * value
-        if value != 0.0 and (ratio := mag / abs(value)) > cond:
-            cond = ratio
-    diag = _Diag()
-    diag.note(terms, cond)
-    return diag.result(total)
+    return _result(total, terms, values, mags)
 
 
 def _threshold_decode(r_o: float) -> Callable[[LinkParams], tuple[float, float]]:
@@ -655,102 +634,68 @@ def outage_total(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) ->
 N_A = 20
 
 
-class _ExponentGrid:
-    """The parts of the "paper" kernel exponent that depend on the indices
-    k = 0, 1, ... and n = 1, 2, ... alone, read-only and shared by the whole
-    process: lgam[k, n - 1] = lgamma(k + (n + 1)/2) - ln k!, taken as the
-    difference of the half-integer lgamma grid's entries 2k + n - 1 and 2k;
-    k1[k] = k + 1; nh[n - 1] = (n - 1)/2; kn[k, n - 1] = k + (n + 1)/2.
-
-    Like `specfn._Grid` it only grows: a side that is too short at least
-    doubles, and a new set of arrays replaces the old under a lock, so arrays
-    a caller holds never change.  No entry depends on the grid's size, so
-    `upto(K, n_a)` slices the rows k <= K and the columns n <= n_a off
-    whatever grid is there."""
-
-    def __init__(self):
-        self._parts = (np.empty((0, 0)), np.empty((0, 1)), np.empty(0), np.empty((0, 0)))
-        self._lock = threading.Lock()
-
-    def upto(self, K: int, n_a: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(lgam, k1, nh, kn) for k = 0..K and n = 1..n_a."""
-        parts = self._parts
-        rows, cols = parts[0].shape
-        if rows <= K or cols < n_a:
-            with self._lock:
-                parts = self._parts
-                rows, cols = parts[0].shape
-                if rows <= K or cols < n_a:
-                    if rows <= K:
-                        rows = max(K + 1, 2 * rows)
-                    if cols < n_a:
-                        cols = max(n_a, 2 * cols)
-                    parts = self._build(rows, cols)
-                    self._parts = parts
-        lgam, k1, nh, kn = parts
-        return lgam[: K + 1, :n_a], k1[: K + 1], nh[:n_a], kn[: K + 1, :n_a]
-
-    @staticmethod
-    def _build(rows: int, cols: int) -> tuple[np.ndarray, ...]:
-        # Gamma(k + (n+1)/2) and k! = Gamma(k + 1) both take arguments on the
-        # half-integer grid 1, 1.5, ..., at index 2k + n - 1 and 2k
-        lgam_half = specfn.ln_gamma_half_grid(2 * rows + cols - 3)
-        two_k = 2 * np.arange(rows)[:, None]
-        k = np.arange(rows, dtype=float)[:, None]
-        n = np.arange(1, cols + 1, dtype=float)
-        parts = (
-            lgam_half[two_k + np.arange(cols)] - lgam_half[two_k],
-            k + 1.0,
-            (n - 1.0) / 2.0,
-            k + (n + 1.0) / 2.0,
-        )
-        for part in parts:
-            part.flags.writeable = False
-        return parts
+# (n - 1)/2 and (n + 1)/2 for n = 1..N_A, the powers of beta P and the
+# shapes of the gamma integrals behind the approximation's terms
+_HALF_N_MINUS_1 = np.arange(N_A) / 2.0
+_HALF_N_PLUS_1 = np.arange(2.0, N_A + 2.0) / 2.0
+_HALF_N_MINUS_1.flags.writeable = _HALF_N_PLUS_1.flags.writeable = False
 
 
-_PAPER_EXPONENTS = _ExponentGrid()
+def _paper_lgamma_rows(lo: int, hi: int) -> np.ndarray:
+    """Rows k = lo..hi-1 of lgamma(k + (n+1)/2) - ln k! for n = 1..N_A.
+    Gamma(k + (n+1)/2) and k! = Gamma(k + 1) both take arguments on the
+    half-integer grid 1, 1.5, ..., at index 2k + n - 1 and 2k."""
+    lgam_half = specfn.ln_gamma_half_grid(2 * hi + N_A - 3)
+    two_k = 2 * np.arange(lo, hi)[:, None]
+    return lgam_half[two_k + np.arange(N_A)] - lgam_half[two_k]
 
 
-def _paper_kernel_table(K: int, q: float, bp: float, n_a: int) -> np.ndarray:
+# the parts of the "paper" kernel exponent that depend on the indices k and
+# n alone, row k for k = 0, 1, ...: lgamma(k + (n+1)/2) - ln k! and the
+# shapes k + (n+1)/2.  Two grids, not one of row pairs: a table then reads
+# contiguous rows, which numpy takes in one loop, not one per row
+_PAPER_LGAMMA = specfn._Grid(_paper_lgamma_rows)
+_PAPER_SHAPES = specfn._Grid(lambda lo, hi: np.arange(lo, hi, dtype=float)[:, None] + _HALF_N_PLUS_1)
+
+
+def _paper_kernel_table(K: int, q: float, bp: float) -> np.ndarray:
     """The ASER kernel of the "paper" convention, built on the Q-function
     approximation: kernel[k] = q^(k+1)/k! *
     sum_n a_n (beta P)^((n-1)/2) Gamma(k+(n+1)/2) / (q + beta P)^(k+(n+1)/2)."""
-    a = specfn.qapprox_coefficients(n_a)
-    lgam, k1, nh, kn = _PAPER_EXPONENTS.upto(K, n_a)
+    a = specfn.qapprox_coefficients(N_A)
+    lgam, kn = _PAPER_LGAMMA.upto(K)[: K + 1], _PAPER_SHAPES.upto(K)[: K + 1]
+    k1 = _SERIES_INDEX.upto(K + 1)[1 : K + 2, None]  # k + 1
     # the power-dependent terms are added in the order of the per-k formula
     # lgam + (k+1) ln q + (n-1)/2 ln(beta P) - (k+(n+1)/2) ln(q + beta P)
     exps = lgam + k1 * math.log(q)
-    exps += nh * math.log(bp)
+    exps += _HALF_N_MINUS_1 * math.log(bp)
     exps -= kn * math.log(q + bp)
     np.exp(exps, out=exps)
-    # a stack of (1 x n_a) @ (n_a x 1) products: numpy takes one BLAS dot per
+    # a stack of (1 x N_A) @ (N_A x 1) products: numpy takes one BLAS dot per
     # row, exactly as `a @ row` does, so the table matches a per-k evaluation
     # bit for bit.  A single `terms @ a` mat-vec sums in another order and
     # moves the figure-8 diversity rows by 2.5e-11 relative.
     return (exps[:, None, :] @ a[:, None]).ravel()
 
 
-def _paper_kernel_at_rates(r: np.ndarray, bp: float, n_a: int) -> np.ndarray:
+def _paper_kernel_at_rates(r: np.ndarray, bp: float) -> np.ndarray:
     """The k = 0 entry of `_paper_kernel_table` at q = r, elementwise over a
     2-D array of rates: the "paper" kernel averaged over X ~ Exponential(r),
     r sum_n a_n (beta P)^((n-1)/2) Gamma((n+1)/2) / (r + beta P)^((n+1)/2).
-    Its n_a alternating terms are summed as the table sums them, one BLAS
+    Its N_A alternating terms are summed as the table sums them, one BLAS
     dot per rate.  The terms are formed one row of rates at a time, in two
-    buffers of one row's terms: those of all rows at once are n_a times the
+    buffers of one row's terms: those of all rows at once are N_A times the
     rows."""
-    a = specfn.qapprox_coefficients(n_a)
-    n = np.arange(1, n_a + 1, dtype=float)
-    lgam = specfn.ln_gamma_half_grid(n_a - 1)[:n_a]
-    power_part = (n - 1.0) / 2.0 * math.log(bp)
-    shape = (n + 1.0) / 2.0
+    a = specfn.qapprox_coefficients(N_A)
+    lgam = specfn.ln_gamma_half_grid(N_A - 1)[:N_A]
+    power_part = _HALF_N_MINUS_1 * math.log(bp)
     out = np.empty(r.shape)
-    exps, scaled = np.empty((2, r.shape[-1], n_a))
+    exps, scaled = np.empty((2, r.shape[-1], N_A))
     for rates, dest in zip(r, out):
         # lgamma((n+1)/2) + ln r + (n-1)/2 ln(beta P) - (n+1)/2 ln(r + beta P)
         np.add(lgam, np.log(rates)[:, None], out=exps)
         exps += power_part
-        exps -= np.multiply(shape, np.log(rates + bp)[:, None], out=scaled)
+        exps -= np.multiply(_HALF_N_PLUS_1, np.log(rates + bp)[:, None], out=scaled)
         np.exp(exps, out=exps)
         dest[:] = (exps[:, None, :] @ a[:, None])[:, 0, 0]
     return out
@@ -774,7 +719,7 @@ def _aser(config: SystemConfig, ctrl: SeriesControl) -> _Metric:
             return None
         K = _series_length(_r_max(link), ctrl.abs_tol, ctrl.k_max, 0.5)
         if paper:
-            return _paper_kernel_table(K, link.q, bp, N_A)
+            return _paper_kernel_table(K, link.q, bp)
         return specfn.mean_q_gamma_table(K + 1, bp / (2.0 * link.q))
 
     def degenerate(r: np.ndarray) -> np.ndarray:
@@ -782,7 +727,7 @@ def _aser(config: SystemConfig, ctrl: SeriesControl) -> _Metric:
         c = bp / (2.0 * r)
         return 0.5 * (1.0 - np.sqrt(c / (1.0 + c)))
 
-    stale = (lambda r: _paper_kernel_at_rates(r, bp, N_A)) if paper else None
+    stale = (lambda r: _paper_kernel_at_rates(r, bp)) if paper else None
     return _Metric(decode, 0.5, table, degenerate, lambda v: alpha * v, stale)
 
 

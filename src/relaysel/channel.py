@@ -146,6 +146,20 @@ def _link_constants(fp: FadingParams, power: float, convention: str) -> tuple[fl
     return lam, c, theta
 
 
+def db_to_linear(db: float) -> float:
+    """10^(db / 10), the linear power of a level in dB; ValueError unless
+    that is finite and > 0.  A numpy scalar is taken as the float it holds:
+    its power warns on overflow where a float's raises OverflowError."""
+    db = float(db)
+    try:
+        power = 10.0 ** (db / 10.0)
+    except OverflowError:
+        power = math.inf
+    if not (math.isfinite(power) and power > 0.0):
+        raise ValueError(f"{db!r} dB has no finite positive linear power")
+    return power
+
+
 def _check_positive(name: str, value: float) -> None:
     if not (value > 0.0 and math.isfinite(value)):
         raise ValueError(f"{name} must be finite and > 0, got {value}")

@@ -56,7 +56,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import analytic
-from .channel import CONVENTIONS, FadingParams, PowerRangeError, SystemConfig
+from .channel import CONVENTIONS, FadingParams, PowerRangeError, SystemConfig, db_to_linear
 from .diversity import SweepCurve, effective_diversity
 from .specfn import SeriesError
 
@@ -160,9 +160,9 @@ def load_config(doc: dict) -> SystemConfig:
     if "power_db" in doc:
         power_db = _number("power_db", doc["power_db"])
         try:
-            power = 10.0 ** (power_db / 10.0)
-        except OverflowError as e:
-            raise ConfigError(f"power_db: {power_db} dB overflows the linear power") from e
+            power = db_to_linear(power_db)
+        except ValueError as e:
+            raise ConfigError(f"power_db: {e}") from e
     elif "power_linear" in doc:
         power = _number("power_linear", doc["power_linear"])
     else:
@@ -258,9 +258,11 @@ class SweepSpec:
         if not self.snr_db:
             raise ConfigError("snr_db: grid must be nonempty")
         try:
-            configs = self.config.at_powers([_linear_power(snr) for snr in self.snr_db])
+            configs = self.config.at_powers([db_to_linear(snr) for snr in self.snr_db])
         except PowerRangeError as e:
             raise ConfigError(f"snr_db: at {float(self.snr_db[e.index])!r} dB: {e}") from e
+        except ValueError as e:
+            raise ConfigError(f"snr_db: {e}") from e
         # the points' configs, for run_sweep: a plain attribute, not a field,
         # as SystemConfig._symmetric is, so ==, hash and replace ignore it
         object.__setattr__(self, "_configs", configs)
@@ -300,20 +302,6 @@ _SIMULATE = {
     "aser": lambda *args, **kwargs: _montecarlo().simulate_ser(*args, **kwargs),
     "capacity": lambda *args, **kwargs: _montecarlo().simulate_capacity(*args, **kwargs),
 }
-
-
-def _linear_power(snr_db: float) -> float:
-    """10^(snr_db / 10); ConfigError unless that is finite and > 0.  A numpy
-    scalar is taken as the float it holds: its power warns on overflow where
-    a float's raises OverflowError."""
-    snr_db = float(snr_db)
-    try:
-        power = 10.0 ** (snr_db / 10.0)
-    except OverflowError:
-        power = math.inf
-    if not (math.isfinite(power) and power > 0.0):
-        raise ConfigError(f"snr_db: {snr_db!r} dB has no finite positive linear power")
-    return power
 
 
 def _row_seed(seed: int, index: int) -> int:
@@ -393,6 +381,10 @@ def _diversity_rows_from_config(spec: SweepSpec) -> list[MetricPoint]:
     failed = [r.snr_db for r in base if r.value is None]
     if failed:
         raise SeriesError(f"diversity: the ASER series failed at snr_db {failed}, so no slope")
+    # an ASER below the float range reads 0.0, and log 0 has no slope
+    zero = [r.snr_db for r in base if r.value == 0.0]
+    if zero:
+        raise SeriesError(f"diversity: the ASER is 0.0 at snr_db {zero}, so no slope")
     return diversity_rows([(r.snr_db, r.value) for r in base], spec.label)
 
 

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .analytic import aser_total
-from .channel import SystemConfig
+from .channel import SystemConfig, db_to_linear
 from .specfn import SeriesControl
 
 # asymptotic_checks' slope tolerances: fitted slope vs the expected order
@@ -79,12 +79,11 @@ def aser_sweep(
     snr_db: Sequence[float],
     ctrl: SeriesControl = SeriesControl(),
 ) -> SweepCurve:
-    """Evaluate the closed-form ASER on a dB grid and package it as a curve."""
-    pts = []
-    for s in snr_db:
-        value = aser_total(config.with_power(10.0 ** (s / 10.0)), ctrl).value
-        pts.append((float(s), value))
-    return SweepCurve(tuple(pts))
+    """Evaluate the closed-form ASER on a dB grid and package it as a curve.
+    A point without a finite positive linear power, or at which the config
+    leaves the float range, raises ValueError."""
+    configs = config.at_powers([db_to_linear(s) for s in snr_db])
+    return SweepCurve(tuple((float(s), aser_total(c, ctrl).value) for s, c in zip(snr_db, configs)))
 
 
 def _expected_scenario(config: SystemConfig) -> tuple[str, float]:

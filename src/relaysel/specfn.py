@@ -56,37 +56,39 @@ class SeriesControl:
 # ---------------------------------------------------------------------------
 
 class _Grid:
-    """Process-wide read-only table entry(0), entry(1), ..., built on demand.
+    """Process-wide read-only table of rows 0, 1, ..., built on demand:
+    rows(lo, hi) returns rows lo..hi-1 as one array, and no row may depend
+    on hi.
 
     It only ever grows: a copy at least twice as long replaces the array, so
     an array a caller already holds never changes, and `upto(n)` keeps
-    returning at least n + 1 entries once it has.
+    returning at least n + 1 rows once it has.
     """
 
-    def __init__(self, entry: Callable[[int], float]):
-        self._entry = entry
+    def __init__(self, rows: Callable[[int, int], np.ndarray]):
+        self._rows = rows
         self._table = np.empty(0)
-        self._table.flags.writeable = False
         self._lock = threading.Lock()
 
     def upto(self, n: int) -> np.ndarray:
-        """The table with at least n + 1 entries."""
+        """The table with at least n + 1 rows."""
         table = self._table
         if len(table) > n:
             return table
         with self._lock:
             table = self._table
-            if len(table) <= n:
-                size = max(n + 1, 2 * len(table))
-                tail = np.fromiter(map(self._entry, range(len(table), size)), float, size - len(table))
-                table = np.concatenate((table, tail))
+            have = len(table)
+            if have <= n:
+                tail = self._rows(have, max(n + 1, 2 * have))
+                table = np.concatenate((table, tail)) if have else tail
                 table.flags.writeable = False
                 self._table = table
         return table
 
 
-_LOGFACT = _Grid(lambda n: math.lgamma(n + 1.0))  # ln(n!)
-_LGAMMA_HALF = _Grid(lambda j: math.lgamma(1.0 + 0.5 * j))  # lgamma(1 + j/2)
+# ln(n!) and lgamma(1 + j/2)
+_LOGFACT = _Grid(lambda lo, hi: np.array([math.lgamma(n + 1.0) for n in range(lo, hi)]))
+_LGAMMA_HALF = _Grid(lambda lo, hi: np.array([math.lgamma(1.0 + 0.5 * j) for j in range(lo, hi)]))
 
 
 def ln_factorial(n: int) -> float:

@@ -328,11 +328,11 @@ def aser_qapprox_table_per_k(K, q, cfg, n_a):
 
 @pytest.mark.parametrize("convention", ["paper"])
 @pytest.mark.parametrize("K", [0, 1, 150])
-@pytest.mark.parametrize("n_a", [1, 20])
+@pytest.mark.parametrize("n_a", [an.N_A])  # the reference loop's term count, the kernel's
 def test_aser_qapprox_table_matches_per_k_loop(convention, K, n_a):
     cfg = sym_config(M=2, power=31.6, rho_e=0.97, rho_f=0.95, lambda_convention=convention)
     q = cfg.relay_params()[0].q
-    got = an._paper_kernel_table(K, q, cfg.beta * cfg.power, n_a)
+    got = an._paper_kernel_table(K, q, cfg.beta * cfg.power)
     want = aser_qapprox_table_per_k(K, q, cfg, n_a)
     assert got.shape == want.shape
     assert np.all(got == want)
@@ -360,43 +360,44 @@ def _paper_kernel_table_per_call_grid(K, q, bp, n_a):
 @pytest.mark.parametrize("order", [(400, 50, 1), (1, 50, 400)], ids=["large-first", "small-first"])
 def test_paper_kernel_table_matches_per_call_grid(monkeypatch, order):
     # fresh process-wide grids, so the first K of `order` is what grows them
-    monkeypatch.setattr(specfn, "_LGAMMA_HALF", specfn._Grid(specfn._LGAMMA_HALF._entry))
-    monkeypatch.setattr(an, "_PAPER_EXPONENTS", an._ExponentGrid())
+    for module, name in ((specfn, "_LGAMMA_HALF"), (an, "_PAPER_LGAMMA"), (an, "_PAPER_SHAPES"),
+                         (an, "_SERIES_INDEX")):
+        monkeypatch.setattr(module, name, specfn._Grid(getattr(module, name)._rows))
     cfg = sym_config(M=2, power=31.6, rho_e=0.97, rho_f=0.95, lambda_convention="paper")
     q, bp = cfg.relay_params()[0].q, cfg.beta * cfg.power
     for K in order:
-        got = an._paper_kernel_table(K, q, bp, an.N_A)
+        got = an._paper_kernel_table(K, q, bp)
         assert np.array_equal(got, _paper_kernel_table_per_call_grid(K, q, bp, an.N_A))
 
 
-@pytest.mark.parametrize("n_a", [1, 20])
 @pytest.mark.parametrize("order", [(0, 1, 29, 138, 400), (400, 138, 29, 1, 0)],
                          ids=["small-first", "large-first"])
-def test_paper_kernel_table_slices_the_shared_exponent_grid(monkeypatch, order, n_a):
+def test_paper_kernel_table_slices_the_shared_exponent_grid(monkeypatch, order):
     # each K is a slice of whatever grid the earlier K left; the rows of a
-    # smaller K must be a prefix of a larger K's and a column must not depend
-    # on n_a, so every table equals the per-call formula bit for bit
-    monkeypatch.setattr(an, "_PAPER_EXPONENTS", an._ExponentGrid())
+    # smaller K must be a prefix of a larger K's, so every table equals the
+    # per-call formula bit for bit
+    for name in ("_PAPER_LGAMMA", "_PAPER_SHAPES"):
+        monkeypatch.setattr(an, name, specfn._Grid(getattr(an, name)._rows))
     cfg = sym_config(M=2, power=31.6, rho_e=0.97, rho_f=0.95, lambda_convention="paper")
     q, bp = cfg.relay_params()[0].q, cfg.beta * cfg.power
     for K in order:
-        for width in (n_a, an.N_A):  # the other width grows the columns in between
-            got = an._paper_kernel_table(K, q, bp, width)
-            assert got.shape == (K + 1,)
-            assert np.array_equal(got, _paper_kernel_table_per_call_grid(K, q, bp, width))
+        got = an._paper_kernel_table(K, q, bp)
+        assert got.shape == (K + 1,)
+        assert np.array_equal(got, _paper_kernel_table_per_call_grid(K, q, bp, an.N_A))
 
 
 def test_series_grids_are_read_only():
-    parts = an._PAPER_EXPONENTS.upto(30, an.N_A) + (an._SERIES_INDEX.upto(30),)
+    parts = (an._PAPER_LGAMMA.upto(30), an._PAPER_SHAPES.upto(30), an._SERIES_INDEX.upto(30),
+             an._HALF_N_MINUS_1, an._HALF_N_PLUS_1)
     for part in parts:
         with pytest.raises(ValueError):
             part[0] = 1.0
         with pytest.raises(ValueError):
             part += 1.0
     # a table built from them is the caller's own
-    table = an._paper_kernel_table(30, 0.5, 20.0, an.N_A)
+    table = an._paper_kernel_table(30, 0.5, 20.0)
     table[0] = 1.0
-    assert np.array_equal(an._PAPER_EXPONENTS.upto(30, an.N_A)[0], parts[0])
+    assert np.array_equal(an._PAPER_LGAMMA.upto(30), parts[0])
 
 
 def _series_rows_outer(link, lam_extra, kernel):
@@ -615,11 +616,14 @@ def _per_candidate_reference(cfg, metric) -> an.MetricResult:
     bit = np.arange(M)[:, None]
     masks = (j >> bit << (bit + 1)) | (j & ((1 << bit) - 1))
     rows = _finite_rows_reference(metric, rel, lam_extra[masks])
-    diag = an._Diag()
     total = metric.empty * math.prod(fail)
+    values, mags = [], []
     for m in range(M):
-        total += p[m] * _combine(metric, coeffs[masks[m]], rows[m], 1, diag)
-    return diag.result(total)
+        value, mag = _combine(metric, coeffs[masks[m]], rows[m])
+        total += p[m] * value
+        values.append(value)
+        mags.append(mag)
+    return an._result(total, 1, values, mags)
 
 
 def _per_candidate_configs():
@@ -701,8 +705,8 @@ def test_paper_kernel_at_rates_is_the_table_first_entry():
     # series table at q = r, summed the same way
     r = np.concatenate((np.logspace(-3, 5, 200), [0.37, 1.0, 2.5])).reshape(7, 29)
     for bp in (0.2, 20.0, 2e5):
-        got = an._paper_kernel_at_rates(r, bp, an.N_A)
-        want = np.array([an._paper_kernel_table(0, q, bp, an.N_A)[0] for q in r.ravel()])
+        got = an._paper_kernel_at_rates(r, bp)
+        want = np.array([an._paper_kernel_table(0, q, bp)[0] for q in r.ravel()])
         assert got.shape == r.shape
         assert np.allclose(got.ravel(), want, rtol=1e-15, atol=0.0)
 
@@ -806,12 +810,11 @@ def test_rho_f_zero_evaluates_without_warnings(metric, path):
 # grouped symmetric driver
 # ---------------------------------------------------------------------------
 
-def _combine(metric, coeffs, rows, terms, diag) -> float:
-    """One signed subset sum coeffs @ rows in the metric's units, its
-    magnitude sum |coeffs| @ |rows| noted in diag."""
-    value = metric.finish(float(coeffs @ rows))
-    diag.update(terms, value, metric.finish(float(np.abs(coeffs) @ np.abs(rows))))
-    return value
+def _combine(metric, coeffs, rows) -> tuple[float, float]:
+    """One signed subset sum coeffs @ rows and its magnitude sum
+    |coeffs| @ |rows|, both in the metric's units."""
+    return (metric.finish(float(coeffs @ rows)),
+            metric.finish(float(np.abs(coeffs) @ np.abs(rows))))
 
 
 def _per_size_reference(cfg, metric) -> an.MetricResult:
@@ -823,13 +826,15 @@ def _per_size_reference(cfg, metric) -> an.MetricResult:
     rel = cfg.relay_params()[0]
     rows, terms = an._rows(metric, rel, metric.table(rel), np.arange(M, dtype=float) * rel.lam)
     signs = np.where(np.arange(M) % 2 == 0, 1.0, -1.0)
-    diag = an._Diag()
     total = metric.empty * fail**M
+    values, mags = [], []
     for l in range(1, M + 1):
         mult = np.array([math.comb(l - 1, s) for s in range(l)], dtype=float)
-        per_m = _combine(metric, signs[:l] * mult, rows[:l], terms, diag)
+        per_m, mag = _combine(metric, signs[:l] * mult, rows[:l])
         total += math.comb(M, l) * p**l * fail ** (M - l) * l * per_m
-    return diag.result(total)
+        values.append(per_m)
+        mags.append(mag)
+    return an._result(total, terms, values, mags)
 
 
 def _outcome(call):
@@ -869,6 +874,21 @@ def test_symmetric_driver_warns_on_cancellation():
     with pytest.warns(RuntimeWarning, match="cancellation condition"):
         res = an.outage_total_symmetric(cfg, CTRL)
     assert res.value > 0.0 and res.condition_estimate > an.CONDITION_FLAG
+
+
+def test_general_path_warns_once_per_call():
+    # all six candidates of M = 6 outage at rho_f = 1 and P = 1e3 cancel past
+    # CONDITION_FLAG; the call warns once, with the largest condition
+    cfg = sym_config(M=6, power=1e3, rho_f=1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = an.outage_total_general(cfg, CTRL)
+    assert res.value > 0.0 and res.condition_estimate > an.CONDITION_FLAG
+    assert [(w.category, str(w.message)) for w in caught] == [(
+        RuntimeWarning,
+        f"inclusion-exclusion cancellation condition {res.condition_estimate:.3g} exceeds "
+        f"{an.CONDITION_FLAG:.0e}; result digits are suspect",
+    )]
 
 
 @pytest.mark.parametrize("total", [an.outage_total, an.aser_total, an.capacity_lb_avg],

@@ -370,6 +370,23 @@ def test_with_power_raises_what_replace_raises(power, reason):
             assert "out of floating-point range" in str(got.value)
 
 
+@pytest.mark.parametrize("db", [-300.0, 0, 10.0, 33.3, 3000.0])
+def test_db_to_linear_matches_the_power_formula(db):
+    # a numpy scalar gives the float's power, bit for bit
+    for point in (db, np.float64(db)):
+        assert ch.db_to_linear(point) == 10.0 ** (db / 10.0)
+
+
+@pytest.mark.parametrize("db", [4000.0, -4000.0, math.inf, -math.inf, math.nan])
+def test_db_to_linear_rejects_levels_without_a_linear_power(db):
+    # 10^400 overflows a float and 10^-400 underflows to 0; numpy's power of a
+    # numpy scalar would only warn on the overflow
+    for point in (db, np.float64(db)):
+        with pytest.raises(ValueError) as err:
+            ch.db_to_linear(point)
+        assert str(err.value) == f"{db!r} dB has no finite positive linear power"
+
+
 def _passes(cfg: ch.SystemConfig, power: float) -> bool:
     try:
         cfg.with_power(power)

@@ -577,6 +577,19 @@ def test_cli_diversity_sweep_exits_3_when_the_aser_series_fails(tmp_path):
     assert "Traceback" not in res.output
 
 
+def test_cli_diversity_sweep_exits_3_when_the_aser_is_zero(tmp_path):
+    # eight fresh relays at 400-420 dB: every ASER is below 1e-320 and reads
+    # 0.0, whose log has no slope.  A numerical failure, not a rejected config
+    path = tmp_path / "m8.json"
+    path.write_text(json.dumps({"M": 8, "rho_f": 1.0}))
+    res = CliRunner().invoke(
+        cli.main, ["sweep", "--config", str(path), "--metric", "diversity", "--snr-db", "400:420:10"]
+    )
+    assert res.exit_code == 3, res.output
+    assert "the ASER is 0.0 at snr_db [400.0, 410.0, 420.0]" in res.output
+    assert "Traceback" not in res.output
+
+
 @pytest.mark.parametrize("text, count, last", [
     ("0:30:2", 16, 30.0),
     ("0:1:0.1", 11, 1.0),

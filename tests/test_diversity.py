@@ -1,5 +1,7 @@
 """Effective diversity order: slope extraction and the asymptotic claims."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,14 @@ def test_aser_sweep_round_trip():
     curve = dv.aser_sweep(cfg, [10.0, 15.0, 20.0, 25.0], CTRL)
     assert len(curve.points) == 4
     assert all(v > 0 for _, v in curve.points)
+
+
+@pytest.mark.parametrize("grid", [[0.0, 4000.0], [-4000.0, 0.0], [0.0, math.inf]])
+def test_aser_sweep_rejects_points_without_a_linear_power(grid):
+    # 10^400 overflows a float and 10^-400 underflows to 0
+    cfg = sym_config(M=2, power=1.0, rho_f=0.9)
+    with pytest.raises(ValueError, match="no finite positive linear power"):
+        dv.aser_sweep(cfg, grid, CTRL)
 
 
 def test_asymptotic_checks_delay_scenario():

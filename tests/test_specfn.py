@@ -487,7 +487,8 @@ def test_grid_never_shrinks_under_concurrent_growth():
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(30):
-            grid = specfn._Grid(lambda j: float(j))  # Python bytecode: threads switch mid-growth
+            # Python bytecode per row: threads switch mid-growth
+            grid = specfn._Grid(lambda lo, hi: np.array([float(j) for j in range(lo, hi)]))
             start = threading.Barrier(len(sizes))
 
             def grow(n: int) -> bool:
