@@ -52,7 +52,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import analytic
@@ -68,20 +68,6 @@ MODES = ("analytic", "mc", "both")
 
 # far above any real sweep: a grid with more points is a mistyped STEP
 _GRID_MAX_POINTS = 100_000
-
-CSV_COLUMNS = (
-    "snr_db",
-    "metric",
-    "mode",
-    "value",
-    "mc_mean",
-    "mc_stderr",
-    "z_score",
-    "series_terms",
-    "condition_estimate",
-    "label",
-)
-
 
 class ConfigError(ValueError):
     """Configuration document rejected; message carries the field path."""
@@ -222,7 +208,7 @@ def load_config_file(path: str) -> SystemConfig:
 # ---------------------------------------------------------------------------
 
 class MetricPoint(NamedTuple):
-    """One CSV row, its fields the CSV_COLUMNS in order.  A named tuple, not
+    """One CSV row, its fields the CSV columns in order.  A named tuple, not
     a frozen dataclass: a sweep builds one per row, and the dataclass
     __init__ costs several times as much.  So a row is a tuple (it unpacks,
     orders and compares equal to a plain tuple of its cells), and the
@@ -240,6 +226,9 @@ class MetricPoint(NamedTuple):
     label: str = ""
 
 
+CSV_COLUMNS = MetricPoint._fields
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     metric: str
@@ -255,6 +244,8 @@ class SweepSpec:
             raise ConfigError(f"metric: must be one of {METRICS}")
         if self.mode not in MODES:
             raise ConfigError(f"mode: must be one of {MODES}")
+        if self.metric == "diversity" and self.mode != "analytic":
+            raise ConfigError(f"mode: a diversity sweep is analytic only, got {self.mode!r}")
         if not self.snr_db:
             raise ConfigError("snr_db: grid must be nonempty")
         try:
@@ -351,41 +342,35 @@ def _mc_z_score(metric: str, config: SystemConfig, value: float, est: McEstimate
 def run_sweep(spec: SweepSpec) -> list[MetricPoint]:
     """One row per grid point; `both` mode adds MC columns and a z-score.
     Numerical failures are surfaced per row (value left empty) rather than
-    aborting the whole sweep."""
-    if spec.metric == "diversity":
-        return _diversity_rows_from_config(spec)
+    aborting the whole sweep.  A diversity sweep evaluates the ASER at its
+    points and returns the slopes of that curve."""
+    metric = "aser" if spec.metric == "diversity" else spec.metric
     rows = []
     for i, (snr, cfg) in enumerate(zip(spec.snr_db, spec._configs)):
         value = terms = cond = None
         if spec.mode in ("analytic", "both"):
             try:
-                res = _ANALYTIC[spec.metric](cfg)
+                res = _ANALYTIC[metric](cfg)
                 value, terms, cond = res.value, res.series_terms_used, res.condition_estimate
             except SeriesError as e:
                 print(f"warning: snr {snr} dB: {e}", file=sys.stderr, flush=True)
         mean = stderr = z = None
         if spec.mode in ("mc", "both"):
-            est = _SIMULATE[spec.metric](cfg, spec.trials, _row_seed(spec.seed, i))
+            est = _SIMULATE[metric](cfg, spec.trials, _row_seed(spec.seed, i))
             mean, stderr = est.mean, est.std_error
             if value is not None:
-                z = _mc_z_score(spec.metric, cfg, value, est)
-        rows.append(
-            MetricPoint(snr, spec.metric, spec.mode, value, mean, stderr, z, terms, cond, spec.label)
-        )
-    return rows
-
-
-def _diversity_rows_from_config(spec: SweepSpec) -> list[MetricPoint]:
-    aser_spec = replace(spec, metric="aser", mode="analytic")
-    base = run_sweep(aser_spec)
-    failed = [r.snr_db for r in base if r.value is None]
+                z = _mc_z_score(metric, cfg, value, est)
+        rows.append(MetricPoint(snr, metric, spec.mode, value, mean, stderr, z, terms, cond, spec.label))
+    if spec.metric != "diversity":
+        return rows
+    failed = [r.snr_db for r in rows if r.value is None]
     if failed:
         raise SeriesError(f"diversity: the ASER series failed at snr_db {failed}, so no slope")
     # an ASER below the float range reads 0.0, and log 0 has no slope
-    zero = [r.snr_db for r in base if r.value == 0.0]
+    zero = [r.snr_db for r in rows if r.value == 0.0]
     if zero:
         raise SeriesError(f"diversity: the ASER is 0.0 at snr_db {zero}, so no slope")
-    return diversity_rows([(r.snr_db, r.value) for r in base], spec.label)
+    return diversity_rows([(r.snr_db, r.value) for r in rows], spec.label)
 
 
 def diversity_rows(points: list[tuple[float, float]], label: str = "") -> list[MetricPoint]:
@@ -545,8 +530,9 @@ def validate(config: SystemConfig, trials: int, seed: int) -> tuple[bool, list[s
 
     Checks: decoding-set partition of unity, closed form vs quadrature for
     every distinct selection candidate, symmetric vs general formula
-    agreement, the rho_f = 1 degenerate branch, and analytic vs Monte Carlo
-    z-scores.
+    agreement, the outage total against its exact product form on any
+    config whose relay links all have rho_f = 1 (symmetric or not), and
+    analytic vs Monte Carlo z-scores.
     """
     if trials < 1:
         raise ConfigError("trials: must be >= 1")
@@ -586,13 +572,14 @@ def validate(config: SystemConfig, trials: int, seed: int) -> tuple[bool, list[s
             check(f"symmetric-vs-general[{name}]", rel < 1e-10, f"rel diff = {rel:.3g} (tol 1e-10)")
 
     rel_links = config.relay_params()
-    if config.is_symmetric() and rel_links[0].degenerate:
-        lam = rel_links[0].lam
+    if all(lp.degenerate for lp in rel_links):
+        # fresh links: the selected relay is the strongest decoder, so an
+        # outage needs each relay to fail decoding or to be below R_o
         r_o = config.r_o
-        direct = 0.0
-        for D in analytic.all_decoding_sets(config.M):
-            w = analytic.prob_decoding_set(config, D)
-            direct += w * (1.0 if not D.members else (-math.expm1(-lam * r_o)) ** len(D))
+        direct = 1.0
+        for src, rel in zip(config.source_params(), rel_links):
+            p = analytic.prob_relay_decodes(src, r_o)
+            direct *= 1.0 - p + p * -math.expm1(-rel.lam * r_o)
         got = analytic.outage_total(config).value
         rel = abs(got - direct) / max(abs(direct), 1e-300)
         check("degenerate-order-statistics", rel < 1e-10, f"rel diff = {rel:.3g} (tol 1e-10)")

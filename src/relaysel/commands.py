@@ -49,7 +49,8 @@ def main():
 
 
 @main.command()
-@click.option("--config", "config_path", required=True, type=click.Path(), help="JSON config file")
+@click.option("--config", "config_path", default=None, type=click.Path(),
+              help="JSON config file (required unless --in is given)")
 @click.option("--metric", type=click.Choice(METRICS), required=True)
 @click.option("--snr-db", "snr_db", default="0:30:2", show_default=True, help="START:STOP:STEP grid in dB")
 @click.option("--mode", type=click.Choice(MODES), default="analytic", show_default=True)
@@ -59,15 +60,22 @@ def main():
 @click.option("--lambda-convention", type=click.Choice(CONVENTIONS), default=None,
               help="override the config's convention")
 @click.option("--in", "in_path", default=None, type=click.Path(),
-              help="prior aser sweep CSV to differentiate (metric=diversity only)")
+              help="prior aser sweep CSV to differentiate (metric=diversity only; reads no config)")
 def sweep(config_path, metric, snr_db, mode, trials, seed, out_path, lambda_convention, in_path):
     """Evaluate one metric over an SNR grid; optionally cross-check with MC."""
     with _exit_codes():
         if in_path is not None:
             if metric != "diversity":
                 raise ConfigError("--in only applies to the diversity metric")
+            for option, given in (("--config", config_path is not None),
+                                  ("--lambda-convention", lambda_convention is not None),
+                                  ("--mode", mode != "analytic")):
+                if given:
+                    raise ConfigError(f"{option}: does not apply with --in, which reads no config")
             rows = cli.diversity_rows_from_csv(in_path)
         else:
+            if config_path is None:
+                raise ConfigError("--config: required unless --in is given")
             config = cli.load_config_file(config_path)
             if lambda_convention:
                 try:

@@ -7,7 +7,6 @@ finite SNR we report the local slope against log10 of the *linear* SNR
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,12 +53,10 @@ def effective_diversity(curve: SweepCurve) -> list[tuple[float, float]]:
     central differences inside, one-sided at the ends."""
     x = curve.snr_db / 10.0  # log10 of linear SNR
     y = np.log10(curve.values)
-    n = len(x)
-    d = np.empty(n)
+    d = np.empty(len(x))
     d[0] = -(y[1] - y[0]) / (x[1] - x[0])
     d[-1] = -(y[-1] - y[-2]) / (x[-1] - x[-2])
-    for i in range(1, n - 1):
-        d[i] = -(y[i + 1] - y[i - 1]) / (x[i + 1] - x[i - 1])
+    d[1:-1] = -(y[2:] - y[:-2]) / (x[2:] - x[:-2])
     return list(zip(curve.snr_db.tolist(), d.tolist()))
 
 
@@ -97,30 +94,25 @@ def _expected_scenario(config: SystemConfig) -> tuple[str, float]:
 
 
 def asymptotic_checks(
-    configs: Sequence[SystemConfig],
+    config: SystemConfig,
+    snr_db: Sequence[float],
     ctrl: SeriesControl = SeriesControl(),
 ) -> dict:
-    """Classify a power-only family of configs and test its terminal slope.
+    """Classify a config's regime and test the terminal slope of its ASER
+    over a strictly increasing dB grid (see `aser_sweep`).
 
     Expected orders: M for perfect CSI and fresh feedback, 1 with feedback
     delay only, 0 with estimation errors.  The estimation-error case checks
     the terminal local slope against FLOOR_CEILING; the others fit the slope
     over the last 10 dB of the grid and allow TOL_FULL or TOL_DELAY.
     """
-    if len(configs) < 4:
-        raise ValueError("need at least four powers to assess a slope")
-    base = configs[0]
-    for c in configs[1:]:
-        if c.with_power(base.power) != base:
-            raise ValueError("configs must differ only in power")
-    snr_db = [10.0 * math.log10(c.power) for c in configs]
-    if any(b <= a for a, b in zip(snr_db, snr_db[1:])):
-        raise ValueError("configs must be ordered by increasing power")
+    if len(snr_db) < 4:
+        raise ValueError("need at least four points to assess a slope")
     if snr_db[-1] - snr_db[0] < 10.0:
         raise ValueError("SNR range too narrow to estimate an asymptotic slope")
 
-    curve = SweepCurve(tuple(zip(snr_db, (aser_total(c, ctrl).value for c in configs))))
-    scenario, expected = _expected_scenario(base)
+    curve = aser_sweep(config, snr_db, ctrl)
+    scenario, expected = _expected_scenario(config)
     if scenario == "estimation-error-floor":
         observed = effective_diversity(curve)[-1][1]
         passed = observed < FLOOR_CEILING

@@ -139,10 +139,16 @@ def test_load_config_rejects_malformed_values(doc, field):
     # sigma2_hat = sigma2_h / rho_e overflows, so the derived lam is 0
     ({"M": 2, "rho_f": 0.5, "rho_e": 1e-150, "sigma2_h": 1e300}, ["sweep", "--metric", "outage"],
      "lam = 0, c = 0, theta = inf"),
+    # the slope is taken of the closed-form ASER only; Monte Carlo would be
+    # silently skipped
+    ({"M": 2, "rho_f": 0.9}, ["sweep", "--metric", "diversity", "--snr-db", "10:20:10", "--mode", "mc"],
+     "mode: a diversity sweep is analytic only"),
+    ({"M": 2, "rho_f": 0.9}, ["sweep", "--metric", "diversity", "--snr-db", "10:20:10", "--mode", "both"],
+     "mode: a diversity sweep is analytic only"),
 ], ids=[
     "alpha-3", "rate-600-sweep", "rate-600-info", "rate-600-validate", "rate-500-low-snr",
     "beta-1e308", "beta-power-underflow", "sigma2_h-1e-320", "rho_e-1e-320", "paper-lam-overflow",
-    "derived-lam-zero",
+    "derived-lam-zero", "diversity-mc", "diversity-both",
 ])
 def test_cli_rejects_configs_it_cannot_evaluate(tmp_path, monkeypatch, doc, args, message):
     path = tmp_path / "cfg.json"
@@ -492,10 +498,7 @@ def test_cli_diversity_consumes_aser_sweep(config_file, tmp_path):
     )
     assert cp.returncode == 0
     div_csv = tmp_path / "div.csv"
-    cp = run_cli(
-        "sweep", "--config", config_file, "--metric", "diversity",
-        "--in", str(aser_csv), "--out", str(div_csv),
-    )
+    cp = run_cli("sweep", "--metric", "diversity", "--in", str(aser_csv), "--out", str(div_csv))
     assert cp.returncode == 0
     rows = read_rows(div_csv)
     assert len(rows) == 6
@@ -511,7 +514,7 @@ def test_cli_diversity_consumes_aser_sweep(config_file, tmp_path):
     ("no-snr_db-column", "no snr_db column"),
     ("missing", "cannot read"),
 ], ids=["multi-curve", "non-positive", "no-snr_db-column", "missing"])
-def test_cli_diversity_from_csv_rejects_unusable_files(tmp_path, config_file, case, message):
+def test_cli_diversity_from_csv_rejects_unusable_files(tmp_path, case, message):
     path = tmp_path / "aser.csv"
     header = ",".join(CSV_COLUMNS) + "\n"
     if case == "multi-curve":
@@ -520,12 +523,33 @@ def test_cli_diversity_from_csv_rejects_unusable_files(tmp_path, config_file, ca
         path.write_text(header + "0.0,aser,analytic,0.1,,,,,,\n2.0,aser,analytic,0.0,,,,,,\n")
     elif case == "no-snr_db-column":
         path.write_text("metric,value\naser,0.1\naser,0.05\n")
-    res = CliRunner().invoke(
-        cli.main, ["sweep", "--config", config_file, "--metric", "diversity", "--in", str(path)]
-    )
+    res = CliRunner().invoke(cli.main, ["sweep", "--metric", "diversity", "--in", str(path)])
     assert res.exit_code == 2, res.output
     assert str(path) in res.output and message in res.output
     assert "Traceback" not in res.output
+
+
+@pytest.mark.parametrize("extra, option", [
+    (["--config", "nonexistent.json"], "--config"),
+    (["--lambda-convention", "paper"], "--lambda-convention"),
+    (["--mode", "mc"], "--mode"),
+    (["--mode", "both"], "--mode"),
+], ids=["config", "lambda-convention", "mode-mc", "mode-both"])
+def test_cli_diversity_from_csv_rejects_options_it_would_ignore(tmp_path, extra, option):
+    # --in reads no config and simulates nothing: an option that only a
+    # config sweep reads is an error, not silently dropped
+    path = tmp_path / "aser.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n0.0,aser,analytic,0.1,,,,,,\n10.0,aser,analytic,0.01,,,,,,\n")
+    res = CliRunner().invoke(cli.main, ["sweep", "--metric", "diversity", "--in", str(path), *extra])
+    assert res.exit_code == 2, res.output
+    assert f"error: {option}:" in res.output
+    assert "Traceback" not in res.output
+
+
+def test_cli_sweep_without_in_requires_a_config():
+    res = CliRunner().invoke(cli.main, ["sweep", "--metric", "outage"])
+    assert res.exit_code == 2, res.output
+    assert "error: --config: required unless --in is given" in res.output
 
 
 def test_cli_exit_code_on_bad_config(tmp_path):
@@ -752,20 +776,29 @@ def test_validate_detects_corrupted_lambda(monkeypatch):
 
 
 def test_validate_degenerate_branch_runs():
-    cfg = load_config({"M": 3, "rho_f": 1.0})
-    ok, report = validate(cfg, 60_000, 42)
-    assert ok, report
-    assert any("degenerate-order-statistics" in line for line in report)
+    # every relay link fresh, on identical links and on distinct ones
+    for doc in (
+        {"M": 3, "rho_f": 1.0},
+        {"M": 4, "rho_f": 1.0, "sigma2_h": [0.9, 1.1, 1.0, 0.95], "power_db": 10},
+    ):
+        ok, report = validate(load_config(doc), 60_000, 42)
+        assert ok, report
+        assert any(line.startswith("PASS  degenerate-order-statistics") for line in report), report
 
 
 def test_validate_degenerate_check_is_relative():
     # the symmetric outage at M = 8, 20 dB is 5.1e-6 off the order-statistics
-    # value, an absolute difference of only 6.7e-16
-    cfg = load_config({"M": 8, "rho_f": 1.0, "power_db": 20})
-    with pytest.warns(RuntimeWarning, match="cancellation"):
-        ok, report = validate(cfg, 2_000, 42)
-    assert not ok
-    assert any(line.startswith("FAIL  degenerate-order-statistics") for line in report), report
+    # value, an absolute difference of only 6.7e-16; the general path's over
+    # ten distinct fresh links at 20 dB is 7.7e-4 off
+    for doc in (
+        {"M": 8, "rho_f": 1.0, "power_db": 20},
+        {"M": 10, "rho_f": 1.0, "power_db": 20,
+         "sigma2_h": [0.9, 1.1, 1.0, 0.95, 1.05, 0.92, 1.08, 0.97, 1.03, 1.0]},
+    ):
+        with pytest.warns(RuntimeWarning, match="cancellation"):
+            ok, report = validate(load_config(doc), 2_000, 42)
+        assert not ok
+        assert any(line.startswith("FAIL  degenerate-order-statistics") for line in report), report
 
 
 def test_validate_series_vs_quadrature_is_relative():
