@@ -31,23 +31,24 @@ M 3^(M-1) of the explicit decoding-set sum, each in the finite form above,
 all in one kernel call, so no series and no kernel table.  The symmetric
 path groups the decoding sets by size and the subsets by size with binomial
 multiplicities; a subset of size s has rate sum s*lam in every decoding set,
-so the M rows s = 0..M-1 are evaluated once per call, each by the k-series
-over the metric's kernel table, and one stacked product against a per-M
-table of the multiplicities combines them for every size at once.
-rho_f = 1 collapses to exact order-statistics forms (the kernel evaluated
-at the rate sums) on both.
+so the M rows s = 0..M-1 are evaluated once per call, and one stacked
+product against a per-M table of the multiplicities combines them for
+every size at once.  rho_f = 1 collapses to exact order-statistics forms
+(the kernel evaluated at the rate sums) on both.
 
 Each metric is one `_Metric` record: its decode probability, its value when
 no relay decodes, its kernel table, its rho_f = 1 kernel and its final
 scaling.  A candidate sum is one row kernel and one signed subset sum.  The
-symmetric driver (`_total_symmetric`) alone takes the series rows
-(`_rows`); everything else takes the finite rows (`_finite_rows`): the
-general driver (`_total_general`, which combines every candidate and its
-condition in one stacked product) and the per-candidate `outage_conditional`
-and `aser_conditional_pdf` (`_candidate_term`).  Both drivers sum over decoding
-sets and raise `SeriesError` on a negative total.  The public `*_general` /
-`*_symmetric` functions and their dispatchers only pick a record and a
-driver.
+k-series rows (`_series_rows`) serve one case alone: the symmetric driver
+(`_total_symmetric`) on a rho_f < 1 link, the only reader of the series
+policy (`SeriesControl`) and of the kernel tables.  Every other row is a
+finite one (`_finite_rows`): the symmetric driver's at rho_f = 1, the
+general driver's (`_total_general`, which combines every candidate and its
+condition in one stacked product) and those of the per-candidate
+`outage_conditional` and `aser_conditional_pdf` (`_candidate_term`).  Both
+drivers sum over decoding sets and raise `SeriesError` on a negative total.
+The public `*_general` / `*_symmetric` functions and their dispatchers only
+pick a record and a driver.
 """
 
 from __future__ import annotations
@@ -193,34 +194,28 @@ def _subset_expansion(
 
 
 def _series_length(
-    r_max: float,
-    tol: float,
-    k_max: int,
-    kernel_cap: float,
-    gamma_cut: float | None = None,
+    link: LinkParams, ctrl: SeriesControl, kernel_cap: float, gamma_cut: float | None = None
 ) -> int:
-    """Series index needed so that the geometric tail (times a kernel bound)
-    drops below tol.  gamma_cut, when given, is the index past which the
-    outage kernel itself is below ~1e-18 and may stop the series earlier."""
+    """Series index needed so that the geometric tail of the link's series
+    (times a kernel bound) drops below ctrl.abs_tol; its largest ratio is
+    (c/2) / a_S at S = {}.  gamma_cut, when given, is the index past which
+    the outage kernel itself is below ~1e-18 and may stop the series
+    earlier.  Raises SeriesError past ctrl.k_max."""
+    half_c = 0.5 * link.c
+    r_max = half_c / (link.lam + half_c)
     if r_max <= 0.0:
         return 0
-    num = math.log(tol * (1.0 - r_max) / max(kernel_cap, 1e-300))
+    num = math.log(ctrl.abs_tol * (1.0 - r_max) / max(kernel_cap, 1e-300))
     k_geo = max(0, math.ceil(num / math.log(r_max)) + 2)
     k_need = k_geo
     if gamma_cut is not None:
         k_need = min(k_need, math.ceil(gamma_cut))
-    if k_need > k_max:
+    if k_need > ctrl.k_max:
         raise SeriesError(
-            f"series needs {k_need} terms but k_max is {k_max} "
+            f"series needs {k_need} terms but k_max is {ctrl.k_max} "
             f"(geometric ratio {r_max:.6g})"
         )
     return k_need
-
-
-def _r_max(link: LinkParams) -> float:
-    """Largest geometric ratio (c/2) / a_S of a link's series, at S = {}."""
-    half_c = 0.5 * link.c
-    return half_c / (link.lam + half_c)
 
 
 # the series index k = 0, 1, ... as floats, one shared read-only prefix
@@ -289,33 +284,21 @@ class _Metric(NamedTuple):
     """What one metric adds to the shared decomposition.
 
     decode(source link) is the relay's (decode, fail) probability pair;
-    empty is the metric's value when no relay decodes; table(relay link) is
-    the kernel table truncated to its series length, None when rho_f = 1;
-    degenerate(r) is the rho_f = 1 kernel E[f(X)], X ~ Exponential(r), at
-    an array of rates r; finish maps a raw candidate sum to the metric's
-    units.  stale(r), when set, replaces degenerate on the finite rows of
-    rho_f < 1 links, for a metric whose f there differs from its rho_f = 1
-    one (the "paper" ASER).
+    empty is the metric's value when no relay decodes; table(relay link,
+    ctrl) is the kernel table at the series length ctrl asks for, built
+    only for the series rows of a rho_f < 1 link; degenerate(r) is the
+    rho_f = 1 kernel E[f(X)], X ~ Exponential(r), at an array of rates r;
+    finish maps a raw candidate sum to the metric's units.  stale(r), when
+    set, replaces degenerate on the finite rows of rho_f < 1 links, for a
+    metric whose f there differs from its rho_f = 1 one (the "paper" ASER).
     """
 
     decode: Callable[[LinkParams], tuple[float, float]]
     empty: float
-    table: Callable[[LinkParams], np.ndarray | None]
+    table: Callable[[LinkParams, SeriesControl], np.ndarray]
     degenerate: Callable[[np.ndarray], np.ndarray]
     finish: Callable[[float], float]
     stale: Callable[[np.ndarray], np.ndarray] | None = None
-
-
-def _rows(
-    metric: _Metric, link: LinkParams, table: np.ndarray | None, lam_extra: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Candidate m's uncombined per-subset terms at the rate sums lam_extra,
-    with the number of series terms behind each: the rho_f = 1 kernel
-    lam / a * degenerate(a) at a = lam + lam_extra, else the series rows."""
-    if table is None:
-        a = link.lam + lam_extra
-        return link.lam / a * metric.degenerate(a), 1
-    return _series_rows(link, lam_extra, table), len(table)
 
 
 def _finite_rows(metric: _Metric, links: list[LinkParams], lam_extra: np.ndarray) -> np.ndarray:
@@ -435,11 +418,13 @@ def _size_table(M: int) -> tuple[np.ndarray, tuple[float, ...], np.ndarray]:
     return table, tuple(float(math.comb(M, l)) for l in range(1, M + 1)), sizes
 
 
-def _total_symmetric(config: SystemConfig, metric: _Metric) -> MetricResult:
+def _total_symmetric(config: SystemConfig, metric: _Metric, ctrl: SeriesControl) -> MetricResult:
     """Identical links: decoding sets grouped by size l with weight
     C(M, l) p^l fail^(M-l), and the subsets of each by size s, which
     collapse to (-1)^s C(l-1, s) times the row at rate sum s*lam.  The row
-    for s is the same for every l, so the M rows are evaluated once, and one
+    for s is the same for every l, so the M rows are evaluated once: in
+    finite form (`_finite_rows`) at rho_f = 1, else as the k-series over the
+    metric's kernel table at ctrl's series length (`_series_rows`).  One
     stacked product with `_size_table(M)` gives every size's signed sum and
     magnitude sum, one BLAS dot per size.  A row's zero padding past s = l - 1
     adds exact zeros, so each dot equals the l-term dot of a per-size loop
@@ -454,7 +439,11 @@ def _total_symmetric(config: SystemConfig, metric: _Metric) -> MetricResult:
     src, rel = config.symmetric_params()
     p, fail = metric.decode(src)
     table, comb, sizes = _size_table(M)
-    rows, terms = _rows(metric, rel, metric.table(rel), sizes * rel.lam)
+    if rel.degenerate:
+        rows, terms = _finite_rows(metric, [rel], (sizes * rel.lam)[None, :])[0], 1
+    else:
+        kernel = metric.table(rel, ctrl)
+        rows, terms = _series_rows(rel, sizes * rel.lam, kernel), len(kernel)
     both = np.empty((2, 1, M, 1))
     both[0, 0, :, 0] = rows
     np.abs(rows, out=both[1, 0, :, 0])
@@ -480,17 +469,14 @@ def _threshold_decode(r_o: float) -> Callable[[LinkParams], tuple[float, float]]
 # outage
 # ---------------------------------------------------------------------------
 
-def _outage(config: SystemConfig, ctrl: SeriesControl) -> _Metric:
+def _outage(config: SystemConfig) -> _Metric:
     """Outage: relay i decodes with probability exp(-lam_i R_o), the empty set
     is certain outage, and the kernel is gamma(k+1, q R_o) / k!."""
     r_o = config.r_o
 
-    def table(link: LinkParams) -> np.ndarray | None:
-        if link.degenerate:
-            return None
+    def table(link: LinkParams, ctrl: SeriesControl) -> np.ndarray:
         x = link.q * r_o
-        gamma_cut = x + 45.0 * math.sqrt(x) + 50.0
-        K = _series_length(_r_max(link), ctrl.abs_tol, ctrl.k_max, 1.0, gamma_cut)
+        K = _series_length(link, ctrl, 1.0, x + 45.0 * math.sqrt(x) + 50.0)
         return specfn.lower_gamma_ratio_table(K, x)
 
     return _Metric(_threshold_decode(r_o), 1.0, table, lambda r: -np.expm1(-r * r_o), lambda v: v)
@@ -503,7 +489,7 @@ def outage_conditional(
     current SNR is below R_o.  Summing over m in D gives the decoding-set
     outage probability.  It is evaluated in finite form, which needs no
     series policy: ctrl has no effect."""
-    return _candidate_term(_outage(config, ctrl), D, m, config)
+    return _candidate_term(_outage(config), D, m, config)
 
 
 # Gauss-Kronrod G7-K15 on [-1, 1] as QUADPACK's qk15 lists it: the Kronrod
@@ -613,12 +599,12 @@ def outage_conditional_quadrature(D: DecodingSet, m: int, config: SystemConfig) 
 
 def outage_total_general(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) -> MetricResult:
     """Total outage probability over all 2^M decoding sets; the empty set
-    (certain outage) has weight Pr[D = {}]."""
-    return _total_general(config, _outage(config, ctrl), prob_decoding_set(config, DecodingSet(())))
+    (certain outage) has weight Pr[D = {}].  In finite form: ctrl has no effect."""
+    return _total_general(config, _outage(config), prob_decoding_set(config, DecodingSet(())))
 
 
 def outage_total_symmetric(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) -> MetricResult:
-    return _total_symmetric(config, _outage(config, ctrl))
+    return _total_symmetric(config, _outage(config), ctrl)
 
 
 def outage_total(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) -> MetricResult:
@@ -701,7 +687,7 @@ def _paper_kernel_at_rates(r: np.ndarray, bp: float) -> np.ndarray:
     return out
 
 
-def _aser(config: SystemConfig, ctrl: SeriesControl) -> _Metric:
+def _aser(config: SystemConfig) -> _Metric:
     """ASER: relay i decodes with probability 1 - B_i (B_i its average
     decoding error probability), the all-off term is ½, and the kernel is
     alpha * E[Q(sqrt(beta P gamma))]: exact for the "derived" convention,
@@ -714,10 +700,8 @@ def _aser(config: SystemConfig, ctrl: SeriesControl) -> _Metric:
         b = relay_error_prob(link, config)
         return 1.0 - b, b
 
-    def table(link: LinkParams) -> np.ndarray | None:
-        if link.degenerate:
-            return None
-        K = _series_length(_r_max(link), ctrl.abs_tol, ctrl.k_max, 0.5)
+    def table(link: LinkParams, ctrl: SeriesControl) -> np.ndarray:
+        K = _series_length(link, ctrl, 0.5)
         if paper:
             return _paper_kernel_table(K, link.q, bp)
         return specfn.mean_q_gamma_table(K + 1, bp / (2.0 * link.q))
@@ -732,11 +716,12 @@ def _aser(config: SystemConfig, ctrl: SeriesControl) -> _Metric:
 
 
 def aser_total_general(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) -> MetricResult:
-    return _total_general(config, _aser(config, ctrl))
+    """ASER over all 2^M decoding sets, in finite form: ctrl has no effect."""
+    return _total_general(config, _aser(config))
 
 
 def aser_total_symmetric(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) -> MetricResult:
-    return _total_symmetric(config, _aser(config, ctrl))
+    return _total_symmetric(config, _aser(config), ctrl)
 
 
 def aser_total(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) -> MetricResult:
@@ -766,7 +751,7 @@ def aser_conditional_pdf(x: float, D: DecodingSet, m: int, config: SystemConfig)
     if rel[m].degenerate:
         lam = rel[m].lam
         return cdf_max_others(x, D, m, rel) * lam * math.exp(-lam * x)
-    metric = _outage(config, SeriesControl())._replace(degenerate=lambda r: r * np.exp(-r * x))
+    metric = _outage(config)._replace(degenerate=lambda r: r * np.exp(-r * x))
     return _candidate_term(metric, D, m, config)
 
 
@@ -779,20 +764,15 @@ def selected_snr_pdf(x: float, D: DecodingSet, config: SystemConfig) -> float:
 # average capacity lower bound
 # ---------------------------------------------------------------------------
 
-def _capacity(config: SystemConfig, ctrl: SeriesControl) -> _Metric:
+def _capacity(config: SystemConfig) -> _Metric:
     """Capacity lower bound in bits/s/Hz: decoding as for outage, the empty
     set contributes zero capacity, and the kernel is E[ln(1 + X_k / b)]."""
     power = config.power
 
-    def table(link: LinkParams) -> np.ndarray | None:
-        if link.degenerate:
-            return None
+    def table(link: LinkParams, ctrl: SeriesControl) -> np.ndarray:
         b = link.q / power
-        r_max = _r_max(link)
-        k0 = _series_length(r_max, ctrl.abs_tol, ctrl.k_max, 1.0)
-        cap = math.log1p((k0 + 2.0) / b) + 2.0
-        K = _series_length(r_max, ctrl.abs_tol, ctrl.k_max, cap)
-        return specfn.log_gamma_mean_table(K, b)
+        cap = math.log1p((_series_length(link, ctrl, 1.0) + 2.0) / b) + 2.0
+        return specfn.log_gamma_mean_table(_series_length(link, ctrl, cap), b)
 
     def degenerate(r: np.ndarray) -> np.ndarray:
         # E[ln(1 + P X)], X ~ Exponential(r): e^b E1(b) with b = r / P
@@ -804,13 +784,14 @@ def _capacity(config: SystemConfig, ctrl: SeriesControl) -> _Metric:
 def capacity_lb_avg_general(
     config: SystemConfig, ctrl: SeriesControl = SeriesControl()
 ) -> MetricResult:
-    return _total_general(config, _capacity(config, ctrl))
+    """Capacity lower bound over all 2^M decoding sets, in finite form: ctrl has no effect."""
+    return _total_general(config, _capacity(config))
 
 
 def capacity_lb_avg_symmetric(
     config: SystemConfig, ctrl: SeriesControl = SeriesControl()
 ) -> MetricResult:
-    return _total_symmetric(config, _capacity(config, ctrl))
+    return _total_symmetric(config, _capacity(config), ctrl)
 
 
 def capacity_lb_avg(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) -> MetricResult:

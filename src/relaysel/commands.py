@@ -19,6 +19,7 @@ import sys
 from dataclasses import replace
 
 import click
+from click.core import ParameterSource
 
 from . import cli
 from .channel import CONVENTIONS
@@ -67,11 +68,12 @@ def sweep(config_path, metric, snr_db, mode, trials, seed, out_path, lambda_conv
         if in_path is not None:
             if metric != "diversity":
                 raise ConfigError("--in only applies to the diversity metric")
-            for option, given in (("--config", config_path is not None),
-                                  ("--lambda-convention", lambda_convention is not None),
-                                  ("--mode", mode != "analytic")):
-                if given:
-                    raise ConfigError(f"{option}: does not apply with --in, which reads no config")
+            ctx = click.get_current_context()
+            for param in ctx.command.params:
+                given = ctx.get_parameter_source(param.name) is not ParameterSource.DEFAULT
+                if given and param.name not in ("metric", "in_path", "out_path"):
+                    raise ConfigError(f"{param.opts[0]}: does not apply with --in, which reads "
+                                      "no config and simulates nothing")
             rows = cli.diversity_rows_from_csv(in_path)
         else:
             if config_path is None:

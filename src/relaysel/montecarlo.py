@@ -88,12 +88,11 @@ class McEstimate:
 _LAYOUT = (
     # old SNRs, SER uniforms, and a scratch for the SER bound and error
     # probabilities, the selection mask and the current-SNR kernel; per
-    # trial: the selected SNR, its live subset, the gathered link constants,
-    # the current-SNR noise and its live subset
-    (np.float64, ("sm", "md", "u", "scratch"),
-     ("g", "g_live", "rho", "theta", "x", "y", "x_live", "y_live")),
-    (np.bool_, ("decoded", "undecided", "flag"), ("none", "live")),
-    (np.intp, (), ("m_star", "pick")),
+    # trial: the selected SNR, its saved old value, the gathered link
+    # constants and the current-SNR noise
+    (np.float64, ("sm", "md", "u", "scratch"), ("g", "g_old", "rho", "theta", "x", "y")),
+    (np.bool_, ("decoded", "undecided", "flag"), ("none", "fresh")),
+    (np.intp, (), ("m_star", "step")),
 )
 
 
@@ -226,7 +225,7 @@ def _select(
     g, m_star = ws.g[:n], ws.m_star[:n]
     np.copyto(g, md[:, 0])
     m_star.fill(0)
-    better, step = ws.none[:n], ws.pick[:n]  # scratch until `none` is set
+    better, step = ws.none[:n], ws.step[:n]  # scratch until `none` is set
     for j in range(1, M):
         np.greater(md[:, j], g, out=better)
         np.maximum(g, md[:, j], out=g)
@@ -237,33 +236,31 @@ def _select(
     np.copyto(g, 0.0, where=none)
 
     # relays with rho_f = 1 keep the old SNR
-    x, y, scratch = ws.x[:n], ws.y[:n], ws.scratch.reshape(-1)
+    x, y, scratch = ws.x[:n], ws.y[:n], ws.scratch.reshape(-1)[:n]
     if np.ndim(rho_f) == 0:  # identical relay links: no gather
         if rho_f < 1.0:
-            current_snr_into(g, rho_f, theta, x, y, scratch[:n])
+            current_snr_into(g, rho_f, theta, x, y, scratch)
         return none, g
-    live_links = rho_f < 1.0
-    if not live_links.any():
+    fresh_links = rho_f == 1.0
+    if fresh_links.all():
         return none, g
-    if live_links.all():
-        idx, pick, g_live = None, m_star, g
-    else:
-        idx = np.flatnonzero(np.take(live_links, m_star, out=ws.live[:n], mode="clip"))
-        pick = np.take(m_star, idx, out=ws.pick[: idx.size], mode="clip")
-        g_live = np.take(g, idx, out=ws.g_live[: idx.size], mode="clip")
-        x = np.take(x, idx, out=ws.x_live[: idx.size], mode="clip")
-        y = np.take(y, idx, out=ws.y_live[: idx.size], mode="clip")
-    k = len(pick)
+    # every trial takes its selected link's constants; where that link has
+    # rho_f = 1 the old SNR is put back, since its sqrt-then-square can move
+    # the last bit
+    fresh, old = None, ws.g_old[:n]
+    if fresh_links.any():
+        fresh = np.take(fresh_links, m_star, out=ws.fresh[:n], mode="clip")
+        np.copyto(old, g)
     current_snr_into(
-        g_live,
-        np.take(rho_f, pick, out=ws.rho[:k], mode="clip"),
-        np.take(theta, pick, out=ws.theta[:k], mode="clip"),
+        g,
+        np.take(rho_f, m_star, out=ws.rho[:n], mode="clip"),
+        np.take(theta, m_star, out=ws.theta[:n], mode="clip"),
         x,
         y,
-        scratch[:k],
+        scratch,
     )
-    if idx is not None:
-        np.put(g, idx, g_live, mode="clip")
+    if fresh is not None:
+        np.copyto(g, old, where=fresh)
     return none, g
 
 

@@ -86,16 +86,15 @@ class _Grid:
         return table
 
 
-# ln(n!) and lgamma(1 + j/2)
-_LOGFACT = _Grid(lambda lo, hi: np.array([math.lgamma(n + 1.0) for n in range(lo, hi)]))
+# lgamma(1 + j/2), whose even entries j = 2n are ln(n!)
 _LGAMMA_HALF = _Grid(lambda lo, hi: np.array([math.lgamma(1.0 + 0.5 * j) for j in range(lo, hi)]))
 
 
 def ln_factorial(n: int) -> float:
-    """ln(n!) for n >= 0, accurate to a couple of ulp via lgamma."""
+    """ln(n!) for n >= 0, accurate to a couple of ulp via lgamma (grid entry 2n)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return float(_LOGFACT.upto(n)[n])
+    return float(_LGAMMA_HALF.upto(2 * n)[2 * n])
 
 
 def ln_gamma_half_grid(n: int) -> np.ndarray:
@@ -168,9 +167,9 @@ def lower_gamma_ratio_table(k_max: int, x: float) -> np.ndarray:
 
 
 def _ln_factorial_array(n: int) -> np.ndarray:
-    """Read-only view of ln(k!) for k = 0..n."""
-    ln_factorial(n)  # grows the table to n
-    return _LOGFACT.upto(n)[: n + 1]
+    """Read-only view of ln(k!) for k = 0..n, the grid's even entries."""
+    ln_factorial(n)  # grows the grid to 2n
+    return _LGAMMA_HALF.upto(2 * n)[: 2 * n + 1 : 2]
 
 
 # ln k! - ((k + 1/2) ln k - k + ln(2 pi)/2) for k = 0..15 (0 at k = 0); from

@@ -487,19 +487,29 @@ def test_kernel_table_built_once_per_distinct_link(monkeypatch, metric, module, 
 # ---------------------------------------------------------------------------
 
 def _series_candidate(metric, rel, tables, D, m) -> float:
-    """Candidate m's term in D from the k-series rows (`an._rows`), so that
-    the finite form of the general path meets an independent formula."""
+    """Candidate m's term in D from the k-series rows (`an._series_rows`),
+    or at rho_f = 1 (table None) the inline kernel lam / a * degenerate(a),
+    so that the finite form of the general path meets an independent formula."""
     coeffs, lam_extra = an._subset_expansion([rel[i].lam for i in D if i != m])
-    rows, _ = an._rows(metric, rel[m], tables[m], lam_extra)
+    if tables[m] is None:
+        a = rel[m].lam + lam_extra
+        rows = rel[m].lam / a * metric.degenerate(a)
+    else:
+        rows = an._series_rows(rel[m], lam_extra, tables[m])
     return metric.finish(float(coeffs @ rows))
+
+
+def _series_tables(metric, rel, ctrl):
+    """Each relay link's kernel table, None at rho_f = 1."""
+    return [None if lp.degenerate else metric.table(lp, ctrl) for lp in rel]
 
 
 def _aser_reference(cfg, ctrl=CTRL) -> float:
     """ASER as the explicit sum over decoding sets D and candidates m in D."""
     rel = cfg.relay_params()
     b = [an.relay_error_prob(lp, cfg) for lp in cfg.source_params()]
-    metric = an._aser(cfg, ctrl)
-    tables = [metric.table(lp) for lp in rel]
+    metric = an._aser(cfg)
+    tables = _series_tables(metric, rel, ctrl)
     total = 0.0
     for D in an.all_decoding_sets(cfg.M):
         w = math.prod((1.0 - b[i]) if i in D else b[i] for i in range(cfg.M))
@@ -512,8 +522,8 @@ def _aser_reference(cfg, ctrl=CTRL) -> float:
 def _capacity_reference(cfg, ctrl=CTRL) -> float:
     """Capacity as the explicit sum over decoding sets D and candidates m in D."""
     rel = cfg.relay_params()
-    metric = an._capacity(cfg, ctrl)
-    tables = [metric.table(lp) for lp in rel]
+    metric = an._capacity(cfg)
+    tables = _series_tables(metric, rel, ctrl)
     total = 0.0
     for D in an.all_decoding_sets(cfg.M):
         inner = sum(_series_candidate(metric, rel, tables, D, m) for m in D)
@@ -573,7 +583,7 @@ def test_general_path_evaluates_one_candidate_per_relay(monkeypatch, general, re
     cfg = mixed_asym_config(M)
     general(cfg, CTRL)
     rel = cfg.relay_params()
-    p = [record(cfg, CTRL).decode(lp)[0] for lp in cfg.source_params()]
+    p = [record(cfg).decode(lp)[0] for lp in cfg.source_params()]
     assert len(row_calls) == len(expansions) == len(masks) == 1
     links, lam_extra = row_calls[0]
     (all_coeffs, all_extra), mask = expansions[0], masks[0]
@@ -657,8 +667,8 @@ def test_general_driver_equals_the_per_candidate_loop_bit_for_bit(metric):
     # warnings
     make = {"outage": an._outage, "aser": an._aser, "capacity": an._capacity}[metric]
     for cfg in _per_candidate_configs():
-        got = _bits(lambda: an._total_general(cfg, make(cfg, CTRL)))
-        want = _bits(lambda: _per_candidate_reference(cfg, make(cfg, CTRL)))
+        got = _bits(lambda: an._total_general(cfg, make(cfg)))
+        want = _bits(lambda: _per_candidate_reference(cfg, make(cfg)))
         assert got == want, cfg
 
 
@@ -676,8 +686,9 @@ def test_general_aser_and_capacity_finite_near_rho_f_one(rho, convention):
 
 
 def test_general_path_builds_no_kernel_table(monkeypatch):
-    # the general path and the per-candidate functions need no series:
-    # neither a kernel table, nor its length, nor a Poisson window
+    # the general path, the per-candidate functions and the symmetric path at
+    # rho_f = 1 need no series: neither a kernel table, nor its length, nor a
+    # Poisson window
     def forbid(name):
         def spy(*args, **kwargs):
             raise AssertionError(f"finite form called {name}")
@@ -698,6 +709,11 @@ def test_general_path_builds_no_kernel_table(monkeypatch):
         assert not cfg.relay_params()[0].degenerate
         assert an.outage_conditional(D, 0, cfg, CTRL) > 0.0
         assert an.aser_conditional_pdf(1.0, D, 0, cfg) > 0.0
+    for convention in ("derived", "paper"):
+        cfg = sym_config(M=4, power=10.0, rho_f=1.0, lambda_convention=convention)
+        for symmetric in (an.outage_total_symmetric, an.aser_total_symmetric,
+                          an.capacity_lb_avg_symmetric):
+            assert symmetric(cfg, CTRL).value > 0.0
 
 
 def test_paper_kernel_at_rates_is_the_table_first_entry():
@@ -761,19 +777,27 @@ def test_symmetric_path_rejects_asymmetric_config(symmetric):
 @pytest.mark.parametrize("rho_f", [0.9, 1.0])
 def test_symmetric_path_evaluates_its_m_rows_once(monkeypatch, symmetric, rho_f):
     # a subset of size s has rate sum s * lam in every decoding set, so one
-    # call evaluates the rows s = 0..M-1 and every set size reuses them
-    calls = []
-    original = an._rows
+    # call evaluates the rows s = 0..M-1 and every set size reuses them: in
+    # finite form at rho_f = 1, else as the k-series
+    finite, series = [], []
+    finite_rows, series_rows = an._finite_rows, an._series_rows
 
-    def counting(metric, link, table, lam_extra):
-        calls.append(lam_extra)
-        return original(metric, link, table, lam_extra)
+    def counting_finite(metric, links, lam_extra):
+        finite.append(lam_extra.ravel())
+        return finite_rows(metric, links, lam_extra)
 
-    monkeypatch.setattr(an, "_rows", counting)
+    def counting_series(link, lam_extra, kernel):
+        series.append(lam_extra)
+        return series_rows(link, lam_extra, kernel)
+
+    monkeypatch.setattr(an, "_finite_rows", counting_finite)
+    monkeypatch.setattr(an, "_series_rows", counting_series)
     cfg = sym_config(M=4, power=10.0, rho_f=rho_f)
     symmetric(cfg, CTRL)
     lam = cfg.relay_params()[0].lam
-    assert [c.tolist() for c in calls] == [[s * lam for s in range(4)]]
+    used, unused = (finite, series) if rho_f == 1.0 else (series, finite)
+    assert [c.tolist() for c in used] == [[s * lam for s in range(4)]]
+    assert unused == []
 
 
 def _all_fresh_m14() -> ch.SystemConfig:
@@ -820,11 +844,18 @@ def _combine(metric, coeffs, rows) -> tuple[float, float]:
 def _per_size_reference(cfg, metric) -> an.MetricResult:
     """The symmetric sum as a loop over the decoding-set sizes l: one
     combine step per size with the multiplicities (-1)^s C(l-1, s) built
-    from math.comb, and the source and relay links derived separately."""
+    from math.comb, and the source and relay links derived separately; the
+    rows in the inline rho_f = 1 kernel, or the k-series at CTRL's length."""
     M = cfg.M
     p, fail = metric.decode(cfg.source_params()[0])
     rel = cfg.relay_params()[0]
-    rows, terms = an._rows(metric, rel, metric.table(rel), np.arange(M, dtype=float) * rel.lam)
+    lam_extra = np.arange(M, dtype=float) * rel.lam
+    if rel.degenerate:
+        a = rel.lam + lam_extra
+        rows, terms = rel.lam / a * metric.degenerate(a), 1
+    else:
+        table = metric.table(rel, CTRL)
+        rows, terms = an._series_rows(rel, lam_extra, table), len(table)
     signs = np.where(np.arange(M) % 2 == 0, 1.0, -1.0)
     total = metric.empty * fail**M
     values, mags = [], []
@@ -860,8 +891,8 @@ def test_symmetric_driver_equals_the_per_size_loop_bit_for_bit(metric):
     make = {"outage": an._outage, "aser": an._aser, "capacity": an._capacity}[metric]
     for M, convention, rho_f, rho_e, power in _PER_SIZE_GRID:
         cfg = sym_config(M=M, power=power, rho_e=rho_e, rho_f=rho_f, lambda_convention=convention)
-        got = _outcome(lambda: an._total_symmetric(cfg, make(cfg, CTRL)))
-        want = _outcome(lambda: _per_size_reference(cfg, make(cfg, CTRL)))
+        got = _outcome(lambda: an._total_symmetric(cfg, make(cfg), CTRL))
+        want = _outcome(lambda: _per_size_reference(cfg, make(cfg)))
         assert got == want, (M, convention, rho_f, rho_e, power)
         if isinstance(got[0], an.MetricResult):
             assert type(got[0].value) is float

@@ -534,10 +534,16 @@ def test_cli_diversity_from_csv_rejects_unusable_files(tmp_path, case, message):
     (["--lambda-convention", "paper"], "--lambda-convention"),
     (["--mode", "mc"], "--mode"),
     (["--mode", "both"], "--mode"),
-], ids=["config", "lambda-convention", "mode-mc", "mode-both"])
+    (["--mode", "analytic"], "--mode"),
+    (["--snr-db", "0:5:1"], "--snr-db"),
+    (["--trials", "7"], "--trials"),
+    (["--seed", "-3"], "--seed"),
+], ids=["config", "lambda-convention", "mode-mc", "mode-both", "mode-analytic", "snr-db", "trials",
+        "seed"])
 def test_cli_diversity_from_csv_rejects_options_it_would_ignore(tmp_path, extra, option):
     # --in reads no config and simulates nothing: an option that only a
-    # config sweep reads is an error, not silently dropped
+    # config sweep reads is an error when given, even at its default value,
+    # not silently dropped
     path = tmp_path / "aser.csv"
     path.write_text(",".join(CSV_COLUMNS) + "\n0.0,aser,analytic,0.1,,,,,,\n10.0,aser,analytic,0.01,,,,,,\n")
     res = CliRunner().invoke(cli.main, ["sweep", "--metric", "diversity", "--in", str(path), *extra])
