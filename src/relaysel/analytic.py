@@ -218,23 +218,28 @@ def _series_length(
     return k_need
 
 
-# the series index k = 0, 1, ... as floats, one shared read-only prefix
-_SERIES_INDEX = specfn._Grid(lambda lo, hi: np.arange(lo, hi, dtype=float))
+# the series index k = 0, 1, ... as floats: specfn's shared read-only grid
+_SERIES_INDEX = specfn._INDEX
 
 
-def _series_rows(link: LinkParams, lam_extra: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def _series_rows(
+    link: LinkParams, lam_extra: np.ndarray, kernel: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """sum_k kernel[k] lam (c/2)^k / a_j^(k+1) over k < len(kernel) for
     every rate sum a_j = lam + c/2 + lam_extra[j]: one uncombined row per
-    subset."""
-    half_c = 0.5 * link.c
-    base = link.lam + half_c + lam_extra
-    t0 = link.lam / base
-    ratio = half_c / base
+    subset, written into out when given."""
+    lam, half_c = link.lam, 0.5 * link.c
+    # the per-row sums and quotients on Python floats, rounded as numpy
+    # rounds them: on the symmetric path's few rows numpy's per-call cost
+    # outweighs the arithmetic
+    bases = [lam + half_c + extra for extra in lam_extra.tolist()]
+    ratios = [half_c / base for base in bases]
+    ratio = np.array(ratios)
     k = _SERIES_INDEX.upto(len(kernel))[: len(kernel)]
     # the exponent product is the one (rows x K) buffer, and exp writes into
     # it: a second one of ~430 kB at rho_f = 0.999 (K ~ 18,000) made glibc
     # hand the heap's top back and fault it in again on every call
-    if ratio.all():
+    if 0.0 not in ratios:
         powers = np.log(ratio)[:, None] * k
         np.exp(powers, out=powers)
     else:
@@ -244,7 +249,7 @@ def _series_rows(link: LinkParams, lam_extra: np.ndarray, kernel: np.ndarray) ->
             powers = np.log(ratio)[:, None] * k
             np.exp(powers, out=powers)
         powers[ratio == 0.0, 0] = 1.0
-    return t0 * (powers @ kernel)
+    return np.multiply([lam / base for base in bases], powers @ kernel, out=out)
 
 
 def _result(total: float, terms: int, values: list[float], mags: list[float]) -> MetricResult:
@@ -424,13 +429,14 @@ def _total_symmetric(config: SystemConfig, metric: _Metric, ctrl: SeriesControl)
     collapse to (-1)^s C(l-1, s) times the row at rate sum s*lam.  The row
     for s is the same for every l, so the M rows are evaluated once: in
     finite form (`_finite_rows`) at rho_f = 1, else as the k-series over the
-    metric's kernel table at ctrl's series length (`_series_rows`).  One
-    stacked product with `_size_table(M)` gives every size's signed sum and
-    magnitude sum, one BLAS dot per size.  A row's zero padding past s = l - 1
-    adds exact zeros, so each dot equals the l-term dot of a per-size loop
-    bit for bit while BLAS sums those M terms in order (OpenBLAS's Haswell
-    ddot does below 16 terms); past that the order, not the terms, can
-    differ.  The condition is the largest of the sizes' conditions, with one
+    metric's kernel table at ctrl's series length (`_series_rows`), written
+    straight into the stacked operand.  One stacked product with
+    `_size_table(M)` gives every size's signed sum and magnitude sum, one
+    BLAS dot per size, and the metric's finish maps them as Python floats.
+    A row's zero padding past s = l - 1 adds exact zeros, so each dot
+    equals the l-term dot of a per-size loop bit for bit while BLAS sums
+    those M terms in order (OpenBLAS's Haswell ddot does below 16 terms);
+    past that the order, not the terms, can differ.  The condition is the largest of the sizes' conditions, with one
     warning for them all.  The link is derived once, or twice when the two
     hops hold different FadingParams objects (`SystemConfig.symmetric_params`)."""
     if not config.is_symmetric():
@@ -439,15 +445,19 @@ def _total_symmetric(config: SystemConfig, metric: _Metric, ctrl: SeriesControl)
     src, rel = config.symmetric_params()
     p, fail = metric.decode(src)
     table, comb, sizes = _size_table(M)
+    both = np.empty((2, 1, M, 1))  # the rows, then their magnitudes
+    rows = both[0, 0, :, 0]
     if rel.degenerate:
-        rows, terms = _finite_rows(metric, [rel], (sizes * rel.lam)[None, :])[0], 1
+        rows[:] = _finite_rows(metric, [rel], (sizes * rel.lam)[None, :])[0]
+        terms = 1
     else:
         kernel = metric.table(rel, ctrl)
-        rows, terms = _series_rows(rel, sizes * rel.lam, kernel), len(kernel)
-    both = np.empty((2, 1, M, 1))
-    both[0, 0, :, 0] = rows
+        _series_rows(rel, sizes * rel.lam, kernel, out=rows)
+        terms = len(kernel)
     np.abs(rows, out=both[1, 0, :, 0])
-    values, mags = metric.finish(table @ both)[:, :, 0, 0].tolist()
+    values, mags = (table @ both)[:, :, 0, 0].tolist()
+    finish = metric.finish
+    values, mags = [finish(v) for v in values], [finish(v) for v in mags]
     total = metric.empty * fail**M
     for l, (c, value) in enumerate(zip(comb, values), 1):
         total += c * p**l * fail ** (M - l) * l * value
@@ -637,11 +647,14 @@ def _paper_lgamma_rows(lo: int, hi: int) -> np.ndarray:
 
 
 # the parts of the "paper" kernel exponent that depend on the indices k and
-# n alone, row k for k = 0, 1, ...: lgamma(k + (n+1)/2) - ln k! and the
-# shapes k + (n+1)/2.  Two grids, not one of row pairs: a table then reads
-# contiguous rows, which numpy takes in one loop, not one per row
+# n alone, row k for k = 0, 1, ...: lgamma(k + (n+1)/2) - ln k!, the shapes
+# k + (n+1)/2, and k + 1 and (n - 1)/2 repeated to full rows.  Full-size
+# grids, not one of row pairs and no row-broadcast operand: a table then
+# reads contiguous operands, which numpy takes in one loop, not one per row
 _PAPER_LGAMMA = specfn._Grid(_paper_lgamma_rows)
 _PAPER_SHAPES = specfn._Grid(lambda lo, hi: np.arange(lo, hi, dtype=float)[:, None] + _HALF_N_PLUS_1)
+_PAPER_K1 = specfn._Grid(lambda lo, hi: np.repeat(np.arange(lo + 1.0, hi + 1.0)[:, None], N_A, axis=1))
+_PAPER_HALF_N_MINUS_1 = specfn._Grid(lambda lo, hi: np.tile(_HALF_N_MINUS_1, (hi - lo, 1)))
 
 
 def _paper_kernel_table(K: int, q: float, bp: float) -> np.ndarray:
@@ -649,13 +662,15 @@ def _paper_kernel_table(K: int, q: float, bp: float) -> np.ndarray:
     approximation: kernel[k] = q^(k+1)/k! *
     sum_n a_n (beta P)^((n-1)/2) Gamma(k+(n+1)/2) / (q + beta P)^(k+(n+1)/2)."""
     a = specfn.qapprox_coefficients(N_A)
-    lgam, kn = _PAPER_LGAMMA.upto(K)[: K + 1], _PAPER_SHAPES.upto(K)[: K + 1]
-    k1 = _SERIES_INDEX.upto(K + 1)[1 : K + 2, None]  # k + 1
+    rows = K + 1
     # the power-dependent terms are added in the order of the per-k formula
-    # lgam + (k+1) ln q + (n-1)/2 ln(beta P) - (k+(n+1)/2) ln(q + beta P)
-    exps = lgam + k1 * math.log(q)
-    exps += _HALF_N_MINUS_1 * math.log(bp)
-    exps -= kn * math.log(q + bp)
+    # lgam + (k+1) ln q + (n-1)/2 ln(beta P) - (k+(n+1)/2) ln(q + beta P),
+    # in the exponent's buffer and one of the products
+    exps = np.multiply(_PAPER_K1.upto(K)[:rows], math.log(q))
+    exps += _PAPER_LGAMMA.upto(K)[:rows]
+    product = np.multiply(_PAPER_HALF_N_MINUS_1.upto(K)[:rows], math.log(bp))
+    exps += product
+    exps -= np.multiply(_PAPER_SHAPES.upto(K)[:rows], math.log(q + bp), out=product)
     np.exp(exps, out=exps)
     # a stack of (1 x N_A) @ (N_A x 1) products: numpy takes one BLAS dot per
     # row, exactly as `a @ row` does, so the table matches a per-k evaluation

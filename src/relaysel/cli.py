@@ -423,12 +423,14 @@ def _cell(v) -> str:
     return repr(float(v))
 
 
+_WRITER_CELLS = (str, float)
+
+
 def _cells(r: MetricPoint) -> list:
-    return [
-        _cell(r.snr_db), r.metric, r.mode, _cell(r.value), _cell(r.mc_mean),
-        _cell(r.mc_stderr), _cell(r.z_score), _cell(r.series_terms),
-        _cell(r.condition_estimate), r.label,
-    ]
+    # a str, and a Python float (most cells of a sweep), go to the writer as
+    # they are: it writes a float's repr, as _cell does, in C.  Every other
+    # cell (None, int, bool, numpy scalars) goes through _cell
+    return [v if type(v) in _WRITER_CELLS else _cell(v) for v in r]
 
 
 def render_csv(rows: list[MetricPoint]) -> str:

@@ -86,6 +86,8 @@ class _Grid:
         return table
 
 
+# 0, 1, 2, ... as floats
+_INDEX = _Grid(lambda lo, hi: np.arange(lo, hi, dtype=float))
 # lgamma(1 + j/2), whose even entries j = 2n are ln(n!)
 _LGAMMA_HALF = _Grid(lambda lo, hi: np.array([math.lgamma(1.0 + 0.5 * j) for j in range(lo, hi)]))
 
@@ -156,14 +158,17 @@ def lower_gamma_ratio_table(k_max: int, x: float) -> np.ndarray:
     # absolute accuracy degrades gracefully as ~(x + k ln x) * eps from the
     # log-space cancellation; ~1e-13 at x = 400, far inside every consumer's
     # tolerance
-    j = np.arange(j_hi + 1, dtype=float)
-    logt = j * math.log(x) - x - _ln_factorial_array(j_hi)
-    t = np.exp(logt)
-    suffix = np.cumsum(t[::-1])[::-1]
+    t = _INDEX.upto(j_hi)[: j_hi + 1] * math.log(x)
+    t -= x
+    t -= _ln_factorial_array(j_hi)
+    np.exp(t, out=t)
+    # np.cumsum's own ufunc, without its Python wrapper's ~2 us a call, and
+    # into a new array: with out= its input, numpy copies the input first
+    suffix = np.add.accumulate(t[::-1])[::-1]
     out = np.zeros(k_max + 1)
     avail = min(k_max, j_hi - 1)
     out[: avail + 1] = suffix[1 : avail + 2]
-    return np.minimum(out, 1.0)
+    return np.minimum(out, 1.0, out=out)
 
 
 def _ln_factorial_array(n: int) -> np.ndarray:
@@ -318,11 +323,14 @@ def exp1_scaled(b) -> np.ndarray:
     bottom-up from a depth set by each element's own b (104 levels at b = 1,
     7 at b = 1e2), so an array call returns bit for bit the values of the
     elementwise calls.  Within 6e-16 relative of a 40-digit reference on
-    [1e-6, 1e6].
+    [1e-6, 1e6].  Arrays of at most `_EXP1_SCALAR_MAX` elements take the
+    same steps one element at a time (`_exp1_scaled_elements`).
     """
     b = np.asarray(b, dtype=float)
     if not (b > 0.0).all():
         raise ValueError("exp1_scaled requires b > 0")
+    if b.size <= _EXP1_SCALAR_MAX:
+        return _exp1_scaled_elements(b)
     small = b < 1.0
     if small.all():
         # no gather and no scatter: the series' buffer is the result
@@ -353,6 +361,46 @@ def exp1_scaled(b) -> np.ndarray:
     out[small] = series
     out[large] = quotient
     return out
+
+
+# arrays of at most this many elements take `exp1_scaled` element by element:
+# below it the array path's per-call numpy cost, a few ufunc calls per level
+# of the fraction, outweighs the Python loop
+_EXP1_SCALAR_MAX = 16
+# the power series' coefficients from the highest order down, and the
+# fraction's levels j = 0..103 as (2j + 1, (j + 1)^2) pairs; 104 is the
+# depth at b = 1, the deepest there is
+_E1_HORNER = _E1_SERIES[::-1].tolist()
+_E1_LEVELS = [(2.0 * j + 1.0, (j + 1.0) ** 2) for j in range(104)]
+
+
+def _exp1_scaled_elements(b: np.ndarray) -> np.ndarray:
+    """`exp1_scaled` one element at a time on Python floats, bit for bit: the
+    same series, fraction, depth rule and operation order.  Its
+    transcendental steps, b^0.8 for the depth, ln b and e^b, take one numpy
+    call each over the whole array, as the array path takes them; e^b is
+    formed only at b < 1, so a large b cannot overflow it."""
+    flat = b.ravel()
+    xs = flat.tolist()
+    if min(xs, default=1.0) < 1.0:
+        logs = np.log(flat).tolist()
+        exps = np.exp(np.minimum(flat, 1.0)).tolist()
+    if max(xs, default=0.0) >= 1.0:
+        roots = (flat**0.8).tolist()
+    out = []
+    for i, x in enumerate(xs):
+        if x < 1.0:
+            acc = _E1_HORNER[0]
+            for coef in _E1_HORNER[1:]:
+                acc = acc * x + coef
+            out.append(((-EULER_GAMMA - logs[i]) + acc * x) * exps[i])
+        else:
+            depth = math.ceil(100.0 / roots[i]) + 4
+            f = x + (2.0 * depth + 1.0)
+            for odd, square in _E1_LEVELS[depth - 1 :: -1]:
+                f = (x + odd) - square / f
+            out.append(1.0 / f)
+    return np.array(out).reshape(b.shape)
 
 
 def _exp1_scaled_series(x: np.ndarray) -> np.ndarray:
@@ -587,7 +635,7 @@ def log_gamma_mean_table(k_max: int, b: float) -> np.ndarray:
         raise ValueError("b must be positive")
     b = float(b)  # keeps the recurrence on Python floats, not numpy scalars
     if b > _RECURRENCE_B_MAX:
-        return np.cumsum(expn_scaled(np.arange(1, k_max + 2), b))
+        return np.add.accumulate(expn_scaled(np.arange(1, k_max + 2), b))
     head = min(k_max + 1, _RECURRENCE_HEAD)
     prev = math.exp(b) * exp1(b)
     recurrence = [prev]
@@ -598,4 +646,4 @@ def log_gamma_mean_table(k_max: int, b: float) -> np.ndarray:
     v[:head] = recurrence
     if head <= k_max:
         v[head:] = expn_scaled(np.arange(head + 1, k_max + 2), b)
-    return np.cumsum(v)
+    return np.add.accumulate(v)  # np.cumsum, as in lower_gamma_ratio_table

@@ -361,7 +361,7 @@ def _paper_kernel_table_per_call_grid(K, q, bp, n_a):
 def test_paper_kernel_table_matches_per_call_grid(monkeypatch, order):
     # fresh process-wide grids, so the first K of `order` is what grows them
     for module, name in ((specfn, "_LGAMMA_HALF"), (an, "_PAPER_LGAMMA"), (an, "_PAPER_SHAPES"),
-                         (an, "_SERIES_INDEX")):
+                         (an, "_PAPER_K1"), (an, "_PAPER_HALF_N_MINUS_1")):
         monkeypatch.setattr(module, name, specfn._Grid(getattr(module, name)._rows))
     cfg = sym_config(M=2, power=31.6, rho_e=0.97, rho_f=0.95, lambda_convention="paper")
     q, bp = cfg.relay_params()[0].q, cfg.beta * cfg.power
@@ -376,7 +376,7 @@ def test_paper_kernel_table_slices_the_shared_exponent_grid(monkeypatch, order):
     # each K is a slice of whatever grid the earlier K left; the rows of a
     # smaller K must be a prefix of a larger K's, so every table equals the
     # per-call formula bit for bit
-    for name in ("_PAPER_LGAMMA", "_PAPER_SHAPES"):
+    for name in ("_PAPER_LGAMMA", "_PAPER_SHAPES", "_PAPER_K1", "_PAPER_HALF_N_MINUS_1"):
         monkeypatch.setattr(an, name, specfn._Grid(getattr(an, name)._rows))
     cfg = sym_config(M=2, power=31.6, rho_e=0.97, rho_f=0.95, lambda_convention="paper")
     q, bp = cfg.relay_params()[0].q, cfg.beta * cfg.power
@@ -388,6 +388,7 @@ def test_paper_kernel_table_slices_the_shared_exponent_grid(monkeypatch, order):
 
 def test_series_grids_are_read_only():
     parts = (an._PAPER_LGAMMA.upto(30), an._PAPER_SHAPES.upto(30), an._SERIES_INDEX.upto(30),
+             an._PAPER_K1.upto(30), an._PAPER_HALF_N_MINUS_1.upto(30),
              an._HALF_N_MINUS_1, an._HALF_N_PLUS_1)
     for part in parts:
         with pytest.raises(ValueError):
@@ -786,9 +787,9 @@ def test_symmetric_path_evaluates_its_m_rows_once(monkeypatch, symmetric, rho_f)
         finite.append(lam_extra.ravel())
         return finite_rows(metric, links, lam_extra)
 
-    def counting_series(link, lam_extra, kernel):
+    def counting_series(link, lam_extra, kernel, out=None):
         series.append(lam_extra)
-        return series_rows(link, lam_extra, kernel)
+        return series_rows(link, lam_extra, kernel, out)
 
     monkeypatch.setattr(an, "_finite_rows", counting_finite)
     monkeypatch.setattr(an, "_series_rows", counting_series)

@@ -89,3 +89,23 @@ def test_only_simulating_commands_load_the_simulator(tmp_path, args, simulates):
         "print(json.dumps('relaysel.montecarlo' in sys.modules))"
     )
     assert json.loads(out) is simulates
+
+
+def test_capacity_commands_load_no_scipy(tmp_path):
+    # the capacity kernel's E1 (figure 9, and a fresh-link capacity sweep at
+    # b = r/P in [1, 3]) is relaysel's own: scipy.special's import would add
+    # about 270 ms to each of these cold starts
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"M": 3, "rho_f": 1.0}))
+    commands = [
+        ["reproduce", "--figure", "9", "--out", str(tmp_path / "f9.csv")],
+        ["sweep", "--config", str(cfg), "--metric", "capacity", "--mode", "analytic",
+         "--snr-db", "0:4:2", "--out", str(tmp_path / "c.csv")],
+    ]
+    out = run_python(
+        "import json, sys; from relaysel.cli import main; "
+        f"[main(args, standalone_mode=False) for args in {commands!r}]; "
+        "print(json.dumps('scipy' in sys.modules))"
+    )
+    assert json.loads(out) is False
+    assert len((tmp_path / "c.csv").read_text().splitlines()) == 4

@@ -232,6 +232,21 @@ def test_exp1_scaled_array_equals_elementwise_calls():
     # and b >= 1 shuffled together, 18,240 elements in one call
     pick = np.random.default_rng(20240817).permutation(60 * b.size) % b.size
     assert np.array_equal(specfn.exp1_scaled(b.ravel()[pick]), want[pick])
+    # arrays up to _EXP1_SCALAR_MAX elements run element by element: at every
+    # size on either side of it, a call equals the same values taken from one
+    # large array-path call, on [1, 3] (depths 104 to 46), on [700, 1e6],
+    # where e^b overflows and the element path must not form it, and on
+    # [1e-6, 1e6], where one call holds both branches
+    rng = np.random.default_rng(7)
+    pools = [rng.uniform(1.0, 3.0, 64), rng.uniform(700.0, 1e6, 64),
+             np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 64))]
+    for pool in pools:
+        whole = specfn.exp1_scaled(pool)
+        assert pool.size > specfn._EXP1_SCALAR_MAX
+        for size in range(1, specfn._EXP1_SCALAR_MAX + 2):
+            start = rng.integers(0, pool.size - size + 1)
+            part = slice(start, start + size)
+            assert np.array_equal(specfn.exp1_scaled(pool[part]), whole[part]), size
 
 
 def _exp1_scaled_fraction_every_level(x: np.ndarray) -> np.ndarray:
@@ -742,11 +757,16 @@ def _mean_q_gamma_loop(shape_max, c):
 
 
 def _log_gamma_mean_loop(k_max, b):
-    # the numpy-scalar recurrence of the b <= 15 branch, kept as its reference
+    # the numpy-scalar recurrence of the b <= 15 branch, kept as its
+    # reference.  It hands over to the continued fraction at
+    # _RECURRENCE_HEAD, as the table does: past it the two give different
+    # increments, and their running sums would agree only by rounding luck
+    head = min(k_max + 1, specfn._RECURRENCE_HEAD)
     v = np.empty(k_max + 1)
     v[0] = math.exp(b) * specfn.exp1(b)
-    for j in range(1, k_max + 1):
+    for j in range(1, head):
         v[j] = (1.0 - b * v[j - 1]) / j
+    v[head:] = specfn.expn_scaled(np.arange(head + 1, k_max + 2), b)
     return np.cumsum(v)
 
 
