@@ -381,8 +381,12 @@ def sample_gamma_batch(
 ) -> dict[str, np.ndarray]:
     """Draw n trials of the old SNRs: (n, M) arrays gamma_sm_o (source to
     relay) and gamma_md_o (relay to destination), each Exponential(lam) per
-    link.  `rates` = (source lam, relay lam), each as `per_link` gives it,
-    skips re-deriving the links.  `out` = (gamma_sm_o, gamma_md_o) are
+    link.  `rates` = (source rate, relay rate), each a float or an (M,)
+    array as `per_link` gives it, sets the rates that the draws are taken
+    at in place of the config's lam, which are then not derived.  They need
+    not be the config's: `montecarlo.simulate` passes 1.0 for the relay hop
+    on identical relay links and divides only the selected draw by lam, and
+    a rate of 1.0 costs no divide.  `out` = (gamma_sm_o, gamma_md_o) are
     C-contiguous float64 (n, M) arrays that receive the draws in place of
     fresh ones; the values are the same."""
     if rates is None:
@@ -402,7 +406,8 @@ def sample_gamma_batch(
     for buf, lam in zip(out, rates):
         rng.standard_exponential(out=buf)
         if np.ndim(lam) == 0:
-            buf /= lam
+            if lam != 1.0:  # a unit rate leaves the draws as they are
+                buf /= lam
             continue
         # column by column: a broadcast divide by the (M,) rates runs an
         # inner loop only M long, and is slower for the same bits

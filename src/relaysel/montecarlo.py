@@ -20,17 +20,21 @@ Both branches form their selected relay's current SNR from the one noise
 draw of the trial (`current_snr_into`), so they may select different
 relays and still agree in law with a draw per branch.  The stream of a
 metric does not depend on which other metrics a pass serves, so each
-estimate equals that of a pass for it alone to the bit.  The chunks are
-dealt round-robin to one task per worker on a thread pool as wide as the
-available CPUs; each task runs every chunk it is dealt in place in one
-workspace, so the per-chunk path allocates no array of chunk size.  The
-workspaces outlive the call in a small pool, so their pages are faulted in
-once per process rather than once per call.  The SER decode evaluates erfc
-only for the entries that the Chernoff bound Q(x) <= exp(-x^2/2)/2 cannot
-decide, and compares those exactly, so its mask is the exact mask.  The
-calling thread adds the per-chunk partial sums in chunk order, so results
-are bit-for-bit reproducible for a given (config, seed, trials) whatever
-the worker count.
+estimate equals that of a pass for it alone to the bit.  On identical
+relay links the selection keeps only the running maximum, as no link
+constant is gathered, and the relay-destination draws stay unit-rate: only
+the selected one is divided by the shared rate, which gives the same bits.
+
+The chunks are dealt round-robin to one task per worker on a thread pool
+as wide as the available CPUs; each task runs every chunk it is dealt in
+place in one workspace, so the per-chunk path allocates no array of chunk
+size.  The workspaces outlive the call in a small pool, so their pages are
+faulted in once per process rather than once per call.  The SER decode
+evaluates erfc only for the entries that the Chernoff bound
+Q(x) <= exp(-x^2/2)/2 cannot decide, and compares those exactly, so its
+mask is the exact mask.  The calling thread adds the per-chunk partial sums
+in chunk order, so results are bit-for-bit reproducible for a given
+(config, seed, trials) whatever the worker count.
 """
 from __future__ import annotations
 
@@ -161,7 +165,9 @@ def _chunks(trials: int):
 
 def _error_prob_into(gamma: np.ndarray, alpha: float, bp: float) -> np.ndarray:
     """Overwrite gamma with the symbol error probability at SNR gamma,
-    clip(alpha Q(sqrt(bp gamma)), 0, 1), Q(x) = erfc(x / sqrt 2) / 2."""
+    alpha Q(sqrt(bp gamma)), Q(x) = erfc(x / sqrt 2) / 2.  SystemConfig
+    enforces alpha <= 2, so the value is already in [0, 1]; above 1 it would
+    still compare with a uniform u < 1 as 1 does."""
     from scipy.special import erfc  # here, so importing relaysel loads no scipy
 
     gamma *= bp
@@ -170,7 +176,7 @@ def _error_prob_into(gamma: np.ndarray, alpha: float, bp: float) -> np.ndarray:
     erfc(gamma, out=gamma)
     gamma *= 0.5
     gamma *= alpha
-    return np.clip(gamma, 0.0, 1.0, out=gamma)
+    return gamma
 
 
 def _decode_screened(ws: _Workspace, n: int, alpha: float, bp: float) -> np.ndarray:
@@ -179,13 +185,15 @@ def _decode_screened(ws: _Workspace, n: int, alpha: float, bp: float) -> np.ndar
     the uniforms u in ws.u[:n].
 
     Q(x) <= exp(-x^2/2)/2 (Chiani, Dardari & Simon 2003), so an entry with u
-    at or above that bound decodes; erfc runs only on the other entries.
+    at or above that bound decodes; erfc runs only on the other entries.  The
+    bound has no upper clip: u < 1, so a bound above 1 leaves its entry
+    undecided, as a bound of 1 would.
     """
     gamma, u, bound = ws.sm[:n], ws.u[:n], ws.scratch[:n]
     np.multiply(gamma, -0.5 * bp, out=bound)
+    bound += math.log(0.5 * alpha * _SCREEN_SLACK)
     np.exp(bound, out=bound)
-    bound *= 0.5 * alpha * _SCREEN_SLACK
-    np.clip(bound, _SCREEN_FLOOR, 1.0, out=bound)
+    np.maximum(bound, _SCREEN_FLOOR, out=bound)
     decoded = np.greater_equal(u, bound, out=ws.decoded[:n])
     undecided = np.logical_not(decoded, out=ws.undecided[:n])
     idx = np.flatnonzero(undecided)
@@ -204,6 +212,7 @@ def _select(
     rho_f: np.ndarray | float,
     theta: np.ndarray | float,
     ws: _Workspace,
+    lam: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Best old relay-destination SNR (ws.md[:n], left as it is) among
     decoded relays, then the current SNR of that relay alone, from the
@@ -213,31 +222,44 @@ def _select(
     (probability zero for continuous draws) break toward the lowest index.
     Returns (none, current): the trials in which no relay decoded, and the
     current SNR, formed from old SNR 0 and relay 0's link in those
-    trials."""
+    trials.
+
+    With float constants only the maximum is kept, since no link constant
+    is gathered, and ws.md may hold unit-rate draws: the selected maximum is
+    then divided by the shared rate lam, which gives the bits of dividing
+    every draw, fl(max E) / lam = max fl(E / lam), as the division by a
+    positive constant is monotone and correctly rounded."""
     n, M = decoded.shape
     # (decoded - 1/2) inf is +inf where a relay decoded and -inf elsewhere,
     # so the minimum with it masks out the relays that did not decode
     md = np.subtract(decoded, 0.5, out=ws.scratch[:n])
     md *= np.inf
     np.minimum(ws.md[:n], md, out=md)
-    # argmax over the M columns: a later column wins only when strictly
-    # greater, so ties keep the lowest index
-    g, m_star = ws.g[:n], ws.m_star[:n]
+    g = ws.g[:n]
     np.copyto(g, md[:, 0])
-    m_star.fill(0)
-    better, step = ws.none[:n], ws.step[:n]  # scratch until `none` is set
-    for j in range(1, M):
-        np.greater(md[:, j], g, out=better)
-        np.maximum(g, md[:, j], out=g)
-        np.multiply(better, j, out=step)
-        np.maximum(m_star, step, out=m_star)
+    gather = np.ndim(rho_f) != 0
+    if gather:
+        # argmax over the M columns: a later column wins only when strictly
+        # greater, so ties keep the lowest index
+        m_star = ws.m_star[:n]
+        m_star.fill(0)
+        better, step = ws.none[:n], ws.step[:n]  # scratch until `none` is set
+        for j in range(1, M):
+            np.greater(md[:, j], g, out=better)
+            np.maximum(g, md[:, j], out=g)
+            np.multiply(better, j, out=step)
+            np.maximum(m_star, step, out=m_star)
+    else:  # identical relay links: no constant to gather, so no argmax
+        for j in range(1, M):
+            np.maximum(g, md[:, j], out=g)
     # -inf marks a trial in which no relay decoded
     none = np.equal(g, -np.inf, out=ws.none[:n])
     np.copyto(g, 0.0, where=none)
 
     # relays with rho_f = 1 keep the old SNR
     x, y, scratch = ws.x[:n], ws.y[:n], ws.scratch.reshape(-1)[:n]
-    if np.ndim(rho_f) == 0:  # identical relay links: no gather
+    if not gather:
+        g /= lam
         if rho_f < 1.0:
             current_snr_into(g, rho_f, theta, x, y, scratch)
         return none, g
@@ -327,7 +349,7 @@ def simulate(
     r_o, power = config.r_o, config.power
     alpha, bp = config.alpha, config.beta * config.power
     source, relay = config.source_params(), config.relay_params()
-    rates = (per_link(lp.lam for lp in source), per_link(lp.lam for lp in relay))
+    source_lam, relay_lam = (per_link(lp.lam for lp in links) for links in (source, relay))
     # floats only when every relay link shares both, so _select gathers both
     # or neither
     if len({(lp.rho_f, lp.theta) for lp in relay}) == 1:
@@ -335,6 +357,12 @@ def simulate(
     else:
         rho_f = np.array([lp.rho_f for lp in relay])
         theta = np.array([lp.theta for lp in relay])
+    # on identical relay links the relay-destination draws stay unit-rate
+    # and _select divides only the selected one by the shared rate
+    hop = 1.0
+    if np.ndim(rho_f) == 0 and np.ndim(relay_lam) == 0:
+        hop, relay_lam = relay_lam, 1.0
+    rates = (source_lam, relay_lam)
     stale = any(lp.rho_f < 1.0 for lp in relay)
 
     def run_chunk(idx: int, n: int, ws: _Workspace) -> dict[str, tuple[float, float]]:
@@ -346,7 +374,7 @@ def simulate(
         sums = {}
         if threshold:
             decoded = np.greater_equal(ws.sm[:n], r_o, out=ws.decoded[:n])
-            none, current = _select(decoded, rho_f, theta, ws)
+            none, current = _select(decoded, rho_f, theta, ws, hop)
             if outage:
                 lost = np.less(current, r_o, out=ws.flag.reshape(-1)[:n])
                 lost |= none
@@ -361,7 +389,7 @@ def simulate(
         if ser:
             rng.random(out=ws.u[:n])
             decoded = _decode_screened(ws, n, alpha, bp)
-            none, current = _select(decoded, rho_f, theta, ws)
+            none, current = _select(decoded, rho_f, theta, ws, hop)
             cond_err = _error_prob_into(current, alpha, bp)
             np.copyto(cond_err, 0.5, where=none)
             if estimator == "bernoulli":

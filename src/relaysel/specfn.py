@@ -273,7 +273,7 @@ def bessel_j0(x: float) -> float:
 
 def exp1(y: float) -> float:
     """Standard exponential integral E1(y) = int_y^inf e^(-t)/t dt, y > 0."""
-    if y <= 0.0:
+    if not y > 0.0:  # NaN too
         raise ValueError("exp1 requires y > 0")
     if y <= 1.0:
         # series E1 = -gamma - ln y + sum (-1)^(k+1) y^k / (k k!)
@@ -285,27 +285,8 @@ def exp1(y: float) -> float:
             if abs(term) < 1e-18 * max(1.0, abs(acc)):
                 break
         return acc
-    # modified Lentz continued fraction: E1 = e^-y / (y + 1 - 1/(y+3 - 4/(...)))
-    tiny = 1e-300
-    b = y + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 200):
-        a = -i * i
-        b += 2.0
-        d = a * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + a / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return math.exp(-y) * h
+    # e^-y times exp1_scaled's continued fraction
+    return _exp1_fraction(y, y**0.8) * math.exp(-y)
 
 
 # (-1)^(k+1) / (k k!) for k = 1..18, the E1 power-series coefficients; the
@@ -395,12 +376,18 @@ def _exp1_scaled_elements(b: np.ndarray) -> np.ndarray:
                 acc = acc * x + coef
             out.append(((-EULER_GAMMA - logs[i]) + acc * x) * exps[i])
         else:
-            depth = math.ceil(100.0 / roots[i]) + 4
-            f = x + (2.0 * depth + 1.0)
-            for odd, square in _E1_LEVELS[depth - 1 :: -1]:
-                f = (x + odd) - square / f
-            out.append(1.0 / f)
+            out.append(_exp1_fraction(x, roots[i]))
     return np.array(out).reshape(b.shape)
+
+
+def _exp1_fraction(x: float, root: float) -> float:
+    """e^x E1(x) at x >= 1 on Python floats: `exp1_scaled`'s continued
+    fraction, bottom-up from depth ceil(100 / root) + 4, root = x^0.8."""
+    depth = math.ceil(100.0 / root) + 4
+    f = x + (2.0 * depth + 1.0)
+    for odd, square in _E1_LEVELS[depth - 1 :: -1]:
+        f = (x + odd) - square / f
+    return 1.0 / f
 
 
 def _exp1_scaled_series(x: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -284,14 +285,38 @@ def test_one_pass_matches_recorded_bits(config):
 
 
 def test_one_pass_independent_of_worker_count(monkeypatch):
-    cfg = mixed_asym_config(3)
+    # the chunk sums are added in chunk order, whatever the worker count and
+    # however long a worker takes; a short last chunk
     trials = 5 * mc.CHUNK_SIZE + 777
-    for seed in (41, 42):
-        results = []
-        for workers in (1, 3):
-            monkeypatch.setattr(mc, "_WORKERS", workers)
-            results.append(dict(mc.simulate(cfg, trials, seed)))
-        assert results[0] == results[1]
+    # mixed links, and identical relay links with a relay-destination rate
+    # other than 1, so that _select divides the selected draw
+    configs = {
+        "mixed-asym-3": mixed_asym_config(3),
+        "identical-stale": sym_config(M=4, power=10.0, rho_e=0.95, rho_f=0.9),
+        "identical-fresh": sym_config(M=3, power=10.0, rho_e=0.95, rho_f=1.0),
+    }
+    real, lock, slow = mc._chunk_rng, threading.Lock(), []
+
+    def slow_first_thread(seed, idx):
+        # the first thread to start a chunk sleeps in each of its chunks
+        with lock:
+            if not slow:
+                slow.append(threading.get_ident())
+        if threading.get_ident() == slow[0]:
+            time.sleep(0.02)
+        return real(seed, idx)
+
+    for name, cfg in configs.items():
+        for seed in (41, 42):
+            results = []
+            for workers in (1, 2, 5):
+                monkeypatch.setattr(mc, "_WORKERS", workers)
+                results.append(dict(mc.simulate(cfg, trials, seed)))
+            slow.clear()
+            with monkeypatch.context() as m:
+                m.setattr(mc, "_chunk_rng", slow_first_thread)
+                results.append(dict(mc.simulate(cfg, trials, seed)))
+            assert all(r == results[0] for r in results), (name, seed)
 
 
 def test_simulate_returns_an_immutable_mapping_of_the_requested_metrics():
@@ -373,6 +398,32 @@ def test_screened_decode_on_random_draws():
         np.testing.assert_array_equal(mc._decode_screened(ws, 5000, alpha, bp), want)
 
 
+@pytest.mark.parametrize("M", [1, 2, 4])
+@pytest.mark.parametrize("rho_f, theta", [(1.0, 0.0), (0.8, 0.18)], ids=["fresh", "stale"])
+def test_select_on_identical_links_equals_the_per_link_path(M, rho_f, theta):
+    # on identical relay links the simulator draws the relay hop at unit
+    # rate and _select divides only the selected maximum by the shared rate;
+    # the per-link path selects on draws that are divided first, as
+    # sample_gamma_batch divides them
+    n, lam = 5000, 1.6343490304709147
+    rng = np.random.default_rng(50 + M)
+    unit = rng.standard_exponential((n, M))
+    decoded = rng.random((n, M)) < 0.5
+    decoded[:40] = False  # rows in which no relay decoded
+    ws = mc._Workspace(M)
+    ws.x[:n], ws.y[:n] = rng.standard_normal((2, n))
+
+    ws.md[:n] = unit
+    got = [a.copy() for a in mc._select(decoded, rho_f, theta, ws, lam)]
+    ws.md[:n] = unit
+    ws.md[:n] /= lam
+    want = mc._select(decoded, np.full(M, rho_f), np.full(M, theta), ws)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    none = got[0]
+    assert none[:40].all() and not none.all()
+
+
 def test_select_keeps_the_old_snr_of_rho_f_1_relays():
     M, n = 3, 5000
     md = np.random.default_rng(31).standard_exponential((n, M))
@@ -450,8 +501,6 @@ def test_one_metric_equals_the_all_metric_pass_on_mixed_links(estimator):
 def test_concurrent_callers_get_the_bits_of_serial_calls():
     # two calls at once share the workspace pool, at two relay counts, so
     # one may fit a workspace that the other has just put back
-    import threading
-
     jobs = [(sym_config(M=4, power=10.0, rho_f=0.9), 61), (mixed_asym_config(2), 62)]
     trials = 4 * mc.CHUNK_SIZE + 99
     want = [dict(mc.simulate(cfg, trials, seed)) for cfg, seed in jobs]

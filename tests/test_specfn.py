@@ -213,6 +213,58 @@ def test_exp1_scaled_against_mpmath():
     assert np.all(np.abs(got - want) <= 1e-14 * want)
 
 
+# E1(y) from mpmath 1.3.0 at 50 digits, rounded to 40, at points of
+# np.linspace(1, 1.5, 2001)[1:] (exact binary values): every 125th, and the
+# 20 where a modified Lentz fraction, which the scalar exp1 once used, was
+# worst (8e-15 to 1.1e-14 relative)
+E1_JUST_ABOVE_ONE_40 = [
+    (1.00025, "0.2192919875229033165480273784411441267657"),
+    (1.01825, "0.2127908248201042117515321557507402968072"),
+    (1.02325, "0.2110258166075731085613992769494324469366"),
+    (1.0235, "0.2109380237681460504034706060546956334287"),
+    (1.0315, "0.2081514138239552009132861427620594196201"),
+    (1.03275, "0.2077199626456311492312823825137315930446"),
+    (1.04925, "0.2021229518690769587111664127604733211973"),
+    (1.051, "0.2015398642504653720471238446455337760125"),
+    (1.06275, "0.1976759190313249097897648963657583970486"),
+    (1.0785, "0.1926328216432259384336454275926188726161"),
+    (1.0865, "0.1901293447931214889283099515476218870921"),
+    (1.09125, "0.1886610102163624805731107722193441987067"),
+    (1.094, "0.1878170126994721147995059261287535428515"),
+    (1.1245, "0.1787470855856686478550715176418592925264"),
+    (1.12525, "0.178530599475241743113524659358761405583"),
+    (1.1355, "0.1756024453162102711767258963074742910801"),
+    (1.1365, "0.1753197860578126324372742623771661028522"),
+    (1.13775, "0.174967208378984469049140708780161404883"),
+    (1.1565, "0.1697764884990082747937922136110900587153"),
+    (1.158, "0.1693690360314131681035467156825251151386"),
+    (1.18775, "0.1615179684962776911472881418663179911908"),
+    (1.21075, "0.1557366179808695816436571908920559849683"),
+    (1.219, "0.1537214383120397456931644910470048862814"),
+    (1.25025, "0.1463560844569384491087631055165536239725"),
+    (1.2815, "0.1393935986921155564825943278421589217266"),
+    (1.28475, "0.1386915600647507438074280524249808707842"),
+    (1.2922500000000001, "0.1370868660802417290788206507622501810054"),
+    (1.30925, "0.1335275546279486983287058528351749904832"),
+    (1.31275, "0.1328079298562609857331315924201454038314"),
+    (1.344, "0.1265750650935240462912214317508559775516"),
+    (1.3495, "0.1255129010986039484838454590550162307853"),
+    (1.36025, "0.123465975980965666686181925545413565933"),
+    (1.37525, "0.1206728364203543331377260565648477677621"),
+    (1.4065, "0.1150807492085974844601226591733950023243"),
+    (1.43775, "0.1097798296890001319550553024748480487551"),
+    (1.469, "0.1047524890154461392002095716343781085859"),
+    (1.5, "0.1000195824066326519019093399116669782617"),
+]
+
+
+def test_scalar_exp1_against_mpmath_just_above_one():
+    # the continued fraction from exp1_scaled, times e^-y
+    for y, v in E1_JUST_ABOVE_ONE_40:
+        want = float(v)
+        assert abs(specfn.exp1(y) - want) <= 1e-15 * want, y
+
+
 def test_exp1_scaled_against_scalar_exp1_on_a_dense_grid():
     # the scalar E1 times e^b, where e^b is finite, on both sides of b = 1
     b = np.concatenate((np.logspace(-6, 2.5, 400), np.linspace(0.9, 1.1, 41)))
@@ -276,6 +328,12 @@ def test_exp1_scaled_fraction_equals_the_every_level_loop(draw):
     b = draw(np.random.default_rng(20240817))
     assert (b >= 1.0).all()
     assert np.array_equal(specfn.exp1_scaled(b), _exp1_scaled_fraction_every_level(b))
+
+
+def test_exp1_rejects_nonpositive_and_nan():
+    for y in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="requires y > 0"):
+            specfn.exp1(y)
 
 
 def test_exp1_scaled_rejects_nonpositive():
