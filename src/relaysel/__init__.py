@@ -9,6 +9,7 @@ relaysel.montecarlo, and with it its thread pool, on first access.
 
 from .analytic import (
     DecodingSet,
+    MetricCurve,
     MetricResult,
     all_decoding_sets,
     aser_conditional_pdf,
@@ -40,6 +41,7 @@ __all__ = [
     "FadingParams",
     "LinkParams",
     "McEstimate",
+    "MetricCurve",
     "MetricResult",
     "SeriesControl",
     "SeriesError",

@@ -49,6 +49,17 @@ condition in one stacked product) and those of the per-candidate
 drivers sum over decoding sets and raise `SeriesError` on a negative total.
 The public `*_general` / `*_symmetric` functions and their dispatchers only
 pick a record and a driver.
+
+A metric call evaluates a curve: with powers=, the config at each of them,
+returned as a `MetricCurve` that holds each point's MetricResult, or the
+SeriesError raised at that point; without, the config's own power, whose
+result is returned or error raised.  The symmetric driver derives the
+curve's links once, as arrays over its powers, builds each point's record
+and kernel table, and evaluates the points in blocks: a block's series
+share one buffer of powers, within `SERIES_BLOCK_BYTES` (glibc's default
+mmap threshold, 128 KiB), and one stacked product combines them.  Each
+point gets the bits of a call at its power alone.  The general path runs
+its driver once per power.
 """
 
 from __future__ import annotations
@@ -58,7 +69,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -116,6 +127,21 @@ class MetricResult:
     value: float
     series_terms_used: int
     condition_estimate: float
+
+
+class MetricCurve(list):
+    """What a metric call with powers= returns: per power, in order, the
+    MetricResult of the config at that power, or the SeriesError raised
+    there.  Like a MetricResult it reports the series terms behind it (all
+    points' together) and its condition (the largest of its points')."""
+
+    @property
+    def series_terms_used(self) -> int:
+        return sum(r.series_terms_used for r in self if isinstance(r, MetricResult))
+
+    @property
+    def condition_estimate(self) -> float:
+        return max((r.condition_estimate for r in self if isinstance(r, MetricResult)), default=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -220,36 +246,61 @@ def _series_length(
 
 # the series index k = 0, 1, ... as floats: specfn's shared read-only grid
 _SERIES_INDEX = specfn._INDEX
+# a block of points shares one (points, rows, K) buffer of series powers, K
+# the longest series among them, and points join a block while that buffer
+# stays within this many bytes: glibc's default mmap threshold
+# (M_MMAP_THRESHOLD, 128 KiB), below which malloc serves it from the heap.
+# A point whose own powers exceed it (M = 3 at rho_f = 0.999 holds 3 x
+# ~18,000 terms, 430 kB) runs in a block of its own, with no copy padded to
+# another point's length.  Every figure curve fits one block.  Measured in
+# process (medians of 25 interleaved rounds): a figures pass takes 40.4 ms
+# with one point per block, 32.0 at 32 KiB, 31.6 at 128 KiB and 31.7 at
+# 1 MiB; a warm pass of the scaling benchmark's rho_f = 0.99 and 0.999
+# sweeps faults in 0 pages at 128 KiB and 105 at 1 MiB
+SERIES_BLOCK_BYTES = 1 << 17
 
 
 def _series_rows(
-    link: LinkParams, lam_extra: np.ndarray, kernel: np.ndarray, out: np.ndarray | None = None
+    links: list[LinkParams],
+    lam_extra: np.ndarray,
+    kernels: list[np.ndarray],
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """sum_k kernel[k] lam (c/2)^k / a_j^(k+1) over k < len(kernel) for
-    every rate sum a_j = lam + c/2 + lam_extra[j]: one uncombined row per
-    subset, written into out when given."""
-    lam, half_c = link.lam, 0.5 * link.c
+    """Uncombined subset rows of a block of points: row j of point b is
+    sum_k kernels[b][k] lam (c/2)^k / a^(k+1) over k < len(kernels[b]), with
+    lam and c those of links[b] and a = lam + c/2 + lam_extra[b, j], written
+    into out when given.  Each point's sums are one BLAS product on the
+    [:, :len(kernels[b])] slice of the block's shared powers buffer, so a
+    point gets the same bits in any block, alone or beside longer series."""
     # the per-row sums and quotients on Python floats, rounded as numpy
     # rounds them: on the symmetric path's few rows numpy's per-call cost
     # outweighs the arithmetic
-    bases = [lam + half_c + extra for extra in lam_extra.tolist()]
-    ratios = [half_c / base for base in bases]
+    ratios, weights = [], []
+    for link, extras in zip(links, lam_extra.tolist()):
+        lam, half_c = link.lam, 0.5 * link.c
+        bases = [lam + half_c + extra for extra in extras]
+        ratios.append([half_c / base for base in bases])
+        weights.append([lam / base for base in bases])
     ratio = np.array(ratios)
-    k = _SERIES_INDEX.upto(len(kernel))[: len(kernel)]
-    # the exponent product is the one (rows x K) buffer, and exp writes into
-    # it: a second one of ~430 kB at rho_f = 0.999 (K ~ 18,000) made glibc
-    # hand the heap's top back and fault it in again on every call
-    if 0.0 not in ratios:
-        powers = np.log(ratio)[:, None] * k
+    K = max(map(len, kernels))
+    k = _SERIES_INDEX.upto(K)[:K]
+    # the exponent product is the block's one powers buffer, and exp writes
+    # into it: a second one of ~430 kB at rho_f = 0.999 (K ~ 18,000) made
+    # glibc hand the heap's top back and fault it in again on every call
+    if not any(0.0 in row for row in ratios):
+        powers = np.log(ratio)[:, :, None] * k
         np.exp(powers, out=powers)
     else:
         # a zero ratio (rho_f = 0, or one that underflowed) gives log -inf:
         # 0^k is 0 for k > 0, and the -inf * 0 at k = 0 is replaced by 0^0 = 1
         with np.errstate(divide="ignore", invalid="ignore"):
-            powers = np.log(ratio)[:, None] * k
+            powers = np.log(ratio)[:, :, None] * k
             np.exp(powers, out=powers)
         powers[ratio == 0.0, 0] = 1.0
-    return np.multiply([lam / base for base in bases], powers @ kernel, out=out)
+    sums = np.empty(ratio.shape)
+    for b, kernel in enumerate(kernels):
+        np.matmul(powers[b, :, : len(kernel)], kernel, out=sums[b])
+    return np.multiply(weights, sums, out=out)
 
 
 def _result(total: float, terms: int, values: list[float], mags: list[float]) -> MetricResult:
@@ -423,45 +474,121 @@ def _size_table(M: int) -> tuple[np.ndarray, tuple[float, ...], np.ndarray]:
     return table, tuple(float(math.comb(M, l)) for l in range(1, M + 1)), sizes
 
 
-def _total_symmetric(config: SystemConfig, metric: _Metric, ctrl: SeriesControl) -> MetricResult:
+def _total_symmetric(
+    config: SystemConfig,
+    metric_of: Callable[[SystemConfig], _Metric],
+    ctrl: SeriesControl,
+    powers: Sequence[float] | None = None,
+) -> MetricResult | MetricCurve:
     """Identical links: decoding sets grouped by size l with weight
     C(M, l) p^l fail^(M-l), and the subsets of each by size s, which
     collapse to (-1)^s C(l-1, s) times the row at rate sum s*lam.  The row
-    for s is the same for every l, so the M rows are evaluated once: in
-    finite form (`_finite_rows`) at rho_f = 1, else as the k-series over the
-    metric's kernel table at ctrl's series length (`_series_rows`), written
-    straight into the stacked operand.  One stacked product with
-    `_size_table(M)` gives every size's signed sum and magnitude sum, one
-    BLAS dot per size, and the metric's finish maps them as Python floats.
+    for s is the same for every l, so the M rows are evaluated once per
+    point: in finite form (`_finite_rows`) at rho_f = 1, else as the
+    k-series over the metric's kernel table at ctrl's series length
+    (`_series_rows`), written straight into the stacked operand.
+
+    A call evaluates a curve: the config at each of powers
+    (`SystemConfig.at_powers`, whose errors it raises), or at its own power
+    alone.  The links are derived once per curve (as arrays over the
+    powers), or twice when the two hops hold different FadingParams objects
+    (`SystemConfig.symmetric_params`); each point builds its metric record
+    (metric_of) and its kernel table.  The points then go in blocks
+    (`SERIES_BLOCK_BYTES`), and one stacked product of a block's operand
+    with `_size_table(M)` gives every point's and size's signed sum and
+    magnitude sum, one BLAS dot each, which the metric's finish maps as
+    Python floats.
+
     A row's zero padding past s = l - 1 adds exact zeros, so each dot
     equals the l-term dot of a per-size loop bit for bit while BLAS sums
-    those M terms in order (OpenBLAS's Haswell ddot does below 16 terms);
-    past that the order, not the terms, can differ.  The condition is the largest of the sizes' conditions, with one
-    warning for them all.  The link is derived once, or twice when the two
-    hops hold different FadingParams objects (`SystemConfig.symmetric_params`)."""
+    those M terms in order.  OpenBLAS's Haswell ddot does so below 16
+    terms; past that the order, not the terms, can differ.
+
+    Each point's condition is the largest of its sizes' conditions, with
+    one warning for them all, point by point.  Without powers the point's
+    result is returned, or its SeriesError raised; with powers, a
+    `MetricCurve` holds each point's result or SeriesError in its slot."""
     if not config.is_symmetric():
         raise ValueError("symmetric path requires identical per-link parameters")
+    configs = [config] if powers is None else config.at_powers(powers)
+    src, rel = config.symmetric_params(np.array([cfg.power for cfg in configs]))
+    sources = src.per_power()
+    links = sources if rel is src else rel.per_power()
     M = config.M
-    src, rel = config.symmetric_params()
-    p, fail = metric.decode(src)
+    out = MetricCurve([None] * len(configs))
+    block, width = [], 0  # the pending points and their longest series
+    for i, (cfg, source, link) in enumerate(zip(configs, sources, links)):
+        metric = metric_of(cfg)
+        try:
+            kernel = None if link.degenerate else metric.table(link, ctrl)
+        except SeriesError as e:
+            out[i] = e
+            continue
+        terms = 0 if kernel is None else len(kernel)
+        if block and (len(block) + 1) * max(width, terms) * M * 8 > SERIES_BLOCK_BYTES:
+            _symmetric_block(M, block, out)
+            block, width = [], 0
+        block.append((i, metric, source, link, kernel))
+        width = max(width, terms)
+        del kernel  # the block alone holds it, so a long table goes with its block
+        if width * M * 8 > SERIES_BLOCK_BYTES:
+            # a point over the budget alone runs at once, so that its table
+            # is gone before the next point builds its own
+            _symmetric_block(M, block, out)
+            block, width = [], 0
+    if block:
+        _symmetric_block(M, block, out)
+    if powers is not None:
+        return out
+    if isinstance(out[0], SeriesError):
+        raise out[0]
+    return out[0]
+
+
+def _symmetric_block(M: int, block: list, out: MetricCurve) -> None:
+    """`_total_symmetric`'s rows, combine and results for a block of
+    (index, metric, source link, relay link, kernel table or None) points,
+    each result or SeriesError put in out[index]."""
     table, comb, sizes = _size_table(M)
-    both = np.empty((2, 1, M, 1))  # the rows, then their magnitudes
-    rows = both[0, 0, :, 0]
-    if rel.degenerate:
-        rows[:] = _finite_rows(metric, [rel], (sizes * rel.lam)[None, :])[0]
-        terms = 1
+    index, metrics, sources, links, kernels = zip(*block)
+    both = np.empty((2, len(block), 1, M, 1))  # the rows, then their magnitudes
+    rows = both[0, :, 0, :, 0]
+    if kernels[0] is None:  # rho_f = 1 links
+        for row, metric, link in zip(rows, metrics, links):
+            row[:] = _finite_rows(metric, [link], (sizes * link.lam)[None, :])[0]
     else:
-        kernel = metric.table(rel, ctrl)
-        _series_rows(rel, sizes * rel.lam, kernel, out=rows)
-        terms = len(kernel)
-    np.abs(rows, out=both[1, 0, :, 0])
-    values, mags = (table @ both)[:, :, 0, 0].tolist()
-    finish = metric.finish
-    values, mags = [finish(v) for v in values], [finish(v) for v in mags]
-    total = metric.empty * fail**M
-    for l, (c, value) in enumerate(zip(comb, values), 1):
-        total += c * p**l * fail ** (M - l) * l * value
-    return _result(total, terms, values, mags)
+        lam_extra = np.array([link.lam for link in links])[:, None] * sizes
+        _series_rows(links, lam_extra, kernels, out=rows)
+    np.abs(rows, out=both[1, :, 0, :, 0])
+    # every point of a curve shares its metric's finish
+    sums = metrics[0].finish((table[:, None] @ both)[:, :, :, 0, 0]).tolist()
+    for i, metric, source, kernel, values, mags in zip(index, metrics, sources, kernels, *sums):
+        p, fail = metric.decode(source)
+        total = metric.empty * fail**M
+        for l, (c, value) in enumerate(zip(comb, values), 1):
+            total += c * p**l * fail ** (M - l) * l * value
+        try:
+            out[i] = _result(total, 1 if kernel is None else len(kernel), values, mags)
+        except SeriesError as e:
+            out[i] = e
+
+
+def _each_power(
+    config: SystemConfig,
+    powers: Sequence[float] | None,
+    total: Callable[[SystemConfig], MetricResult],
+) -> MetricResult | MetricCurve:
+    """total(config), or with powers the `MetricCurve` of total at each
+    config of `config.at_powers(powers)`, a SeriesError in its slot."""
+    if powers is None:
+        return total(config)
+    out = MetricCurve()
+    for cfg in config.at_powers(powers):
+        try:
+            out.append(total(cfg))
+        except SeriesError as e:
+            out.append(e)
+    return out
 
 
 def _threshold_decode(r_o: float) -> Callable[[LinkParams], tuple[float, float]]:
@@ -607,19 +734,29 @@ def outage_conditional_quadrature(D: DecodingSet, m: int, config: SystemConfig) 
     return _panel_quadrature(integrand, sorted(b for b in breaks if b <= upper))
 
 
-def outage_total_general(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) -> MetricResult:
+def outage_total_general(
+    config: SystemConfig, ctrl: SeriesControl = SeriesControl(), *, powers: Sequence[float] | None = None
+) -> MetricResult | MetricCurve:
     """Total outage probability over all 2^M decoding sets; the empty set
-    (certain outage) has weight Pr[D = {}].  In finite form: ctrl has no effect."""
-    return _total_general(config, _outage(config), prob_decoding_set(config, DecodingSet(())))
+    (certain outage) has weight Pr[D = {}].  In finite form: ctrl has no
+    effect.  With powers, the `MetricCurve` over them, one call per power."""
+    return _each_power(config, powers, lambda cfg: _total_general(
+        cfg, _outage(cfg), prob_decoding_set(cfg, DecodingSet(()))))
 
 
-def outage_total_symmetric(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) -> MetricResult:
-    return _total_symmetric(config, _outage(config), ctrl)
+def outage_total_symmetric(
+    config: SystemConfig, ctrl: SeriesControl = SeriesControl(), *, powers: Sequence[float] | None = None
+) -> MetricResult | MetricCurve:
+    """Total outage probability of identical links; with powers, the
+    `MetricCurve` over them (`_total_symmetric`)."""
+    return _total_symmetric(config, _outage, ctrl, powers)
 
 
-def outage_total(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) -> MetricResult:
+def outage_total(
+    config: SystemConfig, ctrl: SeriesControl = SeriesControl(), *, powers: Sequence[float] | None = None
+) -> MetricResult | MetricCurve:
     path = outage_total_symmetric if config.is_symmetric() else outage_total_general
-    return path(config, ctrl)
+    return path(config, ctrl, powers=powers)
 
 
 # ---------------------------------------------------------------------------
@@ -730,18 +867,27 @@ def _aser(config: SystemConfig) -> _Metric:
     return _Metric(decode, 0.5, table, degenerate, lambda v: alpha * v, stale)
 
 
-def aser_total_general(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) -> MetricResult:
-    """ASER over all 2^M decoding sets, in finite form: ctrl has no effect."""
-    return _total_general(config, _aser(config))
+def aser_total_general(
+    config: SystemConfig, ctrl: SeriesControl = SeriesControl(), *, powers: Sequence[float] | None = None
+) -> MetricResult | MetricCurve:
+    """ASER over all 2^M decoding sets, in finite form: ctrl has no effect.
+    With powers, the `MetricCurve` over them, one call per power."""
+    return _each_power(config, powers, lambda cfg: _total_general(cfg, _aser(cfg)))
 
 
-def aser_total_symmetric(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) -> MetricResult:
-    return _total_symmetric(config, _aser(config), ctrl)
+def aser_total_symmetric(
+    config: SystemConfig, ctrl: SeriesControl = SeriesControl(), *, powers: Sequence[float] | None = None
+) -> MetricResult | MetricCurve:
+    """ASER of identical links; with powers, the `MetricCurve` over them
+    (`_total_symmetric`)."""
+    return _total_symmetric(config, _aser, ctrl, powers)
 
 
-def aser_total(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) -> MetricResult:
+def aser_total(
+    config: SystemConfig, ctrl: SeriesControl = SeriesControl(), *, powers: Sequence[float] | None = None
+) -> MetricResult | MetricCurve:
     path = aser_total_symmetric if config.is_symmetric() else aser_total_general
-    return path(config, ctrl)
+    return path(config, ctrl, powers=powers)
 
 
 # ---------------------------------------------------------------------------
@@ -797,18 +943,24 @@ def _capacity(config: SystemConfig) -> _Metric:
 
 
 def capacity_lb_avg_general(
-    config: SystemConfig, ctrl: SeriesControl = SeriesControl()
-) -> MetricResult:
-    """Capacity lower bound over all 2^M decoding sets, in finite form: ctrl has no effect."""
-    return _total_general(config, _capacity(config))
+    config: SystemConfig, ctrl: SeriesControl = SeriesControl(), *, powers: Sequence[float] | None = None
+) -> MetricResult | MetricCurve:
+    """Capacity lower bound over all 2^M decoding sets, in finite form: ctrl
+    has no effect.  With powers, the `MetricCurve` over them, one call per
+    power."""
+    return _each_power(config, powers, lambda cfg: _total_general(cfg, _capacity(cfg)))
 
 
 def capacity_lb_avg_symmetric(
-    config: SystemConfig, ctrl: SeriesControl = SeriesControl()
-) -> MetricResult:
-    return _total_symmetric(config, _capacity(config), ctrl)
+    config: SystemConfig, ctrl: SeriesControl = SeriesControl(), *, powers: Sequence[float] | None = None
+) -> MetricResult | MetricCurve:
+    """Capacity lower bound of identical links; with powers, the
+    `MetricCurve` over them (`_total_symmetric`)."""
+    return _total_symmetric(config, _capacity, ctrl, powers)
 
 
-def capacity_lb_avg(config: SystemConfig, ctrl: SeriesControl = SeriesControl()) -> MetricResult:
+def capacity_lb_avg(
+    config: SystemConfig, ctrl: SeriesControl = SeriesControl(), *, powers: Sequence[float] | None = None
+) -> MetricResult | MetricCurve:
     path = capacity_lb_avg_symmetric if config.is_symmetric() else capacity_lb_avg_general
-    return path(config, ctrl)
+    return path(config, ctrl, powers=powers)

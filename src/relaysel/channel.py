@@ -106,7 +106,20 @@ class LinkParams:
         return 0.5 / self.theta
 
 
-def derive_link_params(fp: FadingParams, power: float, convention: str = "derived") -> LinkParams:
+    def per_power(self) -> list["LinkParams"]:
+        """The float-valued link at each power of one derived at a 1-D array
+        of powers (`derive_link_params`), in order."""
+        links = []
+        for lam, c, theta in zip(self.lam.tolist(), self.c.tolist(), self.theta.tolist()):
+            link = object.__new__(LinkParams)  # as derive_link_params builds it
+            link.__dict__.update(lam=lam, c=c, theta=theta, rho_f=self.rho_f)
+            links.append(link)
+        return links
+
+
+def derive_link_params(
+    fp: FadingParams, power: float | np.ndarray, convention: str = "derived"
+) -> LinkParams:
     """Map (fading params, power) to the constants the closed forms use.
 
     convention="paper" uses the nominal rate lam = (1 + P sigma2_u) / rho_e;
@@ -114,8 +127,16 @@ def derive_link_params(fp: FadingParams, power: float, convention: str = "derive
     the rate that makes the sampled gamma_hat exactly Exponential(lam).  The
     two coincide when rho_e * sigma2_hat = 1 (in particular for perfect CSI
     with unit estimate variance).
+
+    power may be a 1-D float64 array: lam, c and theta are then arrays over
+    its powers, each element the float a call at that power gives
+    (`LinkParams.per_power` splits them), and a power out of range raises
+    the ValueError of the float call at such a power.
     """
-    lam, c, theta = _link_constants(fp, power, convention)
+    if isinstance(power, np.ndarray):
+        lam, c, theta = _link_constant_arrays(fp, power, convention)
+    else:
+        lam, c, theta = _link_constants(fp, power, convention)
     link = object.__new__(LinkParams)  # as with_power: no frozen __init__ setattrs
     link.__dict__.update(lam=lam, c=c, theta=theta, rho_f=fp.rho_f)
     return link
@@ -143,6 +164,19 @@ def _link_constants(fp: FadingParams, power: float, convention: str) -> tuple[fl
             f"link {fp} at power {power:.6g} has constants out of floating-point "
             f"range: lam = {lam:.6g}, c = {c:.6g}, theta = {theta:.6g}"
         )
+    return lam, c, theta
+
+
+def _link_constant_arrays(
+    fp: FadingParams, powers: np.ndarray, convention: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_link_constants` over a 1-D array of powers, as arrays of the float
+    path's constants at each power, which raises its ValueError at the first
+    power out of range.  A curve has at most a few tens of powers, where the
+    float path per power costs about what numpy's per-call cost on arrays
+    that short does, and it gives the float path's bits by construction."""
+    constants = [_link_constants(fp, power, convention) for power in powers.tolist()]
+    lam, c, theta = np.array(constants).reshape(-1, 3).T
     return lam, c, theta
 
 
@@ -307,7 +341,11 @@ class SystemConfig:
         between them.  A failing check raises `PowerRangeError` with the
         text `with_power` raises and the index of the power; a power that is
         not finite and > 0 fails before the ends, the smallest before the
-        largest."""
+        largest.  The config keeps the last interval whose ends passed, and
+        copies of it at other powers keep it too (the checks depend on the
+        power and on fields they share): powers inside it need no check, as
+        when a sweep's grid, checked once on the sweep's config, is checked
+        again by the metric call over that grid."""
 
         def check(i: int) -> None:
             try:
@@ -320,8 +358,14 @@ class SystemConfig:
                 check(i)
         if powers:
             indices = range(len(powers))
-            check(min(indices, key=powers.__getitem__))
-            check(max(indices, key=powers.__getitem__))
+            lo = min(indices, key=powers.__getitem__)
+            hi = max(indices, key=powers.__getitem__)
+            passed = self.__dict__.get("_passed")
+            if not (passed and passed[0] <= powers[lo] and powers[hi] <= passed[1]):
+                check(lo)
+                check(hi)
+                # a plain attribute, as _symmetric is: ==, hash and replace skip it
+                object.__setattr__(self, "_passed", (float(powers[lo]), float(powers[hi])))
         return [self._copy_at(float(power)) for power in powers]
 
     def _copy_at(self, power: float) -> "SystemConfig":
@@ -335,15 +379,18 @@ class SystemConfig:
     def relay_params(self) -> list[LinkParams]:
         return self._derive(self.relay_links)
 
-    def symmetric_params(self) -> tuple[LinkParams, LinkParams]:
+    def symmetric_params(self, powers: np.ndarray | None = None) -> tuple[LinkParams, LinkParams]:
         """The (source, relay) LinkParams of relay 0, which on a symmetric
-        config are those of every relay.  Both hops holding one FadingParams
+        config are those of every relay, at this config's power, or with
+        powers (a 1-D float64 array) at each of them, as
+        `derive_link_params` gives them.  Both hops holding one FadingParams
         object, as `symmetric` builds them, take one derivation."""
+        power = self.power if powers is None else powers
         src, rel = self.source_links[0], self.relay_links[0]
-        source = derive_link_params(src, self.power, self.lambda_convention)
+        source = derive_link_params(src, power, self.lambda_convention)
         if rel is src:
             return source, source
-        return source, derive_link_params(rel, self.power, self.lambda_convention)
+        return source, derive_link_params(rel, power, self.lambda_convention)
 
     def _derive(self, links: tuple[FadingParams, ...]) -> list[LinkParams]:
         """derive_link_params of every link, in order, called once per

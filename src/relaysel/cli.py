@@ -273,9 +273,9 @@ class SweepSpec:
 # or a test that replaces analytic.* at run time is seen, where a reference
 # captured at import would keep calling the original
 _ANALYTIC = {
-    "outage": lambda cfg: analytic.outage_total(cfg),
-    "aser": lambda cfg: analytic.aser_total(cfg),
-    "capacity": lambda cfg: analytic.capacity_lb_avg(cfg),
+    "outage": lambda cfg, **kwargs: analytic.outage_total(cfg, **kwargs),
+    "aser": lambda cfg, **kwargs: analytic.aser_total(cfg, **kwargs),
+    "capacity": lambda cfg, **kwargs: analytic.capacity_lb_avg(cfg, **kwargs),
 }
 
 
@@ -341,19 +341,22 @@ def _mc_z_score(metric: str, config: SystemConfig, value: float, est: McEstimate
 
 def run_sweep(spec: SweepSpec) -> list[MetricPoint]:
     """One row per grid point; `both` mode adds MC columns and a z-score.
+    The analytic values come from one metric call over the grid's powers.
     Numerical failures are surfaced per row (value left empty) rather than
     aborting the whole sweep.  A diversity sweep evaluates the ASER at its
     points and returns the slopes of that curve."""
     metric = "aser" if spec.metric == "diversity" else spec.metric
+    curve = [None] * len(spec._configs)
+    if spec.mode in ("analytic", "both"):
+        # the whole grid in one call, a point's SeriesError in its slot
+        curve = _ANALYTIC[metric](spec.config, powers=[cfg.power for cfg in spec._configs])
     rows = []
-    for i, (snr, cfg) in enumerate(zip(spec.snr_db, spec._configs)):
+    for i, (snr, cfg, res) in enumerate(zip(spec.snr_db, spec._configs, curve)):
         value = terms = cond = None
-        if spec.mode in ("analytic", "both"):
-            try:
-                res = _ANALYTIC[metric](cfg)
-                value, terms, cond = res.value, res.series_terms_used, res.condition_estimate
-            except SeriesError as e:
-                print(f"warning: snr {snr} dB: {e}", file=sys.stderr, flush=True)
+        if isinstance(res, SeriesError):
+            print(f"warning: snr {snr} dB: {res}", file=sys.stderr, flush=True)
+        elif res is not None:
+            value, terms, cond = res.value, res.series_terms_used, res.condition_estimate
         mean = stderr = z = None
         if spec.mode in ("mc", "both"):
             est = _SIMULATE[metric](cfg, spec.trials, _row_seed(spec.seed, i))

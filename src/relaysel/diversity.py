@@ -14,7 +14,7 @@ import numpy as np
 
 from .analytic import aser_total
 from .channel import SystemConfig, db_to_linear
-from .specfn import SeriesControl
+from .specfn import SeriesControl, SeriesError
 
 # asymptotic_checks' slope tolerances: fitted slope vs the expected order
 # with feedback delay (1) and with full diversity (M), and the ceiling on
@@ -76,11 +76,15 @@ def aser_sweep(
     snr_db: Sequence[float],
     ctrl: SeriesControl = SeriesControl(),
 ) -> SweepCurve:
-    """Evaluate the closed-form ASER on a dB grid and package it as a curve.
-    A point without a finite positive linear power, or at which the config
-    leaves the float range, raises ValueError."""
-    configs = config.at_powers([db_to_linear(s) for s in snr_db])
-    return SweepCurve(tuple((float(s), aser_total(c, ctrl).value) for s, c in zip(snr_db, configs)))
+    """Evaluate the closed-form ASER on a dB grid, in one call over its
+    powers, and package it as a curve.  A point without a finite positive
+    linear power, or at which the config leaves the float range, raises
+    ValueError; the first point whose series fails raises its SeriesError."""
+    results = aser_total(config, ctrl, powers=[db_to_linear(s) for s in snr_db])
+    for res in results:
+        if isinstance(res, SeriesError):
+            raise res
+    return SweepCurve(tuple((float(s), res.value) for s, res in zip(snr_db, results)))
 
 
 def _expected_scenario(config: SystemConfig) -> tuple[str, float]:

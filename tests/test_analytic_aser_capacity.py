@@ -401,6 +401,11 @@ def test_series_grids_are_read_only():
     assert np.array_equal(an._PAPER_LGAMMA.upto(30), parts[0])
 
 
+def _point_series_rows(link, lam_extra, kernel):
+    """`an._series_rows` of one point: a block of one link."""
+    return an._series_rows([link], lam_extra[None, :], [kernel])[0]
+
+
 def _series_rows_outer(link, lam_extra, kernel):
     """`_series_rows` as an np.outer product, every ratio under errstate."""
     half_c = 0.5 * link.c
@@ -422,11 +427,19 @@ def test_series_rows_at_extreme_rho_f_match_the_outer_product(rho_f):
     lam_extra = np.arange(4, dtype=float) * link.lam
     ratio = 0.5 * link.c / (link.lam + 0.5 * link.c + lam_extra)
     assert (ratio == 0.0).all() if rho_f < 1e-161 else (ratio > 0.0).all()
-    for kernel in (np.array([0.25]), specfn.mean_q_gamma_table(60, 3.0),
-                   specfn.log_gamma_mean_table(17_945, 50.025)):
+    kernels = [np.array([0.25]), specfn.mean_q_gamma_table(60, 3.0),
+               specfn.log_gamma_mean_table(17_945, 50.025)]
+    for kernel in kernels:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = an._series_rows(link, lam_extra, kernel)
+            got = _point_series_rows(link, lam_extra, kernel)
+        assert np.array_equal(got, _series_rows_outer(link, lam_extra, kernel))
+    # in one block the three share a powers buffer as long as the longest:
+    # each point's rows keep their bits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        block = an._series_rows([link] * 3, np.tile(lam_extra, (3, 1)), kernels)
+    for got, kernel in zip(block, kernels):
         assert np.array_equal(got, _series_rows_outer(link, lam_extra, kernel))
 
 
@@ -496,7 +509,7 @@ def _series_candidate(metric, rel, tables, D, m) -> float:
         a = rel[m].lam + lam_extra
         rows = rel[m].lam / a * metric.degenerate(a)
     else:
-        rows = an._series_rows(rel[m], lam_extra, tables[m])
+        rows = _point_series_rows(rel[m], lam_extra, tables[m])
     return metric.finish(float(coeffs @ rows))
 
 
@@ -787,9 +800,9 @@ def test_symmetric_path_evaluates_its_m_rows_once(monkeypatch, symmetric, rho_f)
         finite.append(lam_extra.ravel())
         return finite_rows(metric, links, lam_extra)
 
-    def counting_series(link, lam_extra, kernel, out=None):
-        series.append(lam_extra)
-        return series_rows(link, lam_extra, kernel, out)
+    def counting_series(links, lam_extra, kernels, out=None):
+        series.append(lam_extra.ravel())
+        return series_rows(links, lam_extra, kernels, out)
 
     monkeypatch.setattr(an, "_finite_rows", counting_finite)
     monkeypatch.setattr(an, "_series_rows", counting_series)
@@ -856,7 +869,7 @@ def _per_size_reference(cfg, metric) -> an.MetricResult:
         rows, terms = rel.lam / a * metric.degenerate(a), 1
     else:
         table = metric.table(rel, CTRL)
-        rows, terms = an._series_rows(rel, lam_extra, table), len(table)
+        rows, terms = _point_series_rows(rel, lam_extra, table), len(table)
     signs = np.where(np.arange(M) % 2 == 0, 1.0, -1.0)
     total = metric.empty * fail**M
     values, mags = [], []
@@ -892,11 +905,116 @@ def test_symmetric_driver_equals_the_per_size_loop_bit_for_bit(metric):
     make = {"outage": an._outage, "aser": an._aser, "capacity": an._capacity}[metric]
     for M, convention, rho_f, rho_e, power in _PER_SIZE_GRID:
         cfg = sym_config(M=M, power=power, rho_e=rho_e, rho_f=rho_f, lambda_convention=convention)
-        got = _outcome(lambda: an._total_symmetric(cfg, make(cfg), CTRL))
+        got = _outcome(lambda: an._total_symmetric(cfg, make, CTRL))
         want = _outcome(lambda: _per_size_reference(cfg, make(cfg)))
         assert got == want, (M, convention, rho_f, rho_e, power)
         if isinstance(got[0], an.MetricResult):
             assert type(got[0].value) is float
+
+
+def _curves():
+    """(name, total, config, powers): every figure preset's curve, the
+    scaling benchmark's rho_f -> 1 sweeps of M = 3 at 10, 20 and 30 dB
+    (K ~ 1,500 and 18,000 terms, and SeriesErrors at 0.9999), and the M = 8
+    ASER whose 30 dB point cancels past the warning to a negative total."""
+    from relaysel import cli
+
+    totals = {"outage": an.outage_total, "aser": an.aser_total, "diversity": an.aser_total,
+              "capacity": an.capacity_lb_avg}
+    out = []
+    for fig, (metric, grid, curves) in cli._FIGURES.items():
+        powers = [ch.db_to_linear(s) for s in cli._grid(*grid)]
+        out += [(f"figure {fig} {label}", totals[metric], cfg, powers) for label, cfg in curves()]
+    powers = [ch.db_to_linear(s) for s in (10.0, 20.0, 30.0)]
+    for rho_f in (0.99, 0.999, 0.9999):
+        cfg = ch.SystemConfig.symmetric(M=3, power=1.0, rho_f=rho_f)
+        out += [(f"rho_f={rho_f} {m}", totals[m], cfg, powers) for m in ("outage", "aser", "capacity")]
+    out.append(("fresh M=8 aser", an.aser_total, sym_config(M=8, rho_f=1.0), powers))
+    return out
+
+
+def _point_bits(outcome):
+    """A point's result as exact bits, or its SeriesError's type and text."""
+    if isinstance(outcome, SeriesError):
+        return type(outcome), str(outcome)
+    return outcome.value.hex(), outcome.series_terms_used, outcome.condition_estimate.hex()
+
+
+def _point(total, cfg):
+    """total(cfg, CTRL), or the SeriesError it raises."""
+    try:
+        return total(cfg, CTRL)
+    except SeriesError as e:
+        return e
+
+
+def _warned(call):
+    """call()'s value and the text of every warning it gave, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = call()
+    return got, [str(w.message) for w in caught]
+
+
+def test_curve_equals_its_points_bit_for_bit():
+    # one call over a grid's powers gives each point the value, series
+    # terms, condition, error and warnings of a call at that power alone:
+    # blocks of points share a powers buffer as long as their longest
+    # series, and each point's sums still run over its own terms only
+    for name, total, cfg, powers in _curves():
+        curve, warned = _warned(lambda: total(cfg, CTRL, powers=powers))
+        assert isinstance(curve, an.MetricCurve) and len(curve) == len(powers), name
+        want, want_warned = [], []
+        for power in powers:
+            point, texts = _warned(lambda: _point(total, cfg.with_power(power)))
+            want.append(_point_bits(point))
+            want_warned += texts
+        assert [_point_bits(r) for r in curve] == want, name
+        assert warned == want_warned, name
+
+
+def test_curve_keeps_each_points_series_error():
+    # at rho_f = 0.99 the outage series needs 1,572 terms for its geometric
+    # tail, and fewer where the kernel's gamma cut x + 45 sqrt(x) + 50
+    # (x = q R_o, which falls with the power) stops it: with k_max = 1000
+    # only the two lowest powers fail, each in its own slot
+    ctrl = SeriesControl(k_max=1000)
+    cfg = sym_config(M=3, power=1.0, rho_f=0.99)
+    powers = [0.1, 10**-0.5, 1.0, 10.0]
+    curve = an.outage_total(cfg, ctrl, powers=powers)
+    assert [str(r) for r in curve[:2]] == [
+        "series needs 1572 terms but k_max is 1000 (geometric ratio 0.9801)",
+        "series needs 1510 terms but k_max is 1000 (geometric ratio 0.9801)",
+    ]
+    assert [type(r) for r in curve] == [SeriesError, SeriesError, an.MetricResult, an.MetricResult]
+    for res, power in zip(curve, powers):
+        if isinstance(res, SeriesError):
+            with pytest.raises(SeriesError) as err:
+                an.outage_total(cfg.with_power(power), ctrl)
+            assert str(err.value) == str(res)
+        else:
+            assert res == an.outage_total(cfg.with_power(power), ctrl)
+    # the curve's diagnostics cover its points: their terms, their worst condition
+    assert curve.series_terms_used == curve[2].series_terms_used + curve[3].series_terms_used
+    assert curve.condition_estimate == max(curve[2].condition_estimate, curve[3].condition_estimate)
+
+
+@pytest.mark.parametrize("make_cfg", [lambda: sym_config(M=3, rho_f=0.9), lambda: mixed_asym_config(3)],
+                         ids=["symmetric", "general"])
+def test_curve_powers_are_checked_as_at_powers_checks_them(make_cfg):
+    # a power that is not finite and > 0 raises what SystemConfig.at_powers
+    # raises, before any point is evaluated; no powers give an empty curve
+    cfg = make_cfg()
+    for total in (an.outage_total, an.aser_total, an.capacity_lb_avg):
+        for bad in ([1.0, 0.0], [math.inf, 1.0], [1.0, math.nan]):
+            with pytest.raises(ch.PowerRangeError) as err:
+                total(cfg, CTRL, powers=bad)
+            with pytest.raises(ch.PowerRangeError) as want:
+                cfg.at_powers(bad)
+            assert (str(err.value), err.value.index) == (str(want.value), want.value.index)
+        assert total(cfg, CTRL, powers=[]) == []
+        curve = total(cfg, CTRL, powers=[1.0, 10.0])
+        assert curve == [total(cfg.with_power(p), CTRL) for p in (1.0, 10.0)]
 
 
 def test_symmetric_driver_warns_on_cancellation():
@@ -955,6 +1073,11 @@ def faults(metric, cfg):
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 slow = SystemConfig.symmetric(M=3, power=10.0, rho_f=0.999)
+powers = [10.0, 100.0, 1000.0]
+curves = [(lambda cfg: an.aser_total(cfg, powers=powers), slow),
+          (lambda cfg: an.capacity_lb_avg(cfg, powers=powers), slow)]
+# each curve in turn, first in the process: the most pages of three warm calls
+warm = [max([faults(*call) for _ in range(4)][1:]) for call in curves]
 rho_f = [0.89 + 0.02 * i / 11 for i in range(12)]
 sigma2_h = [0.9 + 0.2 * ((5 * i) % 12) / 11 for i in range(12)]
 wide = SystemConfig(
@@ -965,7 +1088,7 @@ calls = [(an.aser_total, slow), (an.capacity_lb_avg, slow),
          (an.outage_total, wide), (an.aser_total, wide), (an.capacity_lb_avg, wide)]
 for call in calls:
     faults(*call)
-print(*(faults(*call) for call in calls))
+print(*(faults(*call) for call in calls), *warm)
 """
 
 
@@ -977,10 +1100,13 @@ def test_analytic_calls_do_not_fault_in_fresh_pages():
     # keeps reusing the same heap: the rho_f = 0.999 symmetric series
     # (K ~ 17,000 terms) and the general path's 12 x 2^11 subset rows fault
     # in no fresh pages (165-180 and 350-400 pages a call when each step
-    # allocated its own array).  A fresh interpreter, so that what earlier
+    # allocated its own array).  A curve of three such points runs one
+    # point per block, each point's table gone before the next is built:
+    # with the previous point's table still held, the ASER curve faulted
+    # 162 pages a warm call.  A fresh interpreter, so that what earlier
     # tests left in the allocator does not hide the faults
     cp = subprocess.run(
         [sys.executable, "-c", _FAULTS_PER_CALL], capture_output=True, text=True, check=True
     )
     per_call = list(map(int, cp.stdout.split()))
-    assert len(per_call) == 5 and max(per_call) < 32, per_call
+    assert len(per_call) == 7 and max(per_call) < 32, per_call

@@ -126,11 +126,12 @@ def _hex_or_error(call):
 
 # rho_e**2 underflows to 0 below about 1.5e-162, and sigma2_h / rho_e
 # overflows at the largest sigma2_h
+_DERIVATION_GRID_POWERS = [-1.0, 0.0, 1e-300, 1e-150, 1e-10, 1.0, 10.0, 1e10, 1e150, 1e300]
 _DERIVATION_GRID = list(itertools.product(
     (0.0, 1e-160, 0.5, 0.999999, 1.0),
     (1.0, 0.97, 1e-150, 1e-161, 1.5e-162, 1e-162, 1e-170, 5e-324),
     (1e-300, 1.0, 1e300),
-    (-1.0, 0.0, 1e-300, 1e-150, 1e-10, 1.0, 10.0, 1e10, 1e150, 1e300),
+    _DERIVATION_GRID_POWERS,
     ("derived", "paper", "nominal"),
 ))
 
@@ -153,6 +154,35 @@ def test_link_constants_match_the_per_call_formula_bit_for_bit():
     for text in ("power must be > 0", "unknown lambda convention", "out of floating-point range",
                  "lam = 0, c = 0, theta = inf"):
         assert any(text in e for e in errors), text
+
+
+def test_link_params_over_an_array_of_powers_equal_the_float_ones():
+    # one derivation over an array of powers gives each power the float
+    # call's constants bit for bit; where some power's float call raises,
+    # the array call raises one of those errors, with its text
+    powers = _DERIVATION_GRID_POWERS
+    windows = [powers[i : i + 3] for i in range(len(powers) - 2)] + [powers, powers[::-1]]
+    compared = raised = 0
+    for rho_f, rho_e, sigma2_h, convention in itertools.product(
+        (0.0, 1e-160, 0.5, 0.999999, 1.0), (1.0, 0.97, 1e-150, 1.5e-162, 1e-170, 5e-324),
+        (1e-300, 1.0, 1e300), ("derived", "paper", "nominal"),
+    ):
+        fp = ch.FadingParams(sigma2_h=sigma2_h, rho_e=rho_e, rho_f=rho_f)
+        for window in windows:
+            want = [_hex_or_error(lambda: dataclasses.astuple(ch.derive_link_params(fp, p, convention)))
+                    for p in window]
+            errors = [w for w in want if isinstance(w, str)]
+            try:
+                link = ch.derive_link_params(fp, np.array(window), convention)
+            except ValueError as e:
+                assert str(e) in errors, (fp, window, convention)
+                raised += 1
+                continue
+            assert not errors, (fp, window, convention)
+            got = [tuple(float(v).hex() for v in dataclasses.astuple(lp)) for lp in link.per_power()]
+            assert got == want, (fp, window, convention)
+            compared += 1
+    assert compared and raised
 
 
 def test_fading_params_parts_survive_replace_copy_and_pickle():
@@ -432,6 +462,36 @@ def test_at_powers_equals_with_power():
             assert point.is_symmetric() == want.is_symmetric() == cfg.is_symmetric()
             assert point.relay_params() == want.relay_params()
         assert cfg.at_powers([]) == [] and cfg.power == 10.0
+
+
+def test_at_powers_checks_an_interval_once(monkeypatch):
+    # a config keeps the last interval whose ends passed, and so do its
+    # copies at other powers: a grid inside it is not checked again, one
+    # reaching outside is, and replace starts afresh
+    checked = []
+    original = ch.SystemConfig._check_power_range
+
+    def counting(self):
+        checked.append(self.power)
+        return original(self)
+
+    monkeypatch.setattr(ch.SystemConfig, "_check_power_range", counting)
+    cfg = ch.SystemConfig.symmetric(M=3, power=1.0, rho_f=0.9)
+    checked.clear()
+    cfg.at_powers([10.0, 1.0, 100.0])
+    assert checked == [1.0, 100.0]
+    points = cfg.at_powers([2.0, 50.0])
+    points[0].at_powers([1.0, 100.0])
+    assert checked == [1.0, 100.0]
+    cfg.at_powers([0.5, 10.0])
+    assert checked == [1.0, 100.0, 0.5, 10.0]
+    with pytest.raises(ch.PowerRangeError) as err:
+        cfg.at_powers([2.0, math.nan])
+    assert err.value.index == 1
+    other = dataclasses.replace(cfg, rate=2.0)
+    other.at_powers([2.0])
+    assert checked[-3:] == [1.0, 2.0, 2.0]  # replace's own check, then both ends
+    assert other == dataclasses.replace(cfg, rate=2.0) and hash(other) == hash(dataclasses.replace(cfg, rate=2.0))
 
 
 @pytest.mark.parametrize("powers, index", [

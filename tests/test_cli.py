@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from relaysel import analytic, cli, montecarlo
+from relaysel import analytic, channel, cli, montecarlo
 from relaysel.channel import FadingParams, SystemConfig
 from relaysel.diversity import aser_sweep
 from relaysel.cli import (
@@ -314,19 +314,21 @@ _RANGE_CONFIGS = [
 
 @pytest.mark.parametrize("cfg", _RANGE_CONFIGS, ids=["symmetric", "link-overflow", "asymmetric"])
 def test_sweep_points_equal_with_power(cfg, monkeypatch):
-    # each row's config, from SystemConfig.at_powers, is the one
-    # with_power builds: equal, with the same hash and symmetry flag
+    # each row's config, from SystemConfig.at_powers over the powers that
+    # the sweep's one metric call receives, is the one with_power builds:
+    # equal, with the same hash and symmetry flag
     seen = []
 
-    def record(point):
-        seen.append(point)
-        return analytic.MetricResult(0.5, 1, 1.0)
+    def record(config, *, powers):
+        seen.extend(config.at_powers(powers))
+        return analytic.MetricCurve(analytic.MetricResult(0.5, 1, 1.0) for _ in powers)
 
     monkeypatch.setitem(cli._ANALYTIC, "outage", record)
     grid = (-20.0, -3.5, 0.0, 7.25, 30.0, 60.0)
-    rows = run_sweep(SweepSpec(metric="outage", snr_db=grid, mode="analytic", trials=0, seed=0,
-                               config=cfg))
+    spec = SweepSpec(metric="outage", snr_db=grid, mode="analytic", trials=0, seed=0, config=cfg)
+    rows = run_sweep(spec)
     assert [r.value for r in rows] == [0.5] * len(grid)
+    assert seen == spec._configs and len(seen) == len(grid)
     for snr, point in zip(grid, seen):
         want = cfg.with_power(10.0 ** (snr / 10.0))
         assert point == want and hash(point) == hash(want)
@@ -917,6 +919,26 @@ def test_reproduce_figure_builds_only_its_own_curves(tmp_path, monkeypatch):
     with pytest.raises(ConfigError, match="unknown id 10"):
         cli.reproduce_figure(10, str(tmp_path / "fig10.csv"))
     assert len(built) == 6
+
+
+def test_reproduce_figure_makes_one_metric_call_per_curve(tmp_path, monkeypatch):
+    # figure 4's five curves of 16 points: one symmetric metric call and one
+    # link derivation per curve (both hops share one FadingParams object),
+    # where a call per row made 80 of each
+    calls = {"symmetric": 0, "derive": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("outage_total_symmetric", "aser_total_symmetric", "capacity_lb_avg_symmetric"):
+        monkeypatch.setattr(analytic, name, counting("symmetric", getattr(analytic, name)))
+    monkeypatch.setattr(channel, "derive_link_params", counting("derive", channel.derive_link_params))
+    rows = cli.reproduce_figure(4, str(tmp_path / "fig4.csv"))
+    assert len(rows) == 80 and len({r.label for r in rows}) == 5
+    assert calls == {"symmetric": 5, "derive": 5}
 
 
 def test_reproduce_figure_3_error_floor(tmp_path):
